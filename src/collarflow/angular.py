@@ -264,7 +264,7 @@ def angular_bound_audit(u: MapField, profile_step: float = 0.05,
 
     J = jet(u)
     dens_theta = np.sum(J.u_theta**2, axis=-1)
-    tau = tension(u)
+    tau = tension(u, J)
     dens_tension = np.sum(tau * tau, axis=-1) * grid.rho_sq[:, None]
     th_dens = dens_theta.sum(axis=1) * grid.theta_weight
     g_dens = dens_tension.sum(axis=1) * grid.theta_weight

@@ -11,6 +11,12 @@ model maps used throughout the tests:
   * s derivatives are central in the interior and one-sided second
     order on the two boundary rows, hence exact on fields linear in s.
 
+One pass (jet) builds the wrapped s and theta differences once and
+returns the first and pure second derivatives.  The tension field is
+rho^-2 P_tan(u_ss + u_thth): the target's second fundamental form is
+zero on the torus and radial on the sphere, so the tangential
+projection removes it.
+
 Energies are reported in the conformal picture: the coordinate energy
 E = 1/2 int |du|^2 ds dtheta is invariant under the conformal factor,
 while the weighted quantities (I, I_theta, the cutoff variant) carry
@@ -76,17 +82,6 @@ class TargetSpec:
         p = np.asarray(self.periods)
         return d - p * np.round(d / p)
 
-    def second_fundamental_form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """A(u)(v, v); zero on the torus, -|v|^2 u on the unit sphere.
-
-        Radial at u in the sphere case, so it drops out of the
-        tangentially projected tension; it is kept explicit for use in
-        audits of the raw second-order operator.
-        """
-        if self.kind == "flat-torus":
-            return np.zeros_like(v)
-        return -np.sum(v * v, axis=-1, keepdims=True) * u
-
     def project(self, values: np.ndarray) -> np.ndarray:
         """Closest-point projection onto the target."""
         if self.kind == "flat-torus":
@@ -140,10 +135,12 @@ def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
 
 @dataclass
 class MapJet:
-    """First derivatives of a map at the grid nodes."""
+    """First and pure second derivatives of a map at the grid nodes."""
 
     u_s: np.ndarray
     u_theta: np.ndarray
+    u_ss: np.ndarray
+    u_thth: np.ndarray
 
 
 def _forward_diffs_s(values: np.ndarray, target: TargetSpec) -> np.ndarray:
@@ -155,8 +152,9 @@ def _forward_diffs_theta(values: np.ndarray, target: TargetSpec) -> np.ndarray:
 
 
 def jet(u: MapField) -> MapJet:
-    """First derivatives: central interior / one-sided second order in s,
-    periodic central in theta, all through wrapped increments."""
+    """First and pure second derivatives from one pass over the wrapped
+    increments: central interior / one-sided second order in s, periodic
+    central in theta."""
     grid, target = u.grid, u.target
     if grid.stretch != "uniform":
         raise DomainError("derivative stencils require a uniform grid")
@@ -168,50 +166,29 @@ def jet(u: MapField) -> MapJet:
     u_s[1:-1] = (D[1:] + D[:-1]) / (2.0 * h_s)
     u_s[0] = (3.0 * D[0] - D[1]) / (2.0 * h_s)
     u_s[-1] = (3.0 * D[-1] - D[-2]) / (2.0 * h_s)
-
-    Dt = _forward_diffs_theta(v, target)  # periodic
-    u_theta = (Dt + np.roll(Dt, 1, axis=1)) / (2.0 * h_t)
-    return MapJet(u_s=u_s, u_theta=u_theta)
-
-
-def _second_derivatives(u: MapField):
-    """(u_ss, u_thth) with one-sided second-order s rows, periodic theta."""
-    grid, target = u.grid, u.target
-    h_s, h_t = grid.h_s, grid.h_theta
-    v = u.values
-
-    D = _forward_diffs_s(v, target)
     u_ss = np.empty_like(v)
     u_ss[1:-1] = (D[1:] - D[:-1]) / h_s**2
     u_ss[0] = (-2.0 * D[0] + 3.0 * D[1] - D[2]) / h_s**2
     u_ss[-1] = (-2.0 * D[-1] + 3.0 * D[-2] - D[-3]) / h_s**2
 
-    Dt = _forward_diffs_theta(v, target)
-    u_thth = (Dt - np.roll(Dt, 1, axis=1)) / h_t**2
-    return u_ss, u_thth
+    Dt = _forward_diffs_theta(v, target)  # periodic
+    Dt_back = np.roll(Dt, 1, axis=1)
+    u_theta = (Dt + Dt_back) / (2.0 * h_t)
+    u_thth = (Dt - Dt_back) / h_t**2
+    return MapJet(u_s=u_s, u_theta=u_theta, u_ss=u_ss, u_thth=u_thth)
 
 
-def tension(u: MapField, target: TargetSpec | None = None,
-            grid: CollarGrid | None = None) -> np.ndarray:
-    """Tension field tau_g(u) = rho^-2 P_tan(u_ss + u_thth + A(u)(u_s,u_s) + A(u)(u_th,u_th)).
+def tension(u: MapField, jet_: MapJet | None = None) -> np.ndarray:
+    """Tension field tau_g(u) = rho^-2 P_tan(u_ss + u_thth).
 
-    The final tangential projection makes the result tangent to the
-    target at u by construction (the sphere's second fundamental form is
-    radial, so only the projected Laplacian survives); on the flat torus
-    the projection and A are trivial.  Returns an array of shape
-    (n_s, n_theta, dim).
+    The tangential projection makes the result tangent to the target at
+    u by construction, and it removes the second fundamental form terms
+    of the full operator: they vanish on the torus and are radial on the
+    sphere.  Returns an array of shape (n_s, n_theta, dim).
     """
-    target = target or u.target
-    grid = grid or u.grid
-    if target is not u.target and target != u.target:
-        raise DomainError("tension target must match the map's target")
-    u_ss, u_thth = _second_derivatives(u)
-    J = jet(u)
-    raw = (u_ss + u_thth
-           + target.second_fundamental_form(u.values, J.u_s)
-           + target.second_fundamental_form(u.values, J.u_theta))
-    flat = target.tangential(u.values, raw)
-    return grid.rho_inv_sq[:, None, None] * flat
+    J = jet_ or jet(u)
+    flat = u.target.tangential(u.values, J.u_ss + J.u_thth)
+    return u.grid.rho_inv_sq[:, None, None] * flat
 
 
 def tension_l2(u: MapField, tau: np.ndarray | None = None) -> float:
@@ -256,8 +233,7 @@ class EnergyReport:
     reg_diag: float
 
 
-def energies(u: MapField, jet_: MapJet | None = None,
-             cutoff_delta: float = _CUTOFF_DELTA) -> EnergyReport:
+def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
     grid = u.grid
     J = jet_ or jet(u)
     e_flat = 0.5 * (np.sum(J.u_s**2, axis=-1) + np.sum(J.u_theta**2, axis=-1))
@@ -266,15 +242,14 @@ def energies(u: MapField, jet_: MapJet | None = None,
     E = grid.integrate_flat(e_flat)
     I = grid.integrate_flat(e_flat * w_inv)
     I_theta = grid.integrate_flat(np.sum(J.u_theta**2, axis=-1) * w_inv)
-    phi = smooth_cutoff(grid.rho, cutoff_delta)[:, None]
+    phi = smooth_cutoff(grid.rho)[:, None]
     I_smooth = grid.integrate_flat(e_flat * w_inv * phi**2)
     sup_density = float(np.max(e_flat * w_inv))
 
-    u_ss, u_thth = _second_derivatives(u)
     # mixed derivative: theta-central of u_s
     Dt = (np.roll(J.u_s, -1, axis=1) - np.roll(J.u_s, 1, axis=1)) / (2.0 * grid.h_theta)
-    hess_sq = (np.sum(u_ss**2, axis=-1) + 2.0 * np.sum(Dt**2, axis=-1)
-               + np.sum(u_thth**2, axis=-1))
+    hess_sq = (np.sum(J.u_ss**2, axis=-1) + 2.0 * np.sum(Dt**2, axis=-1)
+               + np.sum(J.u_thth**2, axis=-1))
     window = np.abs(grid.s_nodes) < 1.0
     integrand = (hess_sq + (2.0 * e_flat)**2) * window[:, None]
     reg_diag = grid.integrate_flat(integrand)

@@ -36,14 +36,16 @@ import numpy as np
 from collarflow.geometry import ELL_MAX, CollarGrid, DomainError
 from collarflow.fields import (
     MapField,
+    MapJet,
     TargetSpec,
     _forward_diffs_s,
     _forward_diffs_theta,
     energies,
     jet,
     tension,
+    tension_l2,
 )
-from collarflow.quad_diff import hopf_differential, principal_split
+from collarflow.quad_diff import hopf_differential, principal_coefficient
 
 TRACE_COLUMNS = ("t", "ell", "E", "I", "I_theta", "I_smooth",
                  "tension_l2", "re_b0", "im_b0", "dE_residual")
@@ -153,14 +155,14 @@ def metric_speed(state: FlowState, eta: float, jet_=None) -> tuple[float, comple
     dz^2; for holomorphic Hopf differentials it equals the zero-mode
     coefficient regardless of how much of the collar the grid covers.
     """
-    b0 = principal_split(hopf_differential(state.u, jet_=jet_)).b0
+    b0 = principal_coefficient(hopf_differential(state.u, jet_=jet_))
     speed = -(2.0 * math.pi**2 / state.ell) * (eta**2 / 4.0) * b0.real
     return speed, b0
 
 
-def pinned_tension(u: MapField) -> np.ndarray:
+def pinned_tension(u: MapField, jet_: MapJet | None = None) -> np.ndarray:
     """Tension field with the two Dirichlet rows zeroed (the flow's vector field)."""
-    tau = tension(u)
+    tau = tension(u, jet_)
     tau[0] = 0.0
     tau[-1] = 0.0
     return tau
@@ -183,13 +185,6 @@ def face_energy(u: MapField) -> float:
     return 0.5 * (e_s + e_t) * h_s * h_t
 
 
-def flow_tension_l2_sq(u: MapField, tau: np.ndarray) -> float:
-    """||tau||^2 in the hyperbolic metric over the interior (unpinned) rows."""
-    grid = u.grid
-    dens = np.sum(tau * tau, axis=-1) * grid.rho_sq[:, None]
-    return grid.integrate_flat(dens)
-
-
 def _advance_values(u: MapField, tau: np.ndarray, dt: float) -> np.ndarray:
     vals = u.values + dt * tau
     if u.target.kind == "round-sphere":
@@ -197,10 +192,13 @@ def _advance_values(u: MapField, tau: np.ndarray, dt: float) -> np.ndarray:
     return vals
 
 
-def _speed(state: FlowState, config: FlowConfig) -> float:
+def _velocity(state: FlowState, config: FlowConfig) -> tuple[np.ndarray, float]:
+    """Pinned tension and length speed of a state, from one derivative pass."""
+    J = jet(state.u)
+    tau = pinned_tension(state.u, J)
     if config.eta == 0.0:
-        return 0.0
-    return metric_speed(state, config.eta)[0]
+        return tau, 0.0
+    return tau, metric_speed(state, config.eta, jet_=J)[0]
 
 
 def _clamped_grid(ell: float, config: FlowConfig) -> CollarGrid:
@@ -210,8 +208,7 @@ def _clamped_grid(ell: float, config: FlowConfig) -> CollarGrid:
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """One explicit step of the coupled system (Euler or Heun RK2)."""
     u, ell = state.u, state.ell
-    tau = pinned_tension(u)
-    speed = _speed(state, config)
+    tau, speed = _velocity(state, config)
     if config.stepper == "euler":
         new_vals = _advance_values(u, tau, config.dt)
         new_ell = ell + config.dt * speed
@@ -219,8 +216,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         mid_vals = _advance_values(u, tau, config.dt)
         mid_ell = ell + config.dt * speed
         mid_u = MapField(_clamped_grid(mid_ell, config), mid_vals, u.target)
-        tau2 = pinned_tension(mid_u)
-        speed2 = _speed(FlowState(mid_u, mid_ell, state.t + config.dt), config)
+        tau2, speed2 = _velocity(FlowState(mid_u, mid_ell, state.t + config.dt), config)
         new_vals = _advance_values(u, 0.5 * (tau + tau2), config.dt)
         new_ell = ell + 0.5 * config.dt * (speed + speed2)
     new_t = state.t + config.dt
@@ -251,8 +247,7 @@ def _sample_row(state: FlowState, config: FlowConfig, prev=None) -> dict:
     u = state.u
     J = jet(u)
     rep = energies(u, jet_=J)
-    tau = pinned_tension(u)
-    t_l2_sq = flow_tension_l2_sq(u, tau)
+    tau = pinned_tension(u, J)
     speed, b0 = metric_speed(state, config.eta, jet_=J)
     E_face = face_energy(u)
     if prev is None:
@@ -260,7 +255,7 @@ def _sample_row(state: FlowState, config: FlowConfig, prev=None) -> dict:
     else:
         resid = (E_face - prev["E"]) / (state.t - prev["t"]) + prev["tension_l2"] ** 2
     return dict(t=state.t, ell=state.ell, E=E_face, I=rep.I, I_theta=rep.I_theta,
-                I_smooth=rep.I_smooth, tension_l2=math.sqrt(t_l2_sq),
+                I_smooth=rep.I_smooth, tension_l2=tension_l2(u, tau),
                 re_b0=b0.real, im_b0=b0.imag, dE_residual=resid,
                 sup_density=rep.sup_density, speed=speed)
 

@@ -27,12 +27,6 @@ import numpy as np
 # (anything that builds grids or flows) requires the open interval.
 ELL_MAX = 2.0 * math.asinh(1.0)
 
-# Fault-injection knob used by the verification harness: scales the
-# conformal factor returned by conformal_factor() by (1 + _RHO_FAULT).
-# Grid construction goes through the unscaled _rho core on purpose, so
-# an injected fault trips the geometry checks and nothing else.
-_RHO_FAULT = 0.0
-
 
 class DomainError(ValueError):
     """Raised when an argument leaves the collar formulas' domain."""
@@ -95,7 +89,7 @@ def conformal_factor(ell: float, s: float) -> float:
     s = float(s)
     if not abs(s) < X:
         raise DomainError(f"|s| = {abs(s)} is not inside the collar of half length {X}")
-    return float(_rho(ell, s)) * (1.0 + _RHO_FAULT)
+    return float(_rho(ell, s))
 
 
 def injectivity_radius(ell: float, s: float) -> float:
@@ -259,8 +253,8 @@ class CollarGrid:
         self.theta_nodes = np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
         self.theta_weight = 2.0 * math.pi / self.n_theta
 
-        # cached metric samples; built on the unscaled core so the
-        # fault-injection hook only reaches the scalar geometry API
+        # cached metric samples; built on the _rho core, so a patched
+        # conformal_factor reaches the scalar geometry API only
         self.rho = _rho(self.ell, self.s_nodes)
         self.rho_sq = self.rho**2
         self.rho_inv_sq = 1.0 / self.rho_sq

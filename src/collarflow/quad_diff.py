@@ -81,16 +81,26 @@ class PrincipalSplit:
     remainder: QuadDiffField
 
 
+def principal_coefficient(field: QuadDiffField) -> complex:
+    """b0 = <Psi, dz^2> / ||dz^2||^2, the rho^-2-weighted mean of psi.
+
+    Both pairings are quadratured on the field's own grid, so the
+    constant factor 4 and the theta weight cancel.
+    """
+    grid = field.grid
+    w = grid.s_weights * grid.rho_inv_sq
+    return complex(np.einsum("s,st->", w, field.psi)) / (grid.n_theta * float(np.sum(w)))
+
+
 def principal_split(field: QuadDiffField) -> PrincipalSplit:
     """L^2-orthogonal projection onto the span of dz^2.
 
-    b0 = <Psi, dz^2> / ||dz^2||^2 with both quantities quadratured on the
-    field's own grid, so the split is exactly orthogonal in the discrete
-    pairing and the Pythagoras identity holds to rounding.
+    b0 is the principal_coefficient on the field's own grid, so the
+    split is exactly orthogonal in the discrete pairing and the
+    Pythagoras identity holds to rounding.
     """
     grid = field.grid
-    dz2 = coordinate_differential(grid)
-    b0 = inner_product(field, dz2) / inner_product(dz2, dz2).real
+    b0 = principal_coefficient(field)
     principal = QuadDiffField(grid, np.full_like(field.psi, b0))
     remainder = QuadDiffField(grid, field.psi - b0)
     return PrincipalSplit(b0=b0, principal=principal, remainder=remainder)

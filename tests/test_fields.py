@@ -130,6 +130,37 @@ class TestTension:
         dots = np.sum(tau * u.values, axis=-1)
         assert np.max(np.abs(dots)) < 1e-12
 
+    def test_projection_drops_second_fundamental_form(self):
+        # the full operator rho^-2 P_tan(u_ss + u_thth + A(u)(u_s, u_s) +
+        # A(u)(u_th, u_th)), with A = 0 on the torus and A(u)(v, v) =
+        # -|v|^2 u on the unit sphere, matches tension to rounding
+        def full_tension(u):
+            J = jet(u)
+
+            def A(v):
+                if u.target.kind == "flat-torus":
+                    return np.zeros_like(v)
+                return -np.sum(v * v, axis=-1, keepdims=True) * u.values
+
+            raw = J.u_ss + J.u_thth + A(J.u_s) + A(J.u_theta)
+            return u.grid.rho_inv_sq[:, None, None] * u.target.tangential(u.values, raw)
+
+        grid = CollarGrid(0.5, n_s=24, n_theta=16, s_max=2.0)
+        sph = TargetSpec.round_sphere()
+        u = sample_map(grid, sph, lambda s, t: np.stack(
+            [np.cos(t + 0.3 * np.sin(s)), np.sin(t + 0.3 * np.sin(s)),
+             0.4 * np.cos(s) * np.ones_like(t)], axis=-1))
+        J = jet(u)
+        scale = np.max(grid.rho_inv_sq[:, None] * (
+            np.linalg.norm(J.u_ss + J.u_thth, axis=-1)
+            + np.sum(J.u_s**2, axis=-1) + np.sum(J.u_theta**2, axis=-1)))
+        err = np.max(np.abs(tension(u) - full_tension(u)))
+        assert err <= 64 * np.finfo(float).eps * scale
+
+        torus = sample_map(grid, TORUS2, lambda s, t: np.stack(
+            [t + 0.3 * np.sin(s), np.cos(t) * s], axis=-1))
+        assert np.array_equal(tension(torus), full_tension(torus))
+
     def test_theta_harmonic_value(self):
         # u = sin(theta): tau_flat = -sin(theta), tau_g = -rho^-2 sin(theta)
         grid = CollarGrid(0.3, n_s=16, n_theta=256)

@@ -360,7 +360,33 @@ class TestStepInternals:
         vals = random_torus_values(cfg.grid_at(cfg.ell0), np.random.default_rng(8))
         st = initial_state(cfg, vals)
         E0 = face_energy(st.u)
-        from collarflow.flow import flow_tension_l2_sq
-        drop = cfg.dt * flow_tension_l2_sq(st.u, pinned_tension(st.u))
+        from collarflow.fields import tension_l2
+        drop = cfg.dt * tension_l2(st.u, pinned_tension(st.u)) ** 2
         E1 = face_energy(step(st, cfg).u)
         assert E0 - E1 == pytest.approx(drop, rel=2e-2)
+
+    def test_one_derivative_pass_per_stage_and_row(self, monkeypatch):
+        # one counter over every module binding of jet, so a pass made
+        # behind tension or the Hopf differential counts too
+        import collarflow.fields as fields
+        import collarflow.flow as flow
+        import collarflow.quad_diff as quad_diff
+        original, calls = fields.jet, []
+
+        def counted(u):
+            calls.append(u)
+            return original(u)
+
+        for module in (fields, flow, quad_diff):
+            monkeypatch.setattr(module, "jet", counted)
+        for stepper, passes in (("euler", 1), ("rk2", 2)):
+            cfg = wrap_config(stepper=stepper)
+            st = initial_state(cfg, wrap_values(cfg.grid_at(cfg.ell0)))
+            calls.clear()
+            step(st, cfg)
+            assert len(calls) == passes, stepper
+        cfg = wrap_config(n_steps=6, stride=3)
+        calls.clear()
+        trace = run(cfg, wrap_values(cfg.grid_at(cfg.ell0)))
+        assert trace.n_rows == 3
+        assert len(calls) == 6 + trace.n_rows

@@ -294,13 +294,11 @@ class TestCollarGrid:
 
 
 class TestFaultInjection:
-    def test_fault_hits_scalar_api_not_grids(self):
+    def test_fault_hits_scalar_api_not_grids(self, monkeypatch):
         base = conformal_factor(0.2, 1.0)
         grid_before = CollarGrid(0.2, n_s=16, n_theta=8).rho.copy()
-        try:
-            geometry._RHO_FAULT = 1e-3
-            assert conformal_factor(0.2, 1.0) == pytest.approx(base * 1.001, rel=1e-12)
-            grid_after = CollarGrid(0.2, n_s=16, n_theta=8).rho
-            assert np.array_equal(grid_before, grid_after)
-        finally:
-            geometry._RHO_FAULT = 0.0
+        monkeypatch.setattr(geometry, "conformal_factor",
+                            lambda ell, s: conformal_factor(ell, s) * (1.0 + 1e-3))
+        assert geometry.conformal_factor(0.2, 1.0) == pytest.approx(base * 1.001, rel=1e-12)
+        grid_after = CollarGrid(0.2, n_s=16, n_theta=8).rho
+        assert np.array_equal(grid_before, grid_after)
