@@ -52,6 +52,7 @@ from collarflow.flow import (
     run,
     stability_limit,
 )
+from collarflow.angular import comparison_pairs
 from collarflow.wp import (
     integrate_to_pinch,
     pinch_speed,

@@ -53,7 +53,7 @@ class ProfileFn:
             raise DomainError("profile needs matching 1-d arrays, >= 5 nodes")
         steps = np.diff(s)
         h = steps[0]
-        if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0):
+        if h <= 0 or not np.all(np.abs(steps - h) <= 1e-9 * h):
             raise DomainError("profile grid must be uniform and increasing")
         m = DELAY / h
         if abs(m - round(m)) > 1e-9 * max(1.0, m):
@@ -76,18 +76,41 @@ class ProfileFn:
         return slice(m + 1, self.s.size - m - 1)
 
 
+def _delay_stencil(v: np.ndarray, h: float, m: int) -> np.ndarray:
+    """L(v) on the interior nodes of the last axis, for delay m grid steps.
+
+    Central second difference plus the exact half-unit shifts; every
+    leading axis is a batch of independent profiles on one grid.
+    """
+    lo, hi = m + 1, v.shape[-1] - m - 1
+    second = (v[..., lo - 1:hi - 1] - 2.0 * v[..., lo:hi]
+              + v[..., lo + 1:hi + 1]) / h**2
+    delayed = 0.125 * (v[..., lo + m:hi + m] + v[..., lo - m:hi - m])
+    return second - 1.5 * v[..., lo:hi] + delayed
+
+
+def _end_bands(v: np.ndarray, m: int) -> np.ndarray:
+    """The m + 1 nodes at each end of the last axis, outside the interior."""
+    return np.concatenate([v[..., :m + 1], v[..., v.shape[-1] - m - 1:]], axis=-1)
+
+
+def _premises(d: np.ndarray, h: float, m: int, tol: float = 0.0):
+    """L(d) and the two comparison premises for gaps d along the last axis.
+
+    Returns L(d) on the interior, whether L(d) <= tol there, and whether
+    d >= -tol on both boundary bands.
+    """
+    Ld = _delay_stencil(d, h, m)
+    return Ld, np.all(Ld <= tol, axis=-1), np.all(_end_bands(d, m) >= -tol, axis=-1)
+
+
 def delay_operator(f: ProfileFn) -> np.ndarray:
     """L(f) on the interior nodes (f.interior() slice of the grid).
 
     Central second difference plus the exact half-unit shifts; second
     order accurate for smooth profiles.
     """
-    v, h, m = f.values, f.h, f.delay_steps
-    inner = f.interior()
-    lo, hi = inner.start, inner.stop
-    second = (v[lo - 1:hi - 1] - 2.0 * v[lo:hi] + v[lo + 1:hi + 1]) / h**2
-    delayed = 0.125 * (v[lo + m:hi + m] + v[lo - m:hi - m])
-    return second - 1.5 * v[lo:hi] + delayed
+    return _delay_stencil(f.values, f.h, f.delay_steps)
 
 
 @dataclass(frozen=True)
@@ -112,18 +135,13 @@ def comparison_check(lower: ProfileFn, upper: ProfileFn,
     """
     if lower.s.shape != upper.s.shape or not np.array_equal(lower.s, upper.s):
         raise DomainError("profiles must share one grid")
-    d = ProfileFn(lower.s, upper.values - lower.values)
-    Ld = delay_operator(d)
-    inner = d.interior()
-    band = np.ones(d.s.size, dtype=bool)
-    band[inner] = False
-    premise_op = bool(np.all(Ld <= tol))
-    premise_bd = bool(np.all(d.values[band] >= -tol))
+    d = upper.values - lower.values
+    Ld, premise_op, premise_bd = _premises(d, lower.h, lower.delay_steps, tol)
     return ComparisonReport(
-        premise_operator=premise_op,
-        premise_boundary=premise_bd,
-        conclusion=bool(np.all(d.values >= -abs(tol))),
-        min_gap=float(np.min(d.values)),
+        premise_operator=bool(premise_op),
+        premise_boundary=bool(premise_bd),
+        conclusion=bool(np.all(d >= -abs(tol))),
+        min_gap=float(np.min(d)),
         max_operator_violation=float(np.max(Ld)),
     )
 
@@ -175,44 +193,89 @@ def default_comparison_grid(half: float = 3.0, step: float = 0.25) -> np.ndarray
     return step * np.arange(-n, n + 1)
 
 
-def _random_smooth(rng: np.random.Generator, s: np.ndarray,
-                   amp: float = 1.0) -> np.ndarray:
-    x = s / s[-1]
-    vals = np.zeros_like(s)
-    for k in range(1, 5):
-        vals += rng.normal() / k * np.cos(
-            0.5 * math.pi * k * x + rng.uniform(0.0, 2.0 * math.pi))
-    peak = float(np.max(np.abs(vals)))
-    return amp * vals / peak if peak > 0 else vals
+def _random_smooth(rng: np.random.Generator, s: np.ndarray, rows: int,
+                   amp=1.0) -> np.ndarray:
+    """(rows, n) random four-mode cosine profiles, each peaking at |amp|."""
+    k = np.arange(1, 5)
+    coef = rng.normal(size=(rows, 4)) / k
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 4))
+    modes = np.cos(0.5 * math.pi * np.multiply.outer(k, s / s[-1])
+                   + phase[:, :, None])
+    vals = np.einsum("rk,rkn->rn", coef, modes)
+    peak = np.max(np.abs(vals), axis=-1, keepdims=True)
+    return amp * vals / np.where(peak > 0, peak, 1.0)
+
+
+def _candidate_block(rng: np.random.Generator, s: np.ndarray, m: int,
+                     rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n) lower profiles and upper = lower + gap for the sampler.
+
+    The gap mixes a random smooth profile with the cosh growth mode (on
+    which the operator is strongly negative) and a constant lift that
+    clears the boundary bands of m + 1 nodes at each end.
+    """
+    lower = _random_smooth(rng, s, rows, amp=rng.uniform(0.5, 2.0, (rows, 1)))
+    grow = np.cosh(0.5 * s) / math.cosh(0.5 * s[-1])
+    gap = _random_smooth(rng, s, rows) + rng.uniform(0.3, 2.5, (rows, 1)) * grow
+    band_min = _end_bands(gap, m).min(axis=1, keepdims=True)
+    gap += np.maximum(0.0, -band_min) + rng.uniform(0.0, 0.5, (rows, 1))
+    return lower, lower + gap
+
+
+# candidates drawn per block: enough that one block usually covers the
+# pairs still needed at the ~20 % acceptance rate, capped to bound memory
+_BLOCK_MIN, _BLOCK_PER_PAIR, _BLOCK_MAX = 16, 8, 4096
+
+
+def comparison_pairs(rng: np.random.Generator, n_pairs: int,
+                     s: np.ndarray | None = None, max_tries: int = 500
+                     ) -> tuple[list[tuple[ProfileFn, ProfileFn]], int]:
+    """Rejection-sample n_pairs profile pairs satisfying both comparison premises.
+
+    Candidates are drawn as blocks of rows (see _candidate_block).  A
+    candidate is kept only when both premises hold for d = upper - lower
+    in exactly the arithmetic of comparison_check, so accepted pairs are
+    hypotheses of the comparison principle, never of a weakened version.
+    Accepted pairs come back in draw order.
+
+    Returns (pairs, n_candidates): the list of (lower, upper) pairs and
+    the number of candidates drawn up to and including the last
+    returned pair, so n_pairs / n_candidates is the acceptance rate.
+    Raises RuntimeError when n_pairs acceptances need more than
+    max_tries * n_pairs candidates.
+    """
+    if n_pairs < 0:
+        raise DomainError("n_pairs must be nonnegative")
+    if s is None:
+        s = default_comparison_grid()
+    probe = ProfileFn(s, np.zeros_like(s))
+    s, h, m = probe.s, probe.h, probe.delay_steps
+    budget = max_tries * n_pairs
+    pairs: list = []
+    drawn = 0
+    while len(pairs) < n_pairs:
+        need = n_pairs - len(pairs)
+        rows = min(max(_BLOCK_MIN, _BLOCK_PER_PAIR * need), _BLOCK_MAX,
+                   budget - drawn)
+        if rows <= 0:
+            raise RuntimeError(
+                "comparison-pair sampler failed to accept a candidate")
+        lower, upper = _candidate_block(rng, s, m, rows)
+        _, op_ok, bd_ok = _premises(upper - lower, h, m)
+        keep = np.flatnonzero(op_ok & bd_ok)[:need]
+        pairs += [(ProfileFn(s, lower[i]), ProfileFn(s, upper[i])) for i in keep]
+        drawn += int(keep[-1]) + 1 if keep.size == need else rows
+    return pairs, drawn
 
 
 def random_comparison_pair(rng: np.random.Generator,
                            s: np.ndarray | None = None,
                            max_tries: int = 500) -> tuple[ProfileFn, ProfileFn]:
-    """Rejection-sample a profile pair satisfying both comparison premises.
+    """One profile pair satisfying both comparison premises.
 
-    The gap candidate mixes a random smooth profile with the cosh growth
-    mode (on which the operator is strongly negative) and a constant
-    lift that clears the boundary bands; candidates are kept only when
-    comparison_check confirms both premises in exact discrete
-    arithmetic, so accepted pairs are hypotheses of the comparison
-    principle, never of a weakened version.
+    Thin wrapper over comparison_pairs(rng, 1, s, max_tries).
     """
-    if s is None:
-        s = default_comparison_grid()
-    grow = np.cosh(0.5 * s) / math.cosh(0.5 * s[-1])
-    m = round(DELAY / (s[1] - s[0]))
-    band = np.ones(s.size, dtype=bool)
-    band[m + 1:s.size - m - 1] = False
-    for _ in range(max_tries):
-        lower = ProfileFn(s, _random_smooth(rng, s, amp=rng.uniform(0.5, 2.0)))
-        gap = _random_smooth(rng, s) + rng.uniform(0.3, 2.5) * grow
-        gap += max(0.0, -float(np.min(gap[band]))) + rng.uniform(0.0, 0.5)
-        upper = ProfileFn(s, lower.values + gap)
-        report = comparison_check(lower, upper)
-        if report.premise_operator and report.premise_boundary:
-            return lower, upper
-    raise RuntimeError("comparison-pair sampler failed to accept a candidate")
+    return comparison_pairs(rng, 1, s, max_tries)[0][0]
 
 
 @dataclass(frozen=True)

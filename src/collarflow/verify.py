@@ -320,10 +320,9 @@ def check_pinch_status(rng):
 # ------------------------------------------------------------------ angular
 
 def check_comparison_trials(rng):
-    s = angular.default_comparison_grid()
+    pairs, n_candidates = angular.comparison_pairs(rng, 300)
     worst = 0.0
-    for _ in range(300):
-        lower, upper = angular.random_comparison_pair(rng, s)
+    for lower, upper in pairs:
         rep = angular.comparison_check(lower, upper)
         if not (rep.premise_operator and rep.premise_boundary):
             return False, "sampler returned a non-hypothesis pair", None, 1e-13
@@ -332,7 +331,8 @@ def check_comparison_trials(rng):
         if worst < -1e-13:
             return False, f"conclusion failed, scaled gap {worst:.3g}", \
                 worst, 1e-13
-    return True, f"300 trials, worst scaled gap {worst:.3g}", worst, 1e-13
+    return True, f"300 trials from {n_candidates} candidates, " \
+        f"worst scaled gap {worst:.3g}", worst, 1e-13
 
 
 def check_kernel_residual_order(rng):

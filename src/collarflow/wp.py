@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from collarflow.geometry import ELL_MAX, DomainError, dz2_norms
+from collarflow.geometry import ELL_MAX, DomainError
 
 G_AT_PINCH = 32.0 * math.pi**5
 
@@ -52,14 +52,13 @@ def speed_normalizer(ell):
 def pinch_speed(ell):
     """d ell / d s along the unit-speed family, always negative.
 
-    Tends to -sqrt(2 ell / pi) at the pinch; computed from the L^2 norm
-    of dz^2 so it agrees with the quadrature route used elsewhere.
+    Tends to -sqrt(2 ell / pi) at the pinch; since ||dz^2||^2 = g / ell^3,
+    the speed -(8 pi^2 / ell) / ||dz^2|| is -8 pi^2 sqrt(ell) / sqrt(g).
     """
     ell_arr = np.asarray(ell, dtype=float)
     if np.any(ell_arr <= 0) or np.any(ell_arr >= ELL_MAX):
         raise DomainError("need 0 < ell < 2 arsinh 1")
-    out = -(8.0 * math.pi**2 / ell_arr) / np.sqrt(
-        np.vectorize(lambda l: dz2_norms(l).l2_sq)(ell_arr))
+    out = -8.0 * math.pi**2 * np.sqrt(ell_arr) / np.sqrt(speed_normalizer(ell_arr))
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,8 +14,11 @@ from collarflow.angular import (
     DEFAULT_C1,
     EXP_MODE_RATE,
     ProfileFn,
+    _candidate_block,
+    _premises,
     angular_bound_audit,
     comparison_check,
+    comparison_pairs,
     default_comparison_grid,
     delay_operator,
     kernel_residual,
@@ -42,6 +45,18 @@ class TestProfileFn:
         s = np.concatenate([np.arange(5) * 0.25, [1.3]])
         with pytest.raises(DomainError):
             ProfileFn(s, np.zeros_like(s))
+
+    @pytest.mark.parametrize("rel, accepted", [(2e-9, False), (5e-10, True)])
+    def test_uniform_step_tolerance_threshold(self, rel, accepted):
+        # one middle step off by rel relative to h = 0.25; the first
+        # step, which fixes h and the delay count, is untouched
+        s = 0.25 * np.arange(-12, 13)
+        s[13:] += rel * 0.25
+        if accepted:
+            assert ProfileFn(s, np.zeros_like(s)).delay_steps == 2
+        else:
+            with pytest.raises(DomainError):
+                ProfileFn(s, np.zeros_like(s))
 
     def test_too_short_for_stencil_rejected(self):
         s = 0.25 * np.arange(5)
@@ -134,6 +149,54 @@ class TestComparisonPrinciple:
             assert rep.min_gap >= -1e-13 * scale
             worst = min(worst, rep.min_gap)
         assert worst > -math.inf
+
+
+class TestComparisonPairs:
+    def test_block_mask_matches_comparison_check(self):
+        s = default_comparison_grid()
+        f = ProfileFn(s, np.zeros_like(s))
+        lower, upper = _candidate_block(np.random.default_rng(3), s,
+                                        f.delay_steps, 64)
+        _, op_ok, bd_ok = _premises(upper - lower, f.h, f.delay_steps)
+        accepted = op_ok & bd_ok
+        assert accepted.any() and not accepted.all()
+        for i in range(lower.shape[0]):
+            rep = comparison_check(ProfileFn(s, lower[i]), ProfileFn(s, upper[i]))
+            assert rep.premise_operator == op_ok[i]
+            assert rep.premise_boundary == bd_ok[i]
+
+    def test_seeded_calls_repeat(self):
+        a, na = comparison_pairs(np.random.default_rng(11), 40)
+        b, nb = comparison_pairs(np.random.default_rng(11), 40)
+        assert na == nb
+        for (la, ua), (lb, ub) in zip(a, b, strict=True):
+            assert np.array_equal(la.values, lb.values)
+            assert np.array_equal(ua.values, ub.values)
+
+    @pytest.mark.parametrize("n_pairs", [1, 7, 300])
+    def test_exact_count_and_candidates(self, n_pairs):
+        pairs, n_candidates = comparison_pairs(np.random.default_rng(5), n_pairs)
+        assert len(pairs) == n_pairs
+        assert n_candidates >= n_pairs
+        for lower, upper in pairs:
+            rep = comparison_check(lower, upper)
+            assert rep.premise_operator and rep.premise_boundary
+
+    def test_exhausted_tries_raise(self):
+        # max_tries = 0 leaves no candidate to draw
+        with pytest.raises(RuntimeError):
+            comparison_pairs(np.random.default_rng(0), 3, max_tries=0)
+        # a single try per pair cannot supply 50 pairs at ~20 % acceptance
+        with pytest.raises(RuntimeError):
+            comparison_pairs(np.random.default_rng(0), 50, max_tries=1)
+
+    def test_single_pair_wrapper_matches_block_sampler(self):
+        s = default_comparison_grid(2.0, 0.125)
+        lower, upper = random_comparison_pair(np.random.default_rng(8), s)
+        (lb, ub), = comparison_pairs(np.random.default_rng(8), 1, s)[0]
+        assert np.array_equal(lower.s, lb.s)
+        assert np.array_equal(lower.values, lb.values)
+        assert np.array_equal(upper.values, ub.values)
 
 
 class TestKernel:

@@ -67,6 +67,12 @@ class TestPinchSpeed:
               - integrate_to_pinch(ell - h, tol=1e-12).total) / (2.0 * h)
         assert dd == pytest.approx(-1.0 / pinch_speed(ell), rel=1e-6)
 
+    def test_closed_form_matches_dz2_norm_route(self):
+        ell = np.linspace(0.0, ELL_MAX, 203)[1:-1]
+        l2_sq = np.array([dz2_norms(l).l2_sq for l in ell])
+        via_norm = -(8.0 * math.pi**2 / ell) / np.sqrt(l2_sq)
+        assert pinch_speed(ell) == pytest.approx(via_norm, rel=1e-14)
+
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
             pinch_speed(0.0)
