@@ -199,9 +199,10 @@ def _random_smooth(rng: np.random.Generator, s: np.ndarray, rows: int,
     k = np.arange(1, 5)
     coef = rng.normal(size=(rows, 4)) / k
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 4))
-    modes = np.cos(0.5 * math.pi * np.multiply.outer(k, s / s[-1])
-                   + phase[:, :, None])
-    vals = np.einsum("rk,rkn->rn", coef, modes)
+    arg = 0.5 * math.pi * np.multiply.outer(k, s / s[-1])
+    # sum_k coef cos(arg + phase), expanded so no (rows, 4, n) array forms
+    vals = np.einsum("rk,kn->rn", coef * np.cos(phase), np.cos(arg)) \
+        - np.einsum("rk,kn->rn", coef * np.sin(phase), np.sin(arg))
     peak = np.max(np.abs(vals), axis=-1, keepdims=True)
     return amp * vals / np.where(peak > 0, peak, 1.0)
 
