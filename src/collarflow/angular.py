@@ -264,7 +264,9 @@ def comparison_pairs(rng: np.random.Generator, n_pairs: int,
         lower, upper = _candidate_block(rng, s, m, rows)
         _, op_ok, bd_ok = _premises(upper - lower, h, m)
         keep = np.flatnonzero(op_ok & bd_ok)[:need]
-        pairs += [(ProfileFn(s, lower[i]), ProfileFn(s, upper[i])) for i in keep]
+        # fancy indexing copies, so the pairs do not pin the whole block
+        pairs += [(ProfileFn(s, lo), ProfileFn(s, up))
+                  for lo, up in zip(lower[keep], upper[keep])]
         drawn += int(keep[-1]) + 1 if keep.size == need else rows
     return pairs, drawn
 
