@@ -193,9 +193,9 @@ def default_comparison_grid(half: float = 3.0, step: float = 0.25) -> np.ndarray
     return step * np.arange(-n, n + 1)
 
 
-def _random_smooth(rng: np.random.Generator, s: np.ndarray, rows: int,
-                   amp=1.0) -> np.ndarray:
-    """(rows, n) random four-mode cosine profiles, each peaking at |amp|."""
+def _random_smooth(rng: np.random.Generator, s: np.ndarray,
+                   rows: int) -> np.ndarray:
+    """(rows, n) random four-mode cosine profiles, each peaking at 1 in |.|."""
     k = np.arange(1, 5)
     coef = rng.normal(size=(rows, 4)) / k
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 4))
@@ -204,7 +204,7 @@ def _random_smooth(rng: np.random.Generator, s: np.ndarray, rows: int,
     vals = np.einsum("rk,kn->rn", coef * np.cos(phase), np.cos(arg)) \
         - np.einsum("rk,kn->rn", coef * np.sin(phase), np.sin(arg))
     peak = np.max(np.abs(vals), axis=-1, keepdims=True)
-    return amp * vals / np.where(peak > 0, peak, 1.0)
+    return vals / np.where(peak > 0, peak, 1.0)
 
 
 def _candidate_block(rng: np.random.Generator, s: np.ndarray, m: int,
@@ -215,9 +215,10 @@ def _candidate_block(rng: np.random.Generator, s: np.ndarray, m: int,
     which the operator is strongly negative) and a constant lift that
     clears the boundary bands of m + 1 nodes at each end.
     """
-    lower = _random_smooth(rng, s, rows, amp=rng.uniform(0.5, 2.0, (rows, 1)))
+    smooth = _random_smooth(rng, s, 2 * rows)
+    lower = rng.uniform(0.5, 2.0, (rows, 1)) * smooth[:rows]
     grow = np.cosh(0.5 * s) / math.cosh(0.5 * s[-1])
-    gap = _random_smooth(rng, s, rows) + rng.uniform(0.3, 2.5, (rows, 1)) * grow
+    gap = smooth[rows:] + rng.uniform(0.3, 2.5, (rows, 1)) * grow
     band_min = _end_bands(gap, m).min(axis=1, keepdims=True)
     gap += np.maximum(0.0, -band_min) + rng.uniform(0.0, 0.5, (rows, 1))
     return lower, lower + gap
