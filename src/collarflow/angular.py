@@ -76,6 +76,12 @@ class ProfileFn:
         return slice(m + 1, self.s.size - m - 1)
 
 
+def _second_difference(v: np.ndarray, h: float, lo: int, hi: int) -> np.ndarray:
+    """Central second difference at nodes lo..hi-1 of the last axis."""
+    return (v[..., lo - 1:hi - 1] - 2.0 * v[..., lo:hi]
+            + v[..., lo + 1:hi + 1]) / h**2
+
+
 def _delay_stencil(v: np.ndarray, h: float, m: int) -> np.ndarray:
     """L(v) on the interior nodes of the last axis, for delay m grid steps.
 
@@ -83,10 +89,8 @@ def _delay_stencil(v: np.ndarray, h: float, m: int) -> np.ndarray:
     leading axis is a batch of independent profiles on one grid.
     """
     lo, hi = m + 1, v.shape[-1] - m - 1
-    second = (v[..., lo - 1:hi - 1] - 2.0 * v[..., lo:hi]
-              + v[..., lo + 1:hi + 1]) / h**2
     delayed = 0.125 * (v[..., lo + m:hi + m] + v[..., lo - m:hi - m])
-    return second - 1.5 * v[..., lo:hi] + delayed
+    return _second_difference(v, h, lo, hi) - 1.5 * v[..., lo:hi] + delayed
 
 
 def _end_bands(v: np.ndarray, m: int) -> np.ndarray:
@@ -173,19 +177,16 @@ def kernel_solution(s: np.ndarray, forcing: np.ndarray, c1: float = DEFAULT_C1,
     return ProfileFn(s, vals)
 
 
-def kernel_residual(f: ProfileFn, forcing: np.ndarray, c1: float,
-                    a: float = 0.0, b: float = 0.0) -> np.ndarray:
+def kernel_residual(f: ProfileFn, forcing: np.ndarray, c1: float) -> np.ndarray:
     """Interior residual f'' - f + c1 * forcing of the kernel construction.
 
     The exponential modes are annihilated by 1 - d^2/ds^2 up to O(h^2)
     as well, so the residual of kernel_solution output is O(h^2)
     uniformly; returned on the same interior slice as delay_operator.
     """
-    v, h = f.values, f.h
     inner = f.interior()
-    lo, hi = inner.start, inner.stop
-    second = (v[lo - 1:hi - 1] - 2.0 * v[lo:hi] + v[lo + 1:hi + 1]) / h**2
-    return second - v[lo:hi] + c1 * np.asarray(forcing)[lo:hi]
+    second = _second_difference(f.values, f.h, inner.start, inner.stop)
+    return second - f.values[inner] + c1 * np.asarray(forcing)[inner]
 
 
 def default_comparison_grid(half: float = 3.0, step: float = 0.25) -> np.ndarray:

@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("wp", help="integrate the path length to the pinch")
     common(p)
     p.add_argument("--ell0", type=float, default=0.1, help="starting length")
-    p.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="relative quadrature tolerance")
     p.add_argument("--sweep", default=None,
                    help="comma list of start lengths for the correction fit")
     p.set_defaults(handler=cmd_wp)

@@ -18,20 +18,32 @@ from collarflow.fields import MapField, TargetSpec, sample_map
 from collarflow.flow import FlowConfig, FlowTrace, run, stability_limit
 
 
+# keys each initial kind reads, besides "kind" itself
+_INITIAL_KEYS = {"wrap": {"a"}, "radial": {"b"},
+                 "theta-modes": {"amplitudes", "width"},
+                 "sphere-equator": {"eps"}}
+
+
 def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
     """Initial node values from a small declarative recipe.
 
     Kinds: "wrap" (theta winding, scale a), "radial" (u = b s per
     component), "theta-modes" (sum of a_n sin(n theta) profiles with a
     gaussian envelope in s), "sphere-equator" (equatorial winding,
-    optional transverse tilt eps).
+    optional transverse tilt eps).  A key the kind does not read is an
+    error.
     """
     grid = config.grid_at(config.ell0)
     target = config.target
+    if not isinstance(spec, dict):
+        raise DomainError("initial must be an object")
     kind = spec.get("kind")
-    known = {"wrap", "radial", "theta-modes", "sphere-equator"}
-    if kind not in known:
-        raise DomainError(f"unknown initial kind {kind!r} (one of {sorted(known)})")
+    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+        raise DomainError(
+            f"unknown initial kind {kind!r} (one of {sorted(_INITIAL_KEYS)})")
+    unknown = set(spec) - _INITIAL_KEYS[kind] - {"kind"}
+    if unknown:
+        raise DomainError(f"unknown initial keys for {kind!r}: {sorted(unknown)}")
 
     if kind == "wrap":
         a = float(spec.get("a", 1.0))

@@ -29,6 +29,7 @@ pinned, their tension is treated as zero) and periodic in theta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,15 @@ STATUS_COMPLETED = "completed"
 STATUS_PINCHED = "pinched"
 STATUS_BLOWUP = "blow-up-detected"
 STATUS_CAPPED = "capped"  # ell rose above ell_max: collar model left its domain
+
+# numeric FlowConfig fields and the types they accept; bool never counts
+_NUMERIC_FIELDS = {
+    "ell0": numbers.Real, "eta": numbers.Real, "dt": numbers.Real,
+    "t_end": numbers.Real, "n_s": int, "n_theta": int,
+    "ell_max": numbers.Real | None, "ell_floor": numbers.Real,
+    "s_max": numbers.Real | None, "stride": int,
+    "blowup_sup_density": numbers.Real,
+}
 
 
 class FlowError(RuntimeError):
@@ -103,6 +113,11 @@ class FlowConfig:
     blowup_sup_density: float = 1e8
 
     def __post_init__(self):
+        for name, kind in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is int else "a real number"
+                raise DomainError(f"{name} must be {what}, got {value!r}")
         ell_max = self.ell_max if self.ell_max is not None else self.ell0
         object.__setattr__(self, "ell_max", float(ell_max))
         if not 0.0 < self.ell_floor < self.ell0 <= self.ell_max < ELL_MAX:

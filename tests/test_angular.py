@@ -234,7 +234,7 @@ class TestKernel:
             s = profile_grid(3.0, step)
             g = np.exp(-s**2) * (1.0 + 0.3 * np.sin(s))
             f = kernel_solution(s, g, self.c1(), a=0.7, b=0.4)
-            r = kernel_residual(f, g, self.c1(), a=0.7, b=0.4)
+            r = kernel_residual(f, g, self.c1())
             errs.append(float(np.max(np.abs(r))))
         assert math.log2(errs[0] / errs[1]) > 1.9
 

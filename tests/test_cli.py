@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import collarflow
 from collarflow import io as cfio
 from collarflow.cli import main
 from collarflow.demos import DEMOS, run_demo
@@ -26,6 +31,18 @@ from collarflow.verify import (
 def _report_bytes(seed=0, **kw):
     return json.dumps(report_to_dict(run_checks(seed=seed, **kw)),
                       sort_keys=True)
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(collarflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, collarflow, collarflow.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, env=env, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestCsv:
@@ -259,6 +276,35 @@ class TestCliDriver:
         assert main(["flow", "--config", str(tmp_path / "u.json"),
                      "--out", str(tmp_path)]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", "1e-5"), ("eta", True), ("t_end", None), ("ell_max", "0.6"),
+        ("n_s", 48.5), ("n_theta", True), ("stride", 1.5), ("stride", "5"),
+    ])
+    def test_flow_mistyped_field_exit_2(self, tmp_path, capsys, field, value):
+        from collarflow.demos import demo_config
+        cfg, init = demo_config("wrap")
+        flow = {**cfio.config_to_dict(cfg), field: value}
+        (tmp_path / "t.json").write_text(
+            json.dumps({"flow": flow, "initial": init}))
+        assert main(["flow", "--config", str(tmp_path / "t.json"),
+                     "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("initial, named", [
+        ({"kind": "wrap", "amplitude": 3}, "amplitude"),
+        ({"kind": "radial", "a": 1.0}, "'a'"),
+        ({"kind": ["wrap"]}, "kind"),
+        (3, "initial"),
+    ])
+    def test_flow_bad_initial_exit_2(self, tmp_path, capsys, initial, named):
+        from collarflow.demos import demo_config
+        cfg, _ = demo_config("wrap")
+        doc = {"flow": cfio.config_to_dict(cfg), "initial": initial}
+        (tmp_path / "i.json").write_text(json.dumps(doc))
+        assert main(["flow", "--config", str(tmp_path / "i.json"),
+                     "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["flow", "--config", str(tmp_path / "absent.json"),

@@ -114,6 +114,17 @@ class TestDistance:
         with pytest.raises(DomainError):
             integrate_to_pinch(ELL_MAX)
 
+    @pytest.mark.parametrize("n_samples", [2, 200])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_tolerance_met(self, tol, n_samples):
+        dist = DIST_ORACLES[0.1]
+        total = integrate_to_pinch(0.1, tol=tol, n_samples=n_samples).total
+        assert abs(total - dist) <= tol * dist
+
+    def test_unreachable_tolerance_rejected(self):
+        with pytest.raises(DomainError, match="nodes per panel"):
+            integrate_to_pinch(0.1, tol=-1.0)
+
     def test_rk4_fourth_order(self):
         ref = integrate_to_pinch(0.1, tol=1e-12).total
         errs = [abs(rk4_distance(0.1, n) - ref) for n in (5, 10)]
