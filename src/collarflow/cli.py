@@ -8,7 +8,8 @@ the pinch, and `verify` runs the invariant registry.
 
 All artifacts are plot-ready CSV or sorted-key JSON with a provenance
 header (config hash, seed, version).  Exit codes: 0 success, 1 a
-verification check or audit failed, 2 usage or config errors.
+verification check or audit failed or a flow run left the finite state
+space, 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from collarflow import __version__
 from collarflow import io as cfio
 from collarflow import wp
 from collarflow.angular import angular_bound_audit
-from collarflow.flow import dlogell_bound_check, run
+from collarflow.flow import FlowError, dlogell_bound_check, run
 from collarflow.geometry import (
     ELL_MAX,
     CollarGrid,
     DomainError,
+    check_block,
     conformal_factor,
     delta_thin_half_length,
     dz2_norms,
@@ -57,27 +59,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load_config(path, allowed: set, required: set) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(
-            f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: top level must be an object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise DomainError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise DomainError(f"{path}: missing keys {sorted(missing)}")
-    return doc
 
 
 # ----------------------------------------------------------------- geometry
@@ -115,26 +96,11 @@ def cmd_geometry(args) -> int:
 
 # ----------------------------------------------------------------------- qd
 
-_QD_KEYS = {"ell", "n_s", "n_theta", "s_max", "stretch", "modes"}
-
-
-def _qd_from_config(doc: dict):
-    block = doc["qd"]
-    unknown = set(block) - _QD_KEYS
-    if unknown:
-        raise DomainError(f"unknown qd keys {sorted(unknown)}")
-    missing = {"ell", "n_s", "n_theta", "modes"} - set(block)
-    if missing:
-        raise DomainError(f"qd config missing keys {sorted(missing)}")
-    grid = CollarGrid(block["ell"], block["n_s"], block["n_theta"],
-                      s_max=block.get("s_max"),
-                      stretch=block.get("stretch", "uniform"))
-    modes = {}
-    for key, pair in block["modes"].items():
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise DomainError(f"mode {key!r} must be a [re, im] pair")
-        modes[int(key)] = complex(pair[0], pair[1])
-    return synthesize(modes, grid=grid)
+_QD_FILE = {"seed?": int, "qd": {"ell": float, "n_s": int, "n_theta": int,
+                                 "s_max?": float | None, "stretch?": str,
+                                 "modes": dict[int, tuple[float, float]]}}
+# the flow block and initial recipe are checked by config_from_dict and build_initial
+_FLOW_FILE = {"seed?": int, "flow": dict, "initial": dict}
 
 
 def cmd_qd(args) -> int:
@@ -142,17 +108,23 @@ def cmd_qd(args) -> int:
     if (args.config is None) == (args.field is None):
         raise DomainError("qd needs exactly one of --config or --field")
     if args.config is not None:
-        doc = _load_config(args.config, {"qd", "seed", "output_dir"}, {"qd"})
-        field = _qd_from_config(doc)
+        doc = check_block(cfio.read_json(args.config), _QD_FILE)
         params = doc["qd"]
+        grid = CollarGrid(params["ell"], params["n_s"], params["n_theta"],
+                          s_max=params.get("s_max"),
+                          stretch=params.get("stretch", "uniform"))
+        field = synthesize({int(key): complex(real, imag)
+                            for key, (real, imag) in params["modes"].items()}, grid=grid)
     else:
+        doc = {}
         header = args.header or str(Path(args.field).with_suffix(".json"))
         field = cfio.qd_field_from_csv(args.field, header)
         params = {"field": str(args.field)}
-    prov = cfio.provenance_for(seed=args.seed, config_sha256=_digest(params),
+    seed = doc.get("seed", 0) if args.seed is None else args.seed
+    prov = cfio.provenance_for(seed=seed, config_sha256=_digest(params),
                                subcommand="qd")
     cfio.qd_field_to_csv(field, out / "qd_field.csv", out / "qd_field.json",
-                         {"seed": args.seed, "subcommand": "qd"})
+                         {"seed": seed, "subcommand": "qd"})
     split = principal_split(field)
     n_max = args.n_max
     if n_max is None:
@@ -183,15 +155,16 @@ def cmd_flow(args) -> int:
     if (args.config is None) == (args.demo is None):
         raise DomainError("flow needs exactly one of --config or --demo")
     if args.demo is not None:
+        doc = {}
         config, init_spec = demo_config(args.demo)
     else:
-        doc = _load_config(args.config, {"flow", "initial", "seed", "output_dir"},
-                           {"flow", "initial"})
+        doc = check_block(cfio.read_json(args.config), _FLOW_FILE)
         config = cfio.config_from_dict(doc["flow"])
         init_spec = doc["initial"]
     values = build_initial(config, init_spec)
     trace = run(config, values)
-    prov = {"seed": args.seed, "subcommand": "flow"}
+    seed = doc.get("seed", 0) if args.seed is None else args.seed
+    prov = {"seed": seed, "subcommand": "flow"}
     cfio.trace_to_csv(trace, out / "trace.csv", prov)
     summary = cfio.trace_summary(trace)
     if trace.n_rows >= 3:
@@ -316,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid header JSON (default: field path with .json)")
     p.add_argument("--n-max", type=int, default=None, dest="n_max",
                    help="angular modes kept in the summary")
-    p.set_defaults(handler=cmd_qd)
+    p.set_defaults(handler=cmd_qd, seed=None)
 
     p = subs.add_parser("flow", help="run the gradient flow")
     common(p)
@@ -324,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON config with 'flow' and 'initial' blocks")
     p.add_argument("--demo", default=None, choices=sorted(DEMOS),
                    help="run a built-in demo configuration")
-    p.set_defaults(handler=cmd_flow)
+    p.set_defaults(handler=cmd_flow, seed=None)
 
     p = subs.add_parser("angular", help="audit the windowed angular energy bound")
     common(p)
@@ -366,6 +339,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FlowError as exc:  # a flow step left the finite state space
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

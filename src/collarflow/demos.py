@@ -13,15 +13,15 @@ import math
 
 import numpy as np
 
-from collarflow.geometry import CollarGrid, DomainError
+from collarflow.geometry import CollarGrid, DomainError, check_block
 from collarflow.fields import MapField, TargetSpec, sample_map
 from collarflow.flow import FlowConfig, FlowTrace, run, stability_limit
 
 
-# keys each initial kind reads, besides "kind" itself
-_INITIAL_KEYS = {"wrap": {"a"}, "radial": {"b"},
-                 "theta-modes": {"amplitudes", "width"},
-                 "sphere-equator": {"eps"}}
+# keys each initial kind reads; check_block adds the "kind" tag itself
+_INITIAL = ("kind", {"wrap": {"a?": float}, "radial": {"b?": float},
+                     "theta-modes": {"amplitudes?": list[float], "width?": float},
+                     "sphere-equator": {"eps?": float}})
 
 
 def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
@@ -33,31 +33,22 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
     optional transverse tilt eps).  A key the kind does not read is an
     error.
     """
+    kind = check_block(spec, _INITIAL, "initial")["kind"]
     grid = config.grid_at(config.ell0)
     target = config.target
-    if not isinstance(spec, dict):
-        raise DomainError("initial must be an object")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
-        raise DomainError(
-            f"unknown initial kind {kind!r} (one of {sorted(_INITIAL_KEYS)})")
-    unknown = set(spec) - _INITIAL_KEYS[kind] - {"kind"}
-    if unknown:
-        raise DomainError(f"unknown initial keys for {kind!r}: {sorted(unknown)}")
-
     if kind == "wrap":
-        a = float(spec.get("a", 1.0))
+        a = spec.get("a", 1.0)
         u = sample_map(grid, target, lambda s, t: np.stack(
             [a * t] + [np.zeros_like(t)] * (target.dim - 1), axis=-1))
         return u.values
     if kind == "radial":
-        b = float(spec.get("b", 1.0))
+        b = spec.get("b", 1.0)
         u = sample_map(grid, target, lambda s, t: np.stack(
             [b * s] + [np.zeros_like(s)] * (target.dim - 1), axis=-1))
         return u.values
     if kind == "theta-modes":
         amps = spec.get("amplitudes", [0.3])
-        width = float(spec.get("width", 0.5)) * grid.s_max
+        width = spec.get("width", 0.5) * grid.s_max
         vals = np.zeros((grid.n_s, grid.n_theta, target.dim))
         env = np.exp(-0.5 * (grid.s_nodes / width) ** 2)
         for n, a_n in enumerate(amps, start=1):
@@ -68,7 +59,7 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
     # sphere-equator
     if target.kind != "round-sphere":
         raise DomainError("sphere-equator initial data needs a sphere target")
-    eps = float(spec.get("eps", 0.0))
+    eps = spec.get("eps", 0.0)
     u = sample_map(grid, target, lambda s, t: np.stack(
         [np.cos(t), np.sin(t), eps * np.tanh(s) * np.ones_like(t)], axis=-1))
     return target.project(u.values)

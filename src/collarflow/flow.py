@@ -29,12 +29,11 @@ pinned, their tension is treated as zero) and periodic in theta.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from collarflow.geometry import ELL_MAX, CollarGrid, DomainError
+from collarflow.geometry import ELL_MAX, CollarGrid, DomainError, check_block
 from collarflow.fields import (
     MapField,
     MapJet,
@@ -56,14 +55,11 @@ STATUS_PINCHED = "pinched"
 STATUS_BLOWUP = "blow-up-detected"
 STATUS_CAPPED = "capped"  # ell rose above ell_max: collar model left its domain
 
-# numeric FlowConfig fields and the types they accept; bool never counts
-_NUMERIC_FIELDS = {
-    "ell0": numbers.Real, "eta": numbers.Real, "dt": numbers.Real,
-    "t_end": numbers.Real, "n_s": int, "n_theta": int,
-    "ell_max": numbers.Real | None, "ell_floor": numbers.Real,
-    "s_max": numbers.Real | None, "stride": int,
-    "blowup_sup_density": numbers.Real,
-}
+# the JSON type of each FlowConfig field but the target (geometry.check_block)
+FLOW_FIELDS = {"ell0": float, "eta": float, "dt": float, "t_end": float,
+               "n_s": int, "n_theta": int, "ell_max?": float | None,
+               "ell_floor?": float, "s_max?": float | None, "stepper?": str,
+               "stride?": int, "blowup_sup_density?": float}
 
 
 class FlowError(RuntimeError):
@@ -113,11 +109,8 @@ class FlowConfig:
     blowup_sup_density: float = 1e8
 
     def __post_init__(self):
-        for name, kind in _NUMERIC_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is int else "a real number"
-                raise DomainError(f"{name} must be {what}, got {value!r}")
+        check_block({k: v for k, v in vars(self).items() if k != "target"},
+                    FLOW_FIELDS, "flow")
         ell_max = self.ell_max if self.ell_max is not None else self.ell0
         object.__setattr__(self, "ell_max", float(ell_max))
         if not 0.0 < self.ell_floor < self.ell0 <= self.ell_max < ELL_MAX:
@@ -171,7 +164,7 @@ def metric_speed(state: FlowState, eta: float, jet_=None) -> tuple[float, comple
     coefficient regardless of how much of the collar the grid covers.
     """
     b0 = principal_coefficient(hopf_differential(state.u, jet_=jet_))
-    speed = -(2.0 * math.pi**2 / state.ell) * (eta**2 / 4.0) * b0.real
+    speed = -(2.0 * math.pi**2 / state.ell) * (eta * eta / 4.0) * b0.real
     return speed, b0
 
 

@@ -11,12 +11,17 @@ lengths, the conformal factor, injectivity radius, and the norms of the
 coordinate quadratic differential dz^2.  These are the building blocks
 the rest of the package (mode decompositions, flow runs, audits) leans
 on, so the formulas here are kept free of any grid machinery except for
-CollarGrid itself.
+CollarGrid itself.  check_block, the one checker of every JSON input,
+sits beside DomainError, which every module already imports.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import re
+import sys
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +35,57 @@ ELL_MAX = 2.0 * math.asinh(1.0)
 
 class DomainError(ValueError):
     """Raised when an argument leaves the collar formulas' domain."""
+
+
+def check_block(value, schema, where: str = ""):
+    """Check a decoded JSON value against a declarative table; return it.
+
+    schema maps each allowed key to its type ("key?": may be absent):
+    float (finite, never a bool), int (never a bool), str, dict (any
+    object), T | None, list[T], tuple[T, U] (a list of exactly those),
+    dict[int, T] (integer-string keys) or a nested table.  A pair (tag,
+    {tag value: table}) lets the tag key's value pick the table.  Nothing
+    is coerced; a failure raises DomainError starting with the dotted
+    JSON path of the bad value ("top level" when where is empty).
+    """
+    table = isinstance(schema, (dict, tuple))
+    origin = dict if table else typing.get_origin(schema) or schema
+    args = () if table else typing.get_args(schema)
+    if type(None) in args:  # T | None
+        return value if value is None else check_block(value, args[0], where)
+    here = where or "top level"
+    cls = {float: numbers.Real, tuple: list}.get(origin, origin)  # JSON arrays are lists
+    if isinstance(value, bool) or not isinstance(value, cls) \
+            or origin is float and not abs(value) <= sys.float_info.max \
+            or origin is tuple and len(value) != len(args):
+        what = {float: "a finite number", int: "an integer", str: "a string",
+                dict: "an object", list: "a list"}.get(origin, f"a list of {len(args)}")
+        raise DomainError(f"{here}: must be {what}, got {value!r}")
+    if isinstance(schema, tuple):  # (tag, {tag value: table})
+        tag, tables = schema
+        if value.get(tag) not in list(tables):
+            raise DomainError(f"{where}.{tag}".lstrip(".") + ": must be one of "
+                              f"{sorted(tables)}, got {value.get(tag)!r}")
+        schema = {tag: str, **tables[value[tag]]}
+    if table:
+        names = {key.rstrip("?"): key for key in schema}
+        for key in value:
+            if key not in names:
+                raise DomainError(f"{here}: unknown key {key!r}")
+        for name, key in names.items():
+            if name in value:
+                check_block(value[name], schema[key], f"{where}.{name}".lstrip("."))
+            elif key == name:
+                raise DomainError(f"{here}: missing key {name!r}")
+    elif origin is dict and args:  # dict[int, T]
+        for key, item in value.items():
+            if not re.fullmatch(r"-?[0-9]+", key):
+                raise DomainError(f"{where}: key {key!r} is not an integer")
+            check_block(item, args[1], f"{where}.{key}")
+    elif origin in (list, tuple):
+        for i, item in enumerate(value):
+            check_block(item, args[0] if origin is list else args[i], f"{where}.{i}")
+    return value
 
 
 def _check_ell(ell: float, *, closed_top: bool = True) -> float:

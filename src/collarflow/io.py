@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from collarflow import __version__
-from collarflow.geometry import DomainError
+from collarflow.geometry import CollarGrid, DomainError, check_block
 from collarflow.fields import TargetSpec
-from collarflow.flow import TRACE_COLUMNS, FlowConfig, FlowTrace
+from collarflow.flow import FLOW_FIELDS, TRACE_COLUMNS, FlowConfig, FlowTrace
 
 FLOAT_FMT = "%.17g"
 COMMENT_PREFIX = "# "
@@ -89,14 +89,22 @@ def write_json(path, payload: dict, provenance: dict | None = None) -> None:
         encoding="utf-8")
 
 
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def read_json(path):
+    """Decoded JSON file; unreadable or malformed files raise DomainError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DomainError(
+            f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
 
 
-_TARGET_KEYS = {"kind", "dim", "periods"}
-_CONFIG_KEYS = {"ell0", "eta", "dt", "t_end", "n_s", "n_theta", "target",
-                "ell_max", "ell_floor", "s_max", "stepper", "stride",
-                "blowup_sup_density"}
+# per-kind target keys; check_block adds the "kind" tag itself
+_TARGET = ("kind", {"flat-torus": {"dim?": int, "periods?": list[float]},
+                    "round-sphere": {"dim?": int}})
+_GRID_HEADER = {"ell": float, "n_s": int, "n_theta": int, "s_max": float,
+                "stretch?": str, "provenance?": dict}
 
 
 def target_to_dict(target: TargetSpec) -> dict:
@@ -107,20 +115,10 @@ def target_to_dict(target: TargetSpec) -> dict:
 
 
 def target_from_dict(d: dict) -> TargetSpec:
-    unknown = set(d) - _TARGET_KEYS
-    if unknown:
-        raise DomainError(f"unknown target keys: {sorted(unknown)}")
-    if "kind" not in d:
-        raise DomainError("target needs a 'kind'")
-    kind = d["kind"]
-    if kind == "flat-torus":
-        periods = tuple(d["periods"]) if "periods" in d else None
-        return TargetSpec.flat_torus(dim=d.get("dim", 1), periods=periods)
-    if kind == "round-sphere":
-        if "periods" in d:
-            raise DomainError("round-sphere target takes no periods")
-        return TargetSpec.round_sphere(dim=d.get("dim", 3))
-    raise DomainError(f"unknown target kind {kind!r}")
+    check_block(d, _TARGET, "target")
+    if d["kind"] == "flat-torus":
+        return TargetSpec.flat_torus(dim=d.get("dim", 1), periods=d.get("periods"))
+    return TargetSpec.round_sphere(dim=d.get("dim", 3))
 
 
 def config_to_dict(config: FlowConfig) -> dict:
@@ -130,15 +128,9 @@ def config_to_dict(config: FlowConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> FlowConfig:
-    """Strict parse: unknown keys are errors, nothing is silently dropped."""
-    unknown = set(d) - _CONFIG_KEYS
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"ell0", "eta", "dt", "t_end", "n_s", "n_theta", "target"} - set(d)
-    if missing:
-        raise DomainError(f"config missing keys: {sorted(missing)}")
-    kwargs = {k: v for k, v in d.items() if k != "target"}
-    return FlowConfig(target=target_from_dict(d["target"]), **kwargs)
+    """Strict parse of a flow block: nothing is dropped or coerced."""
+    check_block(d, {**FLOW_FIELDS, "target": _TARGET}, "flow")
+    return FlowConfig(**{**d, "target": target_from_dict(d["target"])})
 
 
 def config_digest(config: FlowConfig) -> str:
@@ -190,14 +182,10 @@ def _grid_header(grid) -> dict:
             "s_max": grid.s_max, "stretch": grid.stretch}
 
 
-def _grid_from_header(d: dict):
-    from collarflow.geometry import CollarGrid
-    needed = {"ell", "n_s", "n_theta", "s_max"}
-    missing = needed - set(d)
-    if missing:
-        raise DomainError(f"field header missing keys: {sorted(missing)}")
-    return CollarGrid(d["ell"], d["n_s"], d["n_theta"], s_max=d["s_max"],
-                      stretch=d.get("stretch", "uniform"))
+def _read_header(path, schema: dict) -> tuple[dict, CollarGrid]:
+    d = check_block(read_json(path), schema, str(path))
+    return d, CollarGrid(d["ell"], d["n_s"], d["n_theta"], s_max=d["s_max"],
+                         stretch=d.get("stretch", "uniform"))
 
 
 def _node_columns(grid) -> dict:
@@ -231,7 +219,7 @@ def qd_field_to_csv(field, csv_path, header_path, provenance: dict | None = None
 
 def qd_field_from_csv(csv_path, header_path):
     from collarflow.quad_diff import QuadDiffField
-    grid = _grid_from_header(read_json(header_path))
+    _, grid = _read_header(header_path, _GRID_HEADER)
     columns, _ = read_csv(csv_path)
     for name in ("s", "theta", "re_psi", "im_psi"):
         if name not in columns:
@@ -257,12 +245,8 @@ def map_to_csv(u, csv_path, header_path, provenance: dict | None = None) -> None
 
 def map_from_csv(csv_path, header_path):
     from collarflow.fields import MapField
-    header = read_json(header_path)
-    if "target" not in header:
-        raise DomainError(f"{header_path}: map header needs a 'target'")
+    header, grid = _read_header(header_path, {**_GRID_HEADER, "target": _TARGET})
     target = target_from_dict(header["target"])
-    grid = _grid_from_header({k: v for k, v in header.items()
-                              if k not in ("target", "provenance")})
     columns, _ = read_csv(csv_path)
     _check_nodes(grid, columns, csv_path)
     values = np.zeros((grid.n_s, grid.n_theta, target.dim))

@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import collarflow
+from collarflow import cli
 from collarflow import io as cfio
 from collarflow.cli import main
-from collarflow.demos import DEMOS, run_demo
+from collarflow.demos import DEMOS, build_initial, demo_config, run_demo
 from collarflow.fields import MapField, TargetSpec, sample_map
 from collarflow.flow import TRACE_COLUMNS
-from collarflow.geometry import CollarGrid, DomainError, half_length
+from collarflow.geometry import CollarGrid, DomainError, check_block, half_length
 from collarflow.quad_diff import QuadDiffField
 from collarflow.verify import (
     CHECKS,
@@ -31,6 +37,59 @@ from collarflow.verify import (
 def _report_bytes(seed=0, **kw):
     return json.dumps(report_to_dict(run_checks(seed=seed, **kw)),
                       sort_keys=True)
+
+
+# valid config files: the wrap demo as a flow config and a small qd synthesis
+WRAP_CONFIG, WRAP_INITIAL = demo_config("wrap")
+FLOW_DOC = {"flow": cfio.config_to_dict(WRAP_CONFIG), "initial": WRAP_INITIAL,
+            "seed": 0}
+QD_DOC = {"qd": {"ell": 0.2, "n_s": 120, "n_theta": 12, "s_max": 3.0,
+                 "modes": {"0": [0.5, -0.25], "1": [0.1, 0.0]}},
+          "seed": 0}
+NULLABLE = {"flow.ell_max", "flow.s_max", "qd.s_max"}
+# values of the wrong JSON kind for a node holding a value of the given type
+WRONG = {
+    float: ["x", True, None, [], {}, math.inf, -math.inf, math.nan],
+    int: ["x", True, None, [], {}, math.inf, -math.inf, math.nan, 16.5, 16.0],
+    str: [1.5, True, None, [], {}],
+    dict: ["x", 1.5, True, None, []],
+    list: ["x", 1.5, True, None, {}],
+}
+
+
+def _nodes(node, path=""):
+    """(dotted path, value) of every object member and list item below node."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        sub = f"{path}.{key}".lstrip(".")
+        yield sub, value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, sub)
+
+
+def _at(doc, path):
+    for key in filter(None, path.split(".")):
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    return doc
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the node at the dotted path replaced."""
+    doc = copy.deepcopy(doc)
+    parent, _, last = path.rpartition(".")
+    node = _at(doc, parent)
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+def _run_config(subcommand, doc, extra=()):
+    """main on doc written as a config file: (exit code, stderr lines)."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(doc))
+        code = main([subcommand, "--config", str(path), "--out", tmp, *extra])
+    return code, err.getvalue().splitlines()
 
 
 class TestRuntimeDependencies:
@@ -113,6 +172,15 @@ class TestConfigSerialization:
             cfio.target_from_dict({"kind": "flat-torus", "color": "red"})
         with pytest.raises(DomainError):
             cfio.target_from_dict({"kind": "round-sphere", "periods": [1.0]})
+
+    def test_readme_flow_config_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("A flow config file has")[1]
+        doc = json.loads(text.split("```json")[1].split("```")[0])
+        check_block(doc, cli._FLOW_FILE)
+        cfg = cfio.config_from_dict(doc["flow"])
+        values = build_initial(cfg, doc["initial"])
+        assert values.shape == (cfg.n_s, cfg.n_theta, cfg.target.dim)
 
 
 class TestFieldSerialization:
@@ -305,6 +373,98 @@ class TestCliDriver:
         assert main(["flow", "--config", str(tmp_path / "i.json"),
                      "--out", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, path, value, named", [
+        ("flow", "flow", [1, 2], "flow"),
+        ("flow", "flow.t_end", math.inf, "flow.t_end"),
+        ("flow", "flow.eta", math.nan, "flow.eta"),
+        ("flow", "flow.blowup_sup_density", math.nan, "flow.blowup_sup_density"),
+        ("flow", "flow.target", 5, "flow.target"),
+        ("flow", "flow.target.dim", 1.5, "flow.target.dim"),
+        ("flow", "flow.target.dim", "1", "flow.target.dim"),
+        ("flow", "flow.target.periods", "ab", "flow.target.periods"),
+        ("flow", "initial", {"kind": "theta-modes", "amplitudes": 3},
+         "initial.amplitudes"),
+        ("flow", "initial.a", True, "initial.a"),
+        ("flow", "initial.a", "1.5", "initial.a"),
+        ("flow", "initial.a", "x", "initial.a"),
+        ("flow", "output_dir", "runs", "top level: unknown key 'output_dir'"),
+        ("qd", "qd", 5, "qd"),
+        ("qd", "qd.modes", [1, 2], "qd.modes"),
+        ("qd", "qd.n_s", "16", "qd.n_s"),
+        ("qd", "qd.n_s", 16.5, "qd.n_s"),
+        ("qd", "qd.ell", "0.2", "qd.ell"),
+        ("qd", "qd.modes.0", ["a", 0], "qd.modes.0.0"),
+        ("qd", "qd.modes.a", [1, 0], "qd.modes: key 'a'"),
+        ("qd", "output_dir", "runs", "top level: unknown key 'output_dir'"),
+    ])
+    def test_malformed_config_names_json_path(self, subcommand, path, value, named):
+        base = FLOW_DOC if subcommand == "flow" else QD_DOC
+        code, lines = _run_config(subcommand, _with(base, path, value))
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_config_exit_2(self, data):
+        subcommand = data.draw(st.sampled_from(["flow", "qd"]))
+        base = FLOW_DOC if subcommand == "flow" else QD_DOC
+        nodes = list(_nodes(base))
+        if data.draw(st.booleans()):
+            where = data.draw(st.sampled_from(
+                [""] + [p for p, v in nodes if isinstance(v, dict)]))
+            doc = copy.deepcopy(base)
+            _at(doc, where)["zz_unknown"] = 1
+            named = "zz_unknown"
+        else:
+            named, old = data.draw(st.sampled_from(nodes))
+            value = data.draw(st.sampled_from(
+                [v for v in WRONG[type(old)] if v is not None or named not in NULLABLE]))
+            doc = _with(base, named, value)
+        code, lines = _run_config(subcommand, doc)
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0]
+
+    @pytest.mark.parametrize("subcommand, patch, named", [
+        ("qd", {"n_s": "16"}, ".n_s: must be an integer"),
+        ("qd", {"n_s": 24.0}, ".n_s: must be an integer"),
+        ("qd", {"ell": "0.2"}, ".ell: must be a finite number"),
+        ("qd", {"bogus": 1}, ": unknown key 'bogus'"),
+        ("angular", {"target": 5}, ".target: must be an object"),
+    ])
+    def test_field_header_names_file_and_key(self, tmp_path, capsys,
+                                             subcommand, patch, named):
+        grid = CollarGrid(0.15, 24, 8, s_max=2.5)
+        field, header = tmp_path / "f.csv", tmp_path / "f.json"
+        if subcommand == "qd":
+            f = QuadDiffField(grid, np.ones((24, 8), dtype=complex))
+            cfio.qd_field_to_csv(f, field, header)
+        else:
+            u = sample_map(grid, TargetSpec.flat_torus(dim=1), lambda s, t: t[..., None])
+            cfio.map_to_csv(u, field, header)
+        header.write_text(json.dumps({**json.loads(header.read_text()), **patch}))
+        assert main([subcommand, "--field", str(field), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {header}{named}") and err.count("\n") == 1
+
+    def test_config_file_seed_recorded_unless_flag_given(self, tmp_path):
+        for doc, sub, artifact in [({**FLOW_DOC, "seed": 3}, "flow", "trace.csv"),
+                                   ({**QD_DOC, "seed": 3}, "qd", "qd_field.csv")]:
+            (tmp_path / "c.json").write_text(json.dumps(doc))
+            for extra, seed in [((), "3"), (("--seed", "5"), "5")]:
+                out = tmp_path / f"{sub}{seed}"
+                assert main([sub, "--config", str(tmp_path / "c.json"),
+                             "--out", str(out), *extra]) == 0
+                assert cfio.read_csv(out / artifact)[1]["seed"] == seed
+                summary = "summary.json" if sub == "flow" else "qd_summary.json"
+                prov = json.loads((out / summary).read_text())["provenance"]
+                assert prov["seed"] == int(seed)
+
+    def test_flow_error_exit_1_without_traceback(self):
+        code, lines = _run_config("flow", _with(FLOW_DOC, "flow.eta", 1e200))
+        assert code == 1
+        assert lines[-1] == "error: step 1: non-finite state"
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["flow", "--config", str(tmp_path / "absent.json"),
