@@ -5,6 +5,11 @@ whose constant Hopf differential pushes the core length up
 ("wrap", completes), a radial stretch whose Hopf differential drains
 the length to the floor ("pinch"), and a length-frozen sinusoidal
 relaxation ("relax", completes with decreasing energy).
+
+The pinch is a gap in the model: the paper rules out finite-time
+pinching for nonpositively curved targets such as the flat torus, but
+the run keeps its coordinate window at X(ell0) with pinned outer rows,
+while on a closed surface the collar lengthens as X(ell) ~ pi^2 / ell.
 """
 
 from __future__ import annotations

@@ -56,8 +56,8 @@ class TargetSpec:
         if self.kind not in ("flat-torus", "round-sphere"):
             raise DomainError(f"unknown target kind {self.kind!r}")
         if self.kind == "flat-torus":
-            if self.periods is None or len(self.periods) != self.dim:
-                raise DomainError("flat torus needs one period per component")
+            if self.dim < 1 or self.periods is None or len(self.periods) != self.dim:
+                raise DomainError("flat torus needs dim >= 1 and one period per component")
             if any(p <= 0 for p in self.periods):
                 raise DomainError("torus periods must be positive")
         elif self.periods is not None:
@@ -222,7 +222,6 @@ class EnergyReport:
     I_theta   rho^-2-weighted angular energy int rho^-2 |u_theta|^2
     I_smooth  cutoff-weighted variant of I (cutoff on the conformal factor)
     sup_density  max of the weighted energy density e = 1/2 |du|^2 rho^-2
-    reg_diag  int (|D^2 u|^2 + |du|^4) over the unit subcylinder at s = 0
     """
 
     E: float
@@ -230,7 +229,6 @@ class EnergyReport:
     I_theta: float
     I_smooth: float
     sup_density: float
-    reg_diag: float
 
 
 def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
@@ -245,17 +243,8 @@ def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
     phi = smooth_cutoff(grid.rho)[:, None]
     I_smooth = grid.integrate_flat(e_flat * w_inv * phi**2)
     sup_density = float(np.max(e_flat * w_inv))
-
-    # mixed derivative: theta-central of u_s
-    Dt = (np.roll(J.u_s, -1, axis=1) - np.roll(J.u_s, 1, axis=1)) / (2.0 * grid.h_theta)
-    hess_sq = (np.sum(J.u_ss**2, axis=-1) + 2.0 * np.sum(Dt**2, axis=-1)
-               + np.sum(J.u_thth**2, axis=-1))
-    window = np.abs(grid.s_nodes) < 1.0
-    integrand = (hess_sq + (2.0 * e_flat)**2) * window[:, None]
-    reg_diag = grid.integrate_flat(integrand)
-
     return EnergyReport(E=E, I=I, I_theta=I_theta, I_smooth=I_smooth,
-                        sup_density=sup_density, reg_diag=reg_diag)
+                        sup_density=sup_density)
 
 
 def _bump(x: np.ndarray) -> np.ndarray:

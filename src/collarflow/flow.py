@@ -213,10 +213,12 @@ def _clamped_grid(ell: float, config: FlowConfig) -> CollarGrid:
     return config.grid_at(min(max(ell, config.ell_floor), config.ell_max))
 
 
-def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """One explicit step of the coupled system (Euler or Heun RK2)."""
+def step(state: FlowState, config: FlowConfig,
+         velocity: tuple[np.ndarray, float] | None = None) -> FlowState:
+    """One explicit step of the coupled system (Euler or Heun RK2); velocity
+    is the state's (pinned tension, length speed) if the caller has it."""
     u, ell = state.u, state.ell
-    tau, speed = _velocity(state, config)
+    tau, speed = velocity or _velocity(state, config)
     if config.stepper == "euler":
         new_vals = _advance_values(u, tau, config.dt)
         new_ell = ell + config.dt * speed
@@ -251,7 +253,9 @@ class FlowTrace:
         return len(self.columns["t"])
 
 
-def _sample_row(state: FlowState, config: FlowConfig, prev=None) -> dict:
+def _sample_row(state: FlowState, config: FlowConfig,
+                prev=None) -> tuple[dict, tuple[np.ndarray, float]]:
+    """A trace row of the state and its velocity, from one derivative pass."""
     u = state.u
     J = jet(u)
     rep = energies(u, jet_=J)
@@ -265,7 +269,7 @@ def _sample_row(state: FlowState, config: FlowConfig, prev=None) -> dict:
     return dict(t=state.t, ell=state.ell, E=E_face, I=rep.I, I_theta=rep.I_theta,
                 I_smooth=rep.I_smooth, tension_l2=tension_l2(u, tau),
                 re_b0=b0.real, im_b0=b0.imag, dE_residual=resid,
-                sup_density=rep.sup_density, speed=speed)
+                sup_density=rep.sup_density), (tau, speed if config.eta else 0.0)
 
 
 def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
@@ -277,19 +281,19 @@ def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
     -> "blow-up-detected"; otherwise "completed" at t_end.
     """
     state = initial_state(config, initial_values)
-    rows = []
-    row = _sample_row(state, config)
-    rows.append(row)
+    row, velocity = _sample_row(state, config)
+    rows = [row]
     status = STATUS_COMPLETED
     n_steps = int(round(config.t_end / config.dt))
     for k in range(1, n_steps + 1):
-        state = step(state, config)
+        state = step(state, config, velocity)
+        velocity = None
         if state.ell <= config.ell_floor:
             status = STATUS_PINCHED
         elif state.ell > config.ell_max:
             status = STATUS_CAPPED
         if k % config.stride == 0 or k == n_steps or status != STATUS_COMPLETED:
-            row = _sample_row(state, config, prev=row)
+            row, velocity = _sample_row(state, config, prev=row)
             rows.append(row)
             if status == STATUS_COMPLETED and row["sup_density"] > config.blowup_sup_density:
                 status = STATUS_BLOWUP

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -55,12 +54,19 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+
+
 def read_csv(path) -> tuple[dict, dict]:
     """Read a csv written by write_csv: (columns, provenance)."""
     provenance = {}
     header = None
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         if line.startswith(COMMENT_PREFIX.rstrip()):
             body = line[len(COMMENT_PREFIX):] if line.startswith(COMMENT_PREFIX) \
                 else line.lstrip("#")
@@ -91,10 +97,9 @@ def write_json(path, payload: dict, provenance: dict | None = None) -> None:
 
 def read_json(path):
     """Decoded JSON file; unreadable or malformed files raise DomainError."""
+    text = _read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
@@ -114,11 +119,15 @@ def target_to_dict(target: TargetSpec) -> dict:
     return d
 
 
-def target_from_dict(d: dict) -> TargetSpec:
-    check_block(d, _TARGET, "target")
-    if d["kind"] == "flat-torus":
-        return TargetSpec.flat_torus(dim=d.get("dim", 1), periods=d.get("periods"))
-    return TargetSpec.round_sphere(dim=d.get("dim", 3))
+def target_from_dict(d: dict, where: str = "target") -> TargetSpec:
+    check_block(d, _TARGET, where)
+    torus = d["kind"] == "flat-torus"
+    dim, least = d.get("dim", 1 if torus else 3), 1 if torus else 2
+    if dim < least:
+        raise DomainError(f"{where}.dim: must be >= {least}, got {dim}")
+    if torus:
+        return TargetSpec.flat_torus(dim=dim, periods=d.get("periods"))
+    return TargetSpec.round_sphere(dim=dim)
 
 
 def config_to_dict(config: FlowConfig) -> dict:
@@ -130,7 +139,7 @@ def config_to_dict(config: FlowConfig) -> dict:
 def config_from_dict(d: dict) -> FlowConfig:
     """Strict parse of a flow block: nothing is dropped or coerced."""
     check_block(d, {**FLOW_FIELDS, "target": _TARGET}, "flow")
-    return FlowConfig(**{**d, "target": target_from_dict(d["target"])})
+    return FlowConfig(**{**d, "target": target_from_dict(d["target"], "flow.target")})
 
 
 def config_digest(config: FlowConfig) -> str:
@@ -142,8 +151,7 @@ def config_digest(config: FlowConfig) -> str:
 
 def provenance_for(config: FlowConfig | None = None,
                    seed: int | None = None, **extra) -> dict:
-    prov = {"version": __version__,
-            "threads": os.environ.get("COLLARFLOW_THREADS", "1")}
+    prov = {"version": __version__}
     if config is not None:
         prov["config_sha256"] = config_digest(config)
     if seed is not None:
@@ -246,7 +254,7 @@ def map_to_csv(u, csv_path, header_path, provenance: dict | None = None) -> None
 def map_from_csv(csv_path, header_path):
     from collarflow.fields import MapField
     header, grid = _read_header(header_path, {**_GRID_HEADER, "target": _TARGET})
-    target = target_from_dict(header["target"])
+    target = target_from_dict(header["target"], f"{header_path}.target")
     columns, _ = read_csv(csv_path)
     _check_nodes(grid, columns, csv_path)
     values = np.zeros((grid.n_s, grid.n_theta, target.dim))

@@ -3,10 +3,9 @@
 Each check is a small, fast probe of one library invariant.  Checks
 draw randomness from a Philox stream keyed by the report seed and the
 check's position in name-sorted order, so any single check can be rerun
-in isolation with the exact bits it saw in a full run, and thread count
-cannot change results.  Reports carry no wall-time by default and
-serialize byte-identically for a given seed and package state; timing
-is opt-in.
+in isolation with the exact bits it saw in a full run.  Reports carry
+no wall-time by default and serialize byte-identically for a given seed
+and package state; timing is opt-in.
 
 Geometry checks go through the ``geometry`` module namespace rather
 than bound names, so a test can fault-inject a perturbed conformal
@@ -19,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,14 +473,13 @@ def check_rng(seed: int, index: int) -> np.random.Generator:
     """Philox stream for one check: keyed by seed, counter-offset by index.
 
     The counter jump gives every check its own disjoint 2^64 block, so
-    neither check order nor thread scheduling can change the bits any
-    individual check sees.
+    neither check order nor the selection of checks can change the bits
+    any individual check sees.
     """
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
 
 
-def _run_one(args) -> CheckResult:
-    seed, index, suite, name, fn = args
+def _run_one(seed, index, suite, name, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
         passed, detail, measured, tolerance = fn(check_rng(seed, index))
@@ -497,29 +494,14 @@ def _run_one(args) -> CheckResult:
 
 
 def run_checks(seed: int = 0, names=None, suites=None) -> VerifyReport:
-    """Run the registered checks (all by default) and collect a report.
-
-    COLLARFLOW_THREADS > 1 fans independent checks over a thread pool;
-    results always merge in name order, so the report is identical for
-    any thread count.
-    """
-    ordered = sorted(CHECKS, key=lambda c: c[1])
-    selected = []
-    for index, (suite, name, fn) in enumerate(ordered):
-        if names is not None and name not in names:
-            continue
-        if suites is not None and suite not in suites:
-            continue
-        selected.append((seed, index, suite, name, fn))
-    if not selected:
+    """Run the registered checks (all by default), in name order, and
+    collect a report."""
+    results = []
+    for index, (suite, name, fn) in enumerate(sorted(CHECKS, key=lambda c: c[1])):
+        if (names is None or name in names) and (suites is None or suite in suites):
+            results.append(_run_one(seed, index, suite, name, fn))
+    if not results:
         raise ValueError("no checks selected")
-    n_threads = max(1, int(os.environ.get("COLLARFLOW_THREADS", "1")))
-    if n_threads == 1:
-        results = [_run_one(item) for item in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(_run_one, selected))
-    results.sort(key=lambda r: r.name)
     return VerifyReport(seed=seed, version=__version__, results=tuple(results))
 
 

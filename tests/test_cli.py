@@ -245,11 +245,6 @@ class TestVerifyRegistry:
     def test_reports_byte_identical_across_runs(self):
         assert _report_bytes(seed=5) == _report_bytes(seed=5)
 
-    def test_thread_count_cannot_change_report(self, monkeypatch):
-        base = _report_bytes(seed=2, suites={"geometry", "wp", "cli"})
-        monkeypatch.setenv("COLLARFLOW_THREADS", "4")
-        assert _report_bytes(seed=2, suites={"geometry", "wp", "cli"}) == base
-
     def test_named_subset(self):
         report = run_checks(seed=0, names={"half-length-oracle"})
         assert [r.name for r in report.results] == ["half-length-oracle"]
@@ -447,6 +442,35 @@ class TestCliDriver:
         assert main([subcommand, "--field", str(field), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {header}{named}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand", ["qd", "angular"])
+    def test_missing_field_csv_exit_2(self, tmp_path, capsys, subcommand):
+        grid = CollarGrid(0.15, 24, 8, s_max=2.5)
+        field, header = tmp_path / "f.csv", tmp_path / "f.json"
+        if subcommand == "qd":
+            cfio.qd_field_to_csv(QuadDiffField(grid, np.ones((24, 8), dtype=complex)),
+                                 field, header)
+        else:
+            cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=1),
+                                       lambda s, t: t[..., None]), field, header)
+        field.unlink()
+        assert main([subcommand, "--field", str(field), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {field}") and err.count("\n") == 1
+
+    def test_zero_dim_torus_names_dim(self, tmp_path, capsys):
+        zero = {"kind": "flat-torus", "dim": 0, "periods": []}
+        code, lines = _run_config("flow", _with(FLOW_DOC, "flow.target", zero))
+        assert code == 2
+        assert lines == ["error: flow.target.dim: must be >= 1, got 0"]
+        grid = CollarGrid(0.15, 24, 8, s_max=2.5)
+        field, header = tmp_path / "f.csv", tmp_path / "f.json"
+        cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=1),
+                                   lambda s, t: t[..., None]), field, header)
+        header.write_text(json.dumps({**json.loads(header.read_text()), "target": zero}))
+        assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {header}.target.dim: must be >= 1, got 0\n"
 
     def test_config_file_seed_recorded_unless_flag_given(self, tmp_path):
         for doc, sub, artifact in [({**FLOW_DOC, "seed": 3}, "flow", "trace.csv"),

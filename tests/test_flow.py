@@ -389,4 +389,34 @@ class TestStepInternals:
         calls.clear()
         trace = run(cfg, wrap_values(cfg.grid_at(cfg.ell0)))
         assert trace.n_rows == 3
-        assert len(calls) == 6 + trace.n_rows
+        # the steps after rows 0 and 3 reuse the velocity their row built
+        assert len(calls) == 6 + 1
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_row_velocity_reuse_keeps_trajectory(self, stepper, kind):
+        ell0, floor, n_s, n_theta = 0.2, 0.1, 40, 16
+        s_max = CollarGrid(0.3, 4, 4).s_max
+        dt = 0.4 * stability_limit(floor, n_s, n_theta, s_max)
+        grid = CollarGrid(ell0, n_s, n_theta, s_max=s_max)
+        rng = np.random.default_rng(5)
+        if kind == "flat-torus":
+            target, vals = TORUS2, random_torus_values(grid, rng)
+        else:
+            target = TargetSpec.round_sphere()
+            base = sample_map(grid, target, lambda s, t: np.stack(
+                [np.cos(t), np.sin(t), 0.3 * np.ones_like(t)], axis=-1)).values
+            vals = target.project(base + 0.05 * rng.normal(size=base.shape))
+        finals = []
+        for stride in (1, 10**6):
+            cfg = FlowConfig(ell0=ell0, eta=0.8, dt=dt, t_end=40 * dt, n_s=n_s,
+                             n_theta=n_theta, ell_max=0.3, ell_floor=floor,
+                             s_max=s_max, target=target, stepper=stepper,
+                             stride=stride)
+            trace = run(cfg, vals)
+            assert trace.status == STATUS_COMPLETED
+            finals.append(trace.final)
+        dense, sparse = finals
+        assert dense.ell != ell0  # the length moved
+        assert dense.ell == sparse.ell and dense.t == sparse.t
+        assert np.array_equal(dense.u.values, sparse.u.values)
