@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from collarflow.geometry import (
     ELL_MAX,
     CollarGrid,
-    CollarParams,
     DomainError,
     Dz2Norms,
     conformal_factor,

@@ -15,8 +15,6 @@ space, 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -50,11 +48,6 @@ from collarflow.quad_diff import (
 from collarflow.verify import report_to_dict, run_checks
 
 
-def _digest(params: dict) -> str:
-    canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -66,8 +59,7 @@ def _out_dir(args) -> Path:
 def cmd_geometry(args) -> int:
     out = _out_dir(args)
     params = {"ell": args.ell, "delta": args.delta, "samples": args.samples}
-    prov = cfio.provenance_for(seed=args.seed, config_sha256=_digest(params),
-                               subcommand="geometry")
+    prov = cfio.provenance_for(params, seed=args.seed, subcommand="geometry")
     norms = dz2_norms(args.ell)
     summary = {
         "ell": args.ell,
@@ -97,7 +89,7 @@ def cmd_geometry(args) -> int:
 # ----------------------------------------------------------------------- qd
 
 _QD_FILE = {"seed?": int, "qd": {"ell": float, "n_s": int, "n_theta": int,
-                                 "s_max?": float | None, "stretch?": str,
+                                 "s_max?": float | None,
                                  "modes": dict[int, tuple[float, float]]}}
 # the flow block and initial recipe are checked by config_from_dict and build_initial
 _FLOW_FILE = {"seed?": int, "flow": dict, "initial": dict}
@@ -111,8 +103,7 @@ def cmd_qd(args) -> int:
         doc = check_block(cfio.read_json(args.config), _QD_FILE)
         params = doc["qd"]
         grid = CollarGrid(params["ell"], params["n_s"], params["n_theta"],
-                          s_max=params.get("s_max"),
-                          stretch=params.get("stretch", "uniform"))
+                          s_max=params.get("s_max"))
         field = synthesize({int(key): complex(real, imag)
                             for key, (real, imag) in params["modes"].items()}, grid=grid)
     else:
@@ -121,8 +112,7 @@ def cmd_qd(args) -> int:
         field = cfio.qd_field_from_csv(args.field, header)
         params = {"field": str(args.field)}
     seed = doc.get("seed", 0) if args.seed is None else args.seed
-    prov = cfio.provenance_for(seed=seed, config_sha256=_digest(params),
-                               subcommand="qd")
+    prov = cfio.provenance_for(params, seed=seed, subcommand="qd")
     cfio.qd_field_to_csv(field, out / "qd_field.csv", out / "qd_field.json",
                          {"seed": seed, "subcommand": "qd"})
     split = principal_split(field)
@@ -189,8 +179,7 @@ def cmd_angular(args) -> int:
     audit = angular_bound_audit(u, profile_step=args.profile_step, c1=args.c1)
     params = {"field": str(args.field), "profile_step": args.profile_step,
               "c1": args.c1}
-    prov = cfio.provenance_for(seed=args.seed, config_sha256=_digest(params),
-                               subcommand="angular")
+    prov = cfio.provenance_for(params, seed=args.seed, subcommand="angular")
     prov.update({
         "c1": audit.c1,
         "fitted_c1": audit.fitted_c1,
@@ -212,8 +201,7 @@ def cmd_angular(args) -> int:
 def cmd_wp(args) -> int:
     out = _out_dir(args)
     params = {"ell0": args.ell0, "tol": args.tol, "sweep": args.sweep}
-    prov = cfio.provenance_for(seed=args.seed, config_sha256=_digest(params),
-                               subcommand="wp")
+    prov = cfio.provenance_for(params, seed=args.seed, subcommand="wp")
     path = wp.integrate_to_pinch(args.ell0, tol=args.tol)
     cfio.write_csv(out / "wp_path.csv", {
         "s": path.total - path.distance,  # arclength from the start point
@@ -248,8 +236,7 @@ def cmd_verify(args) -> int:
                         names=set(args.check) if args.check else None,
                         suites=set(args.suite) if args.suite else None)
     doc = report_to_dict(report, with_timing=args.with_timing)
-    prov = cfio.provenance_for(seed=args.seed,
-                               config_sha256=_digest({"seed": args.seed}),
+    prov = cfio.provenance_for({"seed": args.seed}, seed=args.seed,
                                subcommand="verify")
     cfio.write_json(out / "verify_report.json", doc, prov)
     for r in report.results:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from collarflow.geometry import CollarGrid, DomainError, check_block
+from collarflow.geometry import DomainError, check_block, half_length
 from collarflow.fields import MapField, TargetSpec, sample_map
 from collarflow.flow import FlowConfig, FlowTrace, run, stability_limit
 
@@ -72,7 +72,7 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
 
 def _demo_wrap() -> tuple[FlowConfig, dict]:
     n_s, n_theta, floor, ell_max = 48, 12, 0.2, 0.6
-    s_max = CollarGrid(ell_max, 4, 4).s_max
+    s_max = half_length(ell_max)
     dt = 0.8 * stability_limit(floor, n_s, n_theta, s_max)
     cfg = FlowConfig(ell0=0.25, eta=0.5, dt=dt, t_end=150 * dt, n_s=n_s,
                      n_theta=n_theta, ell_max=ell_max, ell_floor=floor,
@@ -83,7 +83,7 @@ def _demo_wrap() -> tuple[FlowConfig, dict]:
 def _demo_pinch() -> tuple[FlowConfig, dict]:
     n_s, n_theta, floor = 40, 8, 0.05
     ell0, eta, b = 0.15, 0.6, 0.8
-    s_max = CollarGrid(ell0, 4, 4).s_max
+    s_max = half_length(ell0)
     dt = 0.8 * stability_limit(floor, n_s, n_theta, s_max)
     t_hit = (ell0**2 - floor**2) / (math.pi**2 * eta**2 * b**2)
     cfg = FlowConfig(ell0=ell0, eta=eta, dt=dt, t_end=2.0 * t_hit, n_s=n_s,
@@ -95,7 +95,7 @@ def _demo_pinch() -> tuple[FlowConfig, dict]:
 def _demo_relax() -> tuple[FlowConfig, dict]:
     n_s, n_theta, floor = 64, 16, 0.18
     ell0 = 0.2
-    s_max = CollarGrid(ell0, 4, 4).s_max
+    s_max = half_length(ell0)
     dt = 0.5 * stability_limit(floor, n_s, n_theta, s_max)
     cfg = FlowConfig(ell0=ell0, eta=0.0, dt=dt, t_end=200 * dt, n_s=n_s,
                      n_theta=n_theta, ell_floor=floor,

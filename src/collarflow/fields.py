@@ -156,9 +156,7 @@ def jet(u: MapField) -> MapJet:
     increments: central interior / one-sided second order in s, periodic
     central in theta."""
     grid, target = u.grid, u.target
-    if grid.stretch != "uniform":
-        raise DomainError("derivative stencils require a uniform grid")
-    h_s, h_t = grid.h_s, grid.h_theta
+    h_s, h_t = grid.h_s, grid.theta_weight
     v = u.values
 
     D = _forward_diffs_s(v, target)  # (n_s-1, n_theta, d)

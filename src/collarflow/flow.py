@@ -126,9 +126,9 @@ class FlowConfig:
         if not (self.t_end > 0 and self.dt > 0):
             raise DomainError("dt and t_end must be positive")
         grid0 = CollarGrid(self.ell_max, self.n_s, self.n_theta)
-        s_max = self.s_max if self.s_max is not None else grid0.params.half_length
+        s_max = self.s_max if self.s_max is not None else grid0.s_max
         object.__setattr__(self, "s_max", float(s_max))
-        if not 0.0 < self.s_max <= grid0.params.half_length:
+        if not 0.0 < self.s_max <= grid0.s_max:
             raise DomainError("s_max must fit inside the collar at ell_max")
         cap = stability_limit(self.ell_floor, self.n_s, self.n_theta, self.s_max)
         if self.dt > cap:
@@ -185,19 +185,12 @@ def face_energy(u: MapField) -> float:
     identity along the flow exact.
     """
     grid, target = u.grid, u.target
-    h_s, h_t = grid.h_s, grid.h_theta
+    h_s, h_t = grid.h_s, grid.theta_weight
     Ds = _forward_diffs_s(u.values, target)
     Dt = _forward_diffs_theta(u.values, target)
     e_s = float(np.sum(Ds * Ds)) / h_s**2
     e_t = float(np.sum(Dt * Dt)) / h_t**2
     return 0.5 * (e_s + e_t) * h_s * h_t
-
-
-def _advance_values(u: MapField, tau: np.ndarray, dt: float) -> np.ndarray:
-    vals = u.values + dt * tau
-    if u.target.kind == "round-sphere":
-        vals = u.target.project(vals)
-    return vals
 
 
 def _velocity(state: FlowState, config: FlowConfig) -> tuple[np.ndarray, float]:
@@ -209,31 +202,34 @@ def _velocity(state: FlowState, config: FlowConfig) -> tuple[np.ndarray, float]:
     return tau, metric_speed(state, config.eta, jet_=J)[0]
 
 
-def _clamped_grid(ell: float, config: FlowConfig) -> CollarGrid:
-    return config.grid_at(min(max(ell, config.ell_floor), config.ell_max))
+def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
+             speed: float) -> FlowState:
+    """The state one Euler step of dt along (tau, speed) from state.
+
+    Raises FlowError on a non-finite result; the new map's grid takes the
+    length clamped to [ell_floor, ell_max], the state keeps it unclamped.
+    """
+    u = state.u
+    vals = u.values + config.dt * tau
+    if u.target.kind == "round-sphere":
+        vals = u.target.project(vals)
+    ell = state.ell + config.dt * speed
+    t = state.t + config.dt
+    if not np.isfinite(vals).all() or not math.isfinite(ell):
+        raise FlowError("non-finite state", round(t / config.dt))
+    grid = config.grid_at(min(max(ell, config.ell_floor), config.ell_max))
+    return FlowState(u=MapField(grid, vals, u.target), ell=ell, t=t)
 
 
 def step(state: FlowState, config: FlowConfig,
          velocity: tuple[np.ndarray, float] | None = None) -> FlowState:
     """One explicit step of the coupled system (Euler or Heun RK2); velocity
     is the state's (pinned tension, length speed) if the caller has it."""
-    u, ell = state.u, state.ell
     tau, speed = velocity or _velocity(state, config)
-    if config.stepper == "euler":
-        new_vals = _advance_values(u, tau, config.dt)
-        new_ell = ell + config.dt * speed
-    else:
-        mid_vals = _advance_values(u, tau, config.dt)
-        mid_ell = ell + config.dt * speed
-        mid_u = MapField(_clamped_grid(mid_ell, config), mid_vals, u.target)
-        tau2, speed2 = _velocity(FlowState(mid_u, mid_ell, state.t + config.dt), config)
-        new_vals = _advance_values(u, 0.5 * (tau + tau2), config.dt)
-        new_ell = ell + 0.5 * config.dt * (speed + speed2)
-    new_t = state.t + config.dt
-    if not np.isfinite(new_vals).all() or not math.isfinite(new_ell):
-        raise FlowError("non-finite state", round(new_t / config.dt))
-    new_u = MapField(_clamped_grid(new_ell, config), new_vals, u.target)
-    return FlowState(u=new_u, ell=new_ell, t=new_t)
+    if config.stepper == "rk2":
+        tau2, speed2 = _velocity(_advance(state, config, tau, speed), config)
+        tau, speed = 0.5 * (tau + tau2), 0.5 * (speed + speed2)
+    return _advance(state, config, tau, speed)
 
 
 @dataclass

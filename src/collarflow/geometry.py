@@ -22,13 +22,13 @@ import numbers
 import re
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Core geodesic lengths run over (0, 2 arsinh 1); the right endpoint is
 # the degenerate collar of zero width and is allowed in the pointwise
-# formula helpers so the collapse can be evaluated, but CollarParams
+# formula helpers so the collapse can be evaluated, but CollarGrid
 # (anything that builds grids or flows) requires the open interval.
 ELL_MAX = 2.0 * math.asinh(1.0)
 
@@ -249,38 +249,19 @@ def deformed_circle_radius_sq(ell: float, s0: float, b0: complex, eps: float,
     return (length / (2.0 * math.pi)) ** 2
 
 
-@dataclass(frozen=True)
-class CollarParams:
-    """Validated collar parameters: core length strictly inside (0, 2 arsinh 1)."""
-
-    ell: float
-
-    def __post_init__(self):
-        _check_ell(self.ell, closed_top=False)
-
-    @property
-    def half_length(self) -> float:
-        return half_length(self.ell)
-
-
 class CollarGrid:
-    """Tensor grid on the subcylinder (-s_max, s_max) x S^1 of a collar.
+    """Uniform tensor grid on the subcylinder (-s_max, s_max) x S^1 of a collar.
 
-    s nodes are cell centers strictly inside (-s_max, s_max); theta nodes
-    are the uniform periodic grid on [0, 2pi).  Quadrature weights come
-    from exact cell widths (midpoint rule in s, periodic rectangle rule
-    in theta), so the weights sum to the coordinate area 4 pi s_max to
-    machine precision regardless of any node stretching.
-
-    stretch="arctan" concentrates s nodes near the collar ends where the
-    conformal factor varies fastest; the default is uniform spacing.
+    s nodes are the centers of n_s equal cells of (-s_max, s_max); theta
+    nodes are the uniform periodic grid on [0, 2pi).  Quadrature weights
+    are the cell widths (midpoint rule in s, periodic rectangle rule in
+    theta), so they sum to the coordinate area 4 pi s_max.  The core
+    length must lie strictly inside (0, 2 arsinh 1).
     """
 
-    def __init__(self, ell: float, n_s: int, n_theta: int, s_max: float | None = None,
-                 stretch: str = "uniform"):
-        self.params = CollarParams(ell)
-        self.ell = self.params.ell
-        X = self.params.half_length
+    def __init__(self, ell: float, n_s: int, n_theta: int, s_max: float | None = None):
+        self.ell = _check_ell(ell, closed_top=False)
+        X = half_length(self.ell)
         if s_max is None:
             s_max = X
         s_max = float(s_max)
@@ -294,18 +275,8 @@ class CollarGrid:
 
         xi_edge = np.linspace(-1.0, 1.0, self.n_s + 1)
         xi_mid = 0.5 * (xi_edge[:-1] + xi_edge[1:])
-        if stretch == "uniform":
-            map_ = lambda xi: s_max * xi
-        elif stretch == "arctan":
-            a = self.ell / (2.0 * math.pi)
-            t = math.tan(a * s_max)
-            map_ = lambda xi: np.arctan(np.asarray(xi) * t) / a
-        else:
-            raise DomainError(f"unknown stretch {stretch!r}")
-        self.stretch = stretch
-        self.s_nodes = np.asarray(map_(xi_mid), dtype=float)
-        edges = np.asarray(map_(xi_edge), dtype=float)
-        self.s_weights = np.diff(edges)
+        self.s_nodes = s_max * xi_mid
+        self.s_weights = np.diff(s_max * xi_edge)
         self.theta_nodes = np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
         self.theta_weight = 2.0 * math.pi / self.n_theta
 
@@ -317,12 +288,8 @@ class CollarGrid:
 
     @property
     def h_s(self) -> float:
-        """Uniform s spacing (only meaningful for stretch='uniform')."""
+        """Uniform s spacing."""
         return 2.0 * self.s_max / self.n_s
-
-    @property
-    def h_theta(self) -> float:
-        return self.theta_weight
 
     def node_weights(self) -> np.ndarray:
         """Flat coordinate-measure weights ds dtheta, shape (n_s, n_theta)."""
@@ -340,4 +307,4 @@ class CollarGrid:
                      * self.theta_weight)
 
     def covers_full_collar(self) -> bool:
-        return self.s_max == self.params.half_length
+        return self.s_max == half_length(self.ell)

@@ -57,7 +57,7 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
 def _read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
@@ -66,7 +66,7 @@ def read_csv(path) -> tuple[dict, dict]:
     provenance = {}
     header = None
     rows = []
-    for line in _read_text(path).splitlines():
+    for n, line in enumerate(_read_text(path).splitlines(), 1):
         if line.startswith(COMMENT_PREFIX.rstrip()):
             body = line[len(COMMENT_PREFIX):] if line.startswith(COMMENT_PREFIX) \
                 else line.lstrip("#")
@@ -78,7 +78,14 @@ def read_csv(path) -> tuple[dict, dict]:
             header = line.split(",")
             continue
         if line:
-            rows.append([float(v) for v in line.split(",")])
+            values = line.split(",")
+            if len(values) != len(header):
+                raise DomainError(f"{path}: line {n}: {len(values)} values "
+                                  f"for {len(header)} columns")
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError as exc:
+                raise DomainError(f"{path}: line {n}: {exc}") from exc
     if header is None:
         raise DomainError(f"{path}: no header line")
     data = np.array(rows) if rows else np.zeros((0, len(header)))
@@ -109,7 +116,7 @@ def read_json(path):
 _TARGET = ("kind", {"flat-torus": {"dim?": int, "periods?": list[float]},
                     "round-sphere": {"dim?": int}})
 _GRID_HEADER = {"ell": float, "n_s": int, "n_theta": int, "s_max": float,
-                "stretch?": str, "provenance?": dict}
+                "provenance?": dict}
 
 
 def target_to_dict(target: TargetSpec) -> dict:
@@ -142,14 +149,16 @@ def config_from_dict(d: dict) -> FlowConfig:
     return FlowConfig(**{**d, "target": target_from_dict(d["target"], "flow.target")})
 
 
-def config_digest(config: FlowConfig) -> str:
-    """sha256 of the canonical JSON form, for provenance lines."""
-    canon = json.dumps(config_to_dict(config), sort_keys=True,
-                       separators=(",", ":"))
+def config_digest(config: FlowConfig | dict) -> str:
+    """sha256 of the canonical (sorted, compact) JSON form of a flow config
+    or of a subcommand's parameters, for provenance lines."""
+    if isinstance(config, FlowConfig):
+        config = config_to_dict(config)
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def provenance_for(config: FlowConfig | None = None,
+def provenance_for(config: FlowConfig | dict | None = None,
                    seed: int | None = None, **extra) -> dict:
     prov = {"version": __version__}
     if config is not None:
@@ -187,13 +196,12 @@ def trace_summary(trace: FlowTrace) -> dict:
 
 def _grid_header(grid) -> dict:
     return {"ell": grid.ell, "n_s": grid.n_s, "n_theta": grid.n_theta,
-            "s_max": grid.s_max, "stretch": grid.stretch}
+            "s_max": grid.s_max}
 
 
 def _read_header(path, schema: dict) -> tuple[dict, CollarGrid]:
     d = check_block(read_json(path), schema, str(path))
-    return d, CollarGrid(d["ell"], d["n_s"], d["n_theta"], s_max=d["s_max"],
-                         stretch=d.get("stretch", "uniform"))
+    return d, CollarGrid(d["ell"], d["n_s"], d["n_theta"], s_max=d["s_max"])
 
 
 def _node_columns(grid) -> dict:
@@ -202,12 +210,17 @@ def _node_columns(grid) -> dict:
     return {"s": s, "theta": theta}
 
 
-def _check_nodes(grid, columns: dict, path) -> None:
-    want = _node_columns(grid)
-    for name in ("s", "theta"):
-        if columns[name].shape != want[name].shape \
-                or not np.allclose(columns[name], want[name], rtol=0, atol=1e-12):
+def _read_columns(path, grid, names) -> dict:
+    """Columns of a field csv; its s and theta columns must match the grid."""
+    columns, _ = read_csv(path)
+    for name in ("s", "theta", *names):
+        if name not in columns:
+            raise DomainError(f"{path}: missing column {name!r}")
+    for name, want in _node_columns(grid).items():
+        if columns[name].shape != want.shape \
+                or not np.allclose(columns[name], want, rtol=0, atol=1e-12):
             raise DomainError(f"{path}: node column {name!r} disagrees with header grid")
+    return columns
 
 
 def qd_field_to_csv(field, csv_path, header_path, provenance: dict | None = None) -> None:
@@ -228,11 +241,7 @@ def qd_field_to_csv(field, csv_path, header_path, provenance: dict | None = None
 def qd_field_from_csv(csv_path, header_path):
     from collarflow.quad_diff import QuadDiffField
     _, grid = _read_header(header_path, _GRID_HEADER)
-    columns, _ = read_csv(csv_path)
-    for name in ("s", "theta", "re_psi", "im_psi"):
-        if name not in columns:
-            raise DomainError(f"{csv_path}: missing column {name!r}")
-    _check_nodes(grid, columns, csv_path)
+    columns = _read_columns(csv_path, grid, ("re_psi", "im_psi"))
     shape = (grid.n_s, grid.n_theta)
     psi = columns["re_psi"].reshape(shape) + 1j * columns["im_psi"].reshape(shape)
     return QuadDiffField(grid, psi)
@@ -255,12 +264,7 @@ def map_from_csv(csv_path, header_path):
     from collarflow.fields import MapField
     header, grid = _read_header(header_path, {**_GRID_HEADER, "target": _TARGET})
     target = target_from_dict(header["target"], f"{header_path}.target")
-    columns, _ = read_csv(csv_path)
-    _check_nodes(grid, columns, csv_path)
-    values = np.zeros((grid.n_s, grid.n_theta, target.dim))
-    for d in range(target.dim):
-        name = f"u_{d}"
-        if name not in columns:
-            raise DomainError(f"{csv_path}: missing column {name!r}")
-        values[:, :, d] = columns[name].reshape(grid.n_s, grid.n_theta)
-    return MapField(grid, values, target)
+    names = [f"u_{d}" for d in range(target.dim)]
+    columns = _read_columns(csv_path, grid, names)
+    values = np.stack([columns[name] for name in names], axis=-1)
+    return MapField(grid, values.reshape(grid.n_s, grid.n_theta, target.dim), target)

@@ -251,7 +251,7 @@ def check_theta_window_cap(rng):
 
 def _small_frozen_config(n_s=32, n_theta=12, steps=30, safety=0.5, stride=1):
     ell = 0.2
-    s_max = CollarGrid(ell, 4, 4).s_max
+    s_max = geometry.half_length(ell)
     dt = safety * stability_limit(0.9 * ell, n_s, n_theta, s_max)
     return FlowConfig(ell0=ell, eta=0.0, dt=dt, t_end=steps * dt, n_s=n_s,
                       n_theta=n_theta, target=TargetSpec.flat_torus(dim=2),
@@ -260,7 +260,7 @@ def _small_frozen_config(n_s=32, n_theta=12, steps=30, safety=0.5, stride=1):
 
 def check_wrap_length_law(rng):
     n_s, n_theta, floor, ell_max = 32, 8, 0.09, 0.5
-    s_max = CollarGrid(ell_max, 4, 4).s_max
+    s_max = geometry.half_length(ell_max)
     dt = 0.5 * stability_limit(floor, n_s, n_theta, s_max)
     eta = 0.5
     cfg = FlowConfig(ell0=0.1, eta=eta, dt=dt, t_end=30 * dt, n_s=n_s,

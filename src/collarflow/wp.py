@@ -109,23 +109,6 @@ def integrate_to_pinch(ell0: float, tol: float = 1e-10,
     raise DomainError(f"distance quadrature missed tol = {tol} at 64 nodes per panel")
 
 
-def rk4_distance(ell0: float, n_steps: int) -> float:
-    """Fixed-step classical RK4 for the same integral, for order audits."""
-    if not 0.0 < ell0 < ELL_MAX:
-        raise DomainError("need 0 < ell0 < 2 arsinh 1")
-    h = math.sqrt(ell0) / n_steps
-    rate = lambda m: math.sqrt(speed_normalizer(m * m)) / (4.0 * math.pi**2)
-    s = 0.0
-    for k in range(n_steps):
-        m = k * h
-        k1 = rate(m)
-        k2 = rate(m + 0.5 * h)
-        k3 = k2  # the rate has no s dependence, the two midpoint stages agree
-        k4 = rate(m + h)
-        s += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return s
-
-
 @dataclass(frozen=True)
 class CorrectionFit:
     """Least-squares cubic/quintic fit of the distance shortfall."""

@@ -92,6 +92,15 @@ def _run_config(subcommand, doc, extra=()):
     return code, err.getvalue().splitlines()
 
 
+def _map_csv(tmp_path):
+    """A small torus map written as tmp_path/f.csv plus its f.json header."""
+    grid = CollarGrid(0.15, 24, 8, s_max=2.5)
+    field = tmp_path / "f.csv"
+    cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=1),
+                               lambda s, t: t[..., None]), field, tmp_path / "f.json")
+    return field
+
+
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(collarflow.__file__).resolve().parents[1])
@@ -392,6 +401,7 @@ class TestCliDriver:
         ("qd", "qd.modes.0", ["a", 0], "qd.modes.0.0"),
         ("qd", "qd.modes.a", [1, 0], "qd.modes: key 'a'"),
         ("qd", "output_dir", "runs", "top level: unknown key 'output_dir'"),
+        ("qd", "qd.stretch", "arctan", "qd: unknown key 'stretch'"),
     ])
     def test_malformed_config_names_json_path(self, subcommand, path, value, named):
         base = FLOW_DOC if subcommand == "flow" else QD_DOC
@@ -427,6 +437,7 @@ class TestCliDriver:
         ("qd", {"ell": "0.2"}, ".ell: must be a finite number"),
         ("qd", {"bogus": 1}, ": unknown key 'bogus'"),
         ("angular", {"target": 5}, ".target: must be an object"),
+        ("angular", {"stretch": "arctan"}, ": unknown key 'stretch'"),
     ])
     def test_field_header_names_file_and_key(self, tmp_path, capsys,
                                              subcommand, patch, named):
@@ -457,6 +468,34 @@ class TestCliDriver:
         assert main([subcommand, "--field", str(field), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {field}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda lines: lines[:-1] + ["0,0,abc"], ": line {n}: could not convert"),
+        (lambda lines: lines[:-1] + ["0,0"], ": line {n}: 2 values for 3 columns"),
+        (None, "cannot read "),
+    ], ids=["bad-float", "short-row", "binary"])
+    def test_malformed_field_csv_names_file_and_line(self, tmp_path, capsys,
+                                                     corrupt, named):
+        field = _map_csv(tmp_path)
+        if corrupt is None:
+            field.write_bytes(b"\x89PNG\r\n\x1a\n")
+            want = f"error: cannot read {field}"
+        else:
+            lines = corrupt(field.read_text().splitlines())
+            field.write_text("\n".join(lines) + "\n")
+            want = f"error: {field}" + named.format(n=len(lines))
+        assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(want) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("column", ["s", "theta", "u_0"])
+    def test_map_csv_missing_column_exit_2(self, tmp_path, capsys, column):
+        field = _map_csv(tmp_path)
+        columns, _ = cfio.read_csv(field)
+        del columns[column]
+        cfio.write_csv(field, columns)
+        assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: missing column {column!r}\n"
 
     def test_zero_dim_torus_names_dim(self, tmp_path, capsys):
         zero = {"kind": "flat-torus", "dim": 0, "periods": []}
@@ -489,6 +528,13 @@ class TestCliDriver:
         code, lines = _run_config("flow", _with(FLOW_DOC, "flow.eta", 1e200))
         assert code == 1
         assert lines[-1] == "error: step 1: non-finite state"
+
+    def test_rk2_non_finite_length_speed_exit_1(self):
+        # u = 0 gives b0 = 0, so the length speed is inf * 0 = nan at once
+        doc = _with(_with(FLOW_DOC, "flow.stepper", "rk2"), "flow.eta", 1e200)
+        code, lines = _run_config("flow", _with(doc, "initial.a", 0.0))
+        assert code == 1
+        assert lines == ["error: step 1: non-finite state"]
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["flow", "--config", str(tmp_path / "absent.json"),

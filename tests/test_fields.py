@@ -284,7 +284,7 @@ class TestWirtinger:
 
         u = sample_map(grid, TORUS1, fn)
         J = jet(u)
-        h = grid.h_theta
+        h = grid.theta_weight
         u_thth = (np.roll(u.values, -1, axis=1) - 2 * u.values
                   + np.roll(u.values, 1, axis=1)) / h**2
         lhs = np.sum(u_thth**2) * h

@@ -261,7 +261,7 @@ class TestModeReduction:
         vals = (f0[:, None] * np.sin(grid.theta_nodes)[None, :])[:, :, None]
         trace = run(cfg, vals)
 
-        h_s, h_t = grid.h_s, grid.h_theta
+        h_s, h_t = grid.h_s, grid.theta_weight
         mu = (2.0 * math.sin(h_t / 2.0) / h_t) ** 2
         f = f0.copy()
         n_steps = int(round(cfg.t_end / cfg.dt))

@@ -11,7 +11,6 @@ from collarflow import geometry
 from collarflow.geometry import (
     ELL_MAX,
     CollarGrid,
-    CollarParams,
     DomainError,
     conformal_factor,
     delta_thin_half_length,
@@ -251,10 +250,9 @@ class TestDeformedCircle:
 
 class TestCollarGrid:
     def test_weights_sum_to_area(self):
-        for stretch in ("uniform", "arctan"):
-            grid = CollarGrid(0.3, n_s=37, n_theta=12, stretch=stretch)
-            area = grid.node_weights().sum()
-            assert area == pytest.approx(4 * math.pi * grid.s_max, rel=1e-12)
+        grid = CollarGrid(0.3, n_s=37, n_theta=12)
+        area = grid.node_weights().sum()
+        assert area == pytest.approx(4 * math.pi * grid.s_max, rel=1e-12)
 
     def test_nodes_strictly_inside(self):
         grid = CollarGrid(0.1, n_s=64, n_theta=8)  # s_max defaults to X
@@ -270,14 +268,8 @@ class TestCollarGrid:
 
     def test_params_require_open_interval(self):
         with pytest.raises(DomainError):
-            CollarParams(ELL_MAX)
-        CollarParams(ELL_MAX - 1e-9)
-
-    def test_arctan_stretch_concentrates_at_ends(self):
-        grid = CollarGrid(0.1, n_s=200, n_theta=8, stretch="arctan")
-        w = grid.s_weights
-        # cells shrink toward the ends where rho varies fastest
-        assert w[0] < w[len(w) // 2] / 5
+            CollarGrid(ELL_MAX, 4, 4)
+        CollarGrid(ELL_MAX - 1e-9, 4, 4)
 
     def test_quadrature_convergence_order(self):
         # midpoint rule: second order on smooth non-periodic s-profiles

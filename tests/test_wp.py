@@ -15,7 +15,6 @@ from collarflow.wp import (
     correction_coefficient,
     integrate_to_pinch,
     pinch_speed,
-    rk4_distance,
     speed_normalizer,
 )
 
@@ -124,11 +123,6 @@ class TestDistance:
     def test_unreachable_tolerance_rejected(self):
         with pytest.raises(DomainError, match="nodes per panel"):
             integrate_to_pinch(0.1, tol=-1.0)
-
-    def test_rk4_fourth_order(self):
-        ref = integrate_to_pinch(0.1, tol=1e-12).total
-        errs = [abs(rk4_distance(0.1, n) - ref) for n in (5, 10)]
-        assert math.log2(errs[0] / errs[1]) > 3.7
 
 
 class TestCorrectionFit:
