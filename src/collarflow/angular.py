@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from collarflow.geometry import DomainError
-from collarflow.fields import MapField, jet, tension, _bump
+from collarflow.fields import MapField, energies, jet, tension, _bump
 
 DELAY = 0.5
 # L(e^{+-s}) = (cosh(1/2)/4 - 1/2) e^{+-s}: the exponential growth modes
@@ -312,8 +312,7 @@ def _empty_audit() -> AngularAuditReport:
 
 
 def angular_bound_audit(u: MapField, profile_step: float = 0.05,
-                        c1: float | None = None,
-                        total_energy: float | None = None) -> AngularAuditReport:
+                        c1: float | None = None) -> AngularAuditReport:
     """Audit the delayed comparison bound on a map's angular energy.
 
     Stations s0 cover the part of the grid where the unit window fits;
@@ -353,10 +352,7 @@ def angular_bound_audit(u: MapField, profile_step: float = 0.05,
     fitted_c1 = float(np.max(ratios)) if ratios.size else 0.0
     used_c1 = c1 if c1 is not None else max(DEFAULT_C1, 1.1 * fitted_c1)
 
-    if total_energy is None:
-        total_energy = 0.5 * grid.integrate_flat(
-            np.sum(J.u_s**2, axis=-1) + dens_theta)
-    coeff = 2.0 * math.e * total_energy
+    coeff = 2.0 * math.e * energies(u, J).E
     bound = kernel_solution(s0, forcing, used_c1, a=coeff, b=coeff)
     return AngularAuditReport(
         s0=s0, theta=theta_vals, forcing=forcing, operator_values=Lth,

@@ -25,7 +25,7 @@ from collarflow import __version__
 from collarflow import io as cfio
 from collarflow import wp
 from collarflow.angular import angular_bound_audit
-from collarflow.flow import FlowError, dlogell_bound_check, run
+from collarflow.flow import TRACE_COLUMNS, FlowError, dlogell_bound_check, run
 from collarflow.geometry import (
     ELL_MAX,
     CollarGrid,
@@ -154,8 +154,10 @@ def cmd_flow(args) -> int:
     values = build_initial(config, init_spec)
     trace = run(config, values)
     seed = doc.get("seed", 0) if args.seed is None else args.seed
-    prov = {"seed": seed, "subcommand": "flow"}
-    cfio.trace_to_csv(trace, out / "trace.csv", prov)
+    prov = cfio.provenance_for(config, seed=seed, subcommand="flow",
+                               status=trace.status)
+    cfio.write_csv(out / "trace.csv", {name: trace[name] for name in TRACE_COLUMNS},
+                   prov)
     summary = cfio.trace_summary(trace)
     if trace.n_rows >= 3:
         fit = dlogell_bound_check(trace)
@@ -164,9 +166,7 @@ def cmd_flow(args) -> int:
     else:
         summary["C_ell"] = None
         summary["C_smooth"] = None
-    full_prov = cfio.provenance_for(config, **prov)
-    full_prov["status"] = trace.status
-    cfio.write_json(out / "summary.json", summary, full_prov)
+    cfio.write_json(out / "summary.json", summary, prov)
     return 0
 
 

@@ -12,9 +12,9 @@ model maps used throughout the tests:
     order on the two boundary rows, hence exact on fields linear in s.
 
 One pass (jet) builds the wrapped s and theta differences once and
-returns the first and pure second derivatives.  The tension field is
-rho^-2 P_tan(u_ss + u_thth): the target's second fundamental form is
-zero on the torus and radial on the sphere, so the tangential
+returns them with the first and pure second derivatives.  The tension
+field is rho^-2 P_tan(u_ss + u_thth): the target's second fundamental
+form is zero on the torus and radial on the sphere, so the tangential
 projection removes it.
 
 Energies are reported in the conformal picture: the coordinate energy
@@ -60,6 +60,8 @@ class TargetSpec:
                 raise DomainError("flat torus needs dim >= 1 and one period per component")
             if any(p <= 0 for p in self.periods):
                 raise DomainError("torus periods must be positive")
+        elif self.dim < 2:
+            raise DomainError("sphere ambient dimension must be >= 2")
         elif self.periods is not None:
             raise DomainError("sphere target takes no periods")
 
@@ -71,8 +73,6 @@ class TargetSpec:
 
     @staticmethod
     def round_sphere(dim: int = 3) -> "TargetSpec":
-        if dim < 2:
-            raise DomainError("sphere ambient dimension must be >= 2")
         return TargetSpec("round-sphere", dim)
 
     def wrap_increment(self, d: np.ndarray) -> np.ndarray:
@@ -118,9 +118,6 @@ class MapField:
             if np.max(np.abs(norms - 1.0)) > 1e-9:
                 raise DomainError("sphere map values must be unit vectors")
 
-    def copy(self) -> "MapField":
-        return MapField(self.grid, self.values.copy(), self.target)
-
 
 def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
     """Build a MapField by sampling fn(s, theta) -> dim-vector on the grid."""
@@ -128,27 +125,21 @@ def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
     vals = np.asarray(fn(S, T), dtype=float)
     if vals.shape[:2] != (grid.n_s, grid.n_theta):
         vals = np.moveaxis(vals, 0, -1)
-    if target.kind == "round-sphere":
-        vals = target.project(vals)
-    return MapField(grid, vals, target)
+    return MapField(grid, target.project(vals), target)
 
 
 @dataclass
 class MapJet:
-    """First and pure second derivatives of a map at the grid nodes."""
+    """First and pure second derivatives of a map at the grid nodes, and the
+    wrapped forward differences they come from (d_s between s rows, d_theta
+    between theta columns, periodic)."""
 
     u_s: np.ndarray
     u_theta: np.ndarray
     u_ss: np.ndarray
     u_thth: np.ndarray
-
-
-def _forward_diffs_s(values: np.ndarray, target: TargetSpec) -> np.ndarray:
-    return target.wrap_increment(values[1:] - values[:-1])
-
-
-def _forward_diffs_theta(values: np.ndarray, target: TargetSpec) -> np.ndarray:
-    return target.wrap_increment(np.roll(values, -1, axis=1) - values)
+    d_s: np.ndarray
+    d_theta: np.ndarray
 
 
 def jet(u: MapField) -> MapJet:
@@ -159,7 +150,7 @@ def jet(u: MapField) -> MapJet:
     h_s, h_t = grid.h_s, grid.theta_weight
     v = u.values
 
-    D = _forward_diffs_s(v, target)  # (n_s-1, n_theta, d)
+    D = target.wrap_increment(v[1:] - v[:-1])  # (n_s-1, n_theta, d)
     u_s = np.empty_like(v)
     u_s[1:-1] = (D[1:] + D[:-1]) / (2.0 * h_s)
     u_s[0] = (3.0 * D[0] - D[1]) / (2.0 * h_s)
@@ -169,11 +160,12 @@ def jet(u: MapField) -> MapJet:
     u_ss[0] = (-2.0 * D[0] + 3.0 * D[1] - D[2]) / h_s**2
     u_ss[-1] = (-2.0 * D[-1] + 3.0 * D[-2] - D[-3]) / h_s**2
 
-    Dt = _forward_diffs_theta(v, target)  # periodic
+    Dt = target.wrap_increment(np.roll(v, -1, axis=1) - v)  # periodic
     Dt_back = np.roll(Dt, 1, axis=1)
     u_theta = (Dt + Dt_back) / (2.0 * h_t)
     u_thth = (Dt - Dt_back) / h_t**2
-    return MapJet(u_s=u_s, u_theta=u_theta, u_ss=u_ss, u_thth=u_thth)
+    return MapJet(u_s=u_s, u_theta=u_theta, u_ss=u_ss, u_thth=u_thth,
+                  d_s=D, d_theta=Dt)
 
 
 def tension(u: MapField, jet_: MapJet | None = None) -> np.ndarray:
@@ -232,12 +224,13 @@ class EnergyReport:
 def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
     grid = u.grid
     J = jet_ or jet(u)
-    e_flat = 0.5 * (np.sum(J.u_s**2, axis=-1) + np.sum(J.u_theta**2, axis=-1))
+    dens_theta = np.sum(J.u_theta**2, axis=-1)
+    e_flat = 0.5 * (np.sum(J.u_s**2, axis=-1) + dens_theta)
     w_inv = grid.rho_inv_sq[:, None]
 
     E = grid.integrate_flat(e_flat)
     I = grid.integrate_flat(e_flat * w_inv)
-    I_theta = grid.integrate_flat(np.sum(J.u_theta**2, axis=-1) * w_inv)
+    I_theta = grid.integrate_flat(dens_theta * w_inv)
     phi = smooth_cutoff(grid.rho)[:, None]
     I_smooth = grid.integrate_flat(e_flat * w_inv * phi**2)
     sup_density = float(np.max(e_flat * w_inv))

@@ -38,8 +38,6 @@ from collarflow.fields import (
     MapField,
     MapJet,
     TargetSpec,
-    _forward_diffs_s,
-    _forward_diffs_theta,
     energies,
     jet,
     tension,
@@ -176,18 +174,17 @@ def pinned_tension(u: MapField, jet_: MapJet | None = None) -> np.ndarray:
     return tau
 
 
-def face_energy(u: MapField) -> float:
+def face_energy(u: MapField, jet_: MapJet | None = None) -> float:
     """Staggered coordinate energy 1/2 sum over faces of |du|^2.
 
     Second-order accurate for E and exactly paired with the five-point
     tension stencil: its gradient at an interior node is minus the flat
     Laplacian times the cell area, which makes the semi-discrete energy
-    identity along the flow exact.
+    identity along the flow exact.  The face differences are the jet's.
     """
-    grid, target = u.grid, u.target
-    h_s, h_t = grid.h_s, grid.theta_weight
-    Ds = _forward_diffs_s(u.values, target)
-    Dt = _forward_diffs_theta(u.values, target)
+    J = jet_ or jet(u)
+    h_s, h_t = u.grid.h_s, u.grid.theta_weight
+    Ds, Dt = J.d_s, J.d_theta
     e_s = float(np.sum(Ds * Ds)) / h_s**2
     e_t = float(np.sum(Dt * Dt)) / h_t**2
     return 0.5 * (e_s + e_t) * h_s * h_t
@@ -210,9 +207,7 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     length clamped to [ell_floor, ell_max], the state keeps it unclamped.
     """
     u = state.u
-    vals = u.values + config.dt * tau
-    if u.target.kind == "round-sphere":
-        vals = u.target.project(vals)
+    vals = u.target.project(u.values + config.dt * tau)
     ell = state.ell + config.dt * speed
     t = state.t + config.dt
     if not np.isfinite(vals).all() or not math.isfinite(ell):
@@ -249,23 +244,19 @@ class FlowTrace:
         return len(self.columns["t"])
 
 
-def _sample_row(state: FlowState, config: FlowConfig,
-                prev=None) -> tuple[dict, tuple[np.ndarray, float]]:
-    """A trace row of the state and its velocity, from one derivative pass."""
+def _sample_row(state: FlowState,
+                config: FlowConfig) -> tuple[dict, tuple[np.ndarray, float]]:
+    """A trace row of the state (all but dE_residual) and its velocity, from
+    one derivative pass."""
     u = state.u
     J = jet(u)
     rep = energies(u, jet_=J)
     tau = pinned_tension(u, J)
     speed, b0 = metric_speed(state, config.eta, jet_=J)
-    E_face = face_energy(u)
-    if prev is None:
-        resid = math.nan
-    else:
-        resid = (E_face - prev["E"]) / (state.t - prev["t"]) + prev["tension_l2"] ** 2
-    return dict(t=state.t, ell=state.ell, E=E_face, I=rep.I, I_theta=rep.I_theta,
-                I_smooth=rep.I_smooth, tension_l2=tension_l2(u, tau),
-                re_b0=b0.real, im_b0=b0.imag, dE_residual=resid,
-                sup_density=rep.sup_density), (tau, speed if config.eta else 0.0)
+    return dict(t=state.t, ell=state.ell, E=face_energy(u, J), I=rep.I,
+                I_theta=rep.I_theta, I_smooth=rep.I_smooth,
+                tension_l2=tension_l2(u, tau), re_b0=b0.real, im_b0=b0.imag,
+                sup_density=rep.sup_density), (tau, speed)
 
 
 def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
@@ -289,14 +280,17 @@ def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
         elif state.ell > config.ell_max:
             status = STATUS_CAPPED
         if k % config.stride == 0 or k == n_steps or status != STATUS_COMPLETED:
-            row, velocity = _sample_row(state, config, prev=row)
+            row, velocity = _sample_row(state, config)
             rows.append(row)
             if status == STATUS_COMPLETED and row["sup_density"] > config.blowup_sup_density:
                 status = STATUS_BLOWUP
         if status != STATUS_COMPLETED:
             break
-    columns = {name: np.array([r[name] for r in rows]) for name in TRACE_COLUMNS}
-    return FlowTrace(columns=columns, status=status, config=config, final=state)
+    columns = {name: np.array([r[name] for r in rows])
+               for name in TRACE_COLUMNS if name != "dE_residual"}
+    trace = FlowTrace(columns=columns, status=status, config=config, final=state)
+    columns["dE_residual"] = energy_identity_residual(trace)
+    return trace
 
 
 def energy_identity_residual(trace: FlowTrace) -> np.ndarray:
@@ -321,18 +315,17 @@ class BoundFit:
     smooth_ratios: np.ndarray
 
 
-def dlogell_bound_check(trace: FlowTrace, E0: float | None = None) -> BoundFit:
+def dlogell_bound_check(trace: FlowTrace) -> BoundFit:
     """Measure the two evolution bounds along a trace.
 
     Derivatives are centered differences on the sampled rows; the fitted
     constants are the row maxima of |d/dt log ell| / (ell (I + E0)) and
-    |d/dt log(1 + I_smooth)| / (1 + ||tau||^2).
+    |d/dt log(1 + I_smooth)| / (1 + ||tau||^2), with E0 the trace's first E.
     """
     t = trace["t"]
     if len(t) < 3:
         raise DomainError("need at least 3 trace rows to fit the bounds")
-    if E0 is None:
-        E0 = float(trace["E"][0])
+    E0 = float(trace["E"][0])
     ell = trace["ell"]
     dlog_ell = np.gradient(np.log(ell), t)
     denom_ell = ell * (trace["I"] + E0)

@@ -20,7 +20,7 @@ import numpy as np
 from collarflow import __version__
 from collarflow.geometry import CollarGrid, DomainError, check_block
 from collarflow.fields import TargetSpec
-from collarflow.flow import FLOW_FIELDS, TRACE_COLUMNS, FlowConfig, FlowTrace
+from collarflow.flow import FLOW_FIELDS, FlowConfig, FlowTrace
 
 FLOAT_FMT = "%.17g"
 COMMENT_PREFIX = "# "
@@ -169,15 +169,6 @@ def provenance_for(config: FlowConfig | dict | None = None,
     return prov
 
 
-def trace_to_csv(trace: FlowTrace, path, provenance: dict | None = None) -> None:
-    """Write a flow trace with the canonical column order."""
-    columns = {name: trace[name] for name in TRACE_COLUMNS}
-    prov = provenance_for(trace.config)
-    prov["status"] = trace.status
-    prov.update(provenance or {})
-    write_csv(path, columns, prov)
-
-
 def trace_summary(trace: FlowTrace) -> dict:
     """JSON-ready run summary: terminal state plus trace extrema."""
     return {
@@ -194,11 +185,6 @@ def trace_summary(trace: FlowTrace) -> dict:
     }
 
 
-def _grid_header(grid) -> dict:
-    return {"ell": grid.ell, "n_s": grid.n_s, "n_theta": grid.n_theta,
-            "s_max": grid.s_max}
-
-
 def _read_header(path, schema: dict) -> tuple[dict, CollarGrid]:
     d = check_block(read_json(path), schema, str(path))
     return d, CollarGrid(d["ell"], d["n_s"], d["n_theta"], s_max=d["s_max"])
@@ -211,11 +197,15 @@ def _node_columns(grid) -> dict:
 
 
 def _read_columns(path, grid, names) -> dict:
-    """Columns of a field csv; its s and theta columns must match the grid."""
+    """Columns of a field csv; its s and theta columns must match the grid
+    and its value columns must be finite."""
     columns, _ = read_csv(path)
     for name in ("s", "theta", *names):
         if name not in columns:
             raise DomainError(f"{path}: missing column {name!r}")
+    for name in names:
+        if not np.isfinite(columns[name]).all():
+            raise DomainError(f"{path}: column {name!r} holds a non-finite value")
     for name, want in _node_columns(grid).items():
         if columns[name].shape != want.shape \
                 or not np.allclose(columns[name], want, rtol=0, atol=1e-12):
@@ -223,19 +213,23 @@ def _read_columns(path, grid, names) -> dict:
     return columns
 
 
-def qd_field_to_csv(field, csv_path, header_path, provenance: dict | None = None) -> None:
-    """Columnar dump of a quadratic differential plus a JSON grid header.
-
-    Rows run s-major over the tensor grid; values are the raw coefficient
-    psi so the dump is grid-metric agnostic.
-    """
-    grid = field.grid
-    columns = _node_columns(grid)
-    columns["re_psi"] = field.psi.real.ravel()
-    columns["im_psi"] = field.psi.imag.ravel()
+def _write_field(grid, values: dict, csv_path, header_path,
+                 provenance: dict | None, **header) -> None:
+    """Node columns s, theta plus the value columns (rows s-major over the
+    tensor grid), and a JSON header of the grid plus any extra keys."""
     prov = provenance_for(**(provenance or {}))
-    write_csv(csv_path, columns, prov)
-    write_json(header_path, _grid_header(grid), prov)
+    write_csv(csv_path, {**_node_columns(grid), **values}, prov)
+    write_json(header_path, {"ell": grid.ell, "n_s": grid.n_s,
+                             "n_theta": grid.n_theta, "s_max": grid.s_max,
+                             **header}, prov)
+
+
+def qd_field_to_csv(field, csv_path, header_path, provenance: dict | None = None) -> None:
+    """Columnar dump of a quadratic differential plus a JSON grid header;
+    values are the raw coefficient psi so the dump is grid-metric agnostic."""
+    _write_field(field.grid, {"re_psi": field.psi.real.ravel(),
+                              "im_psi": field.psi.imag.ravel()},
+                 csv_path, header_path, provenance)
 
 
 def qd_field_from_csv(csv_path, header_path):
@@ -249,15 +243,10 @@ def qd_field_from_csv(csv_path, header_path):
 
 def map_to_csv(u, csv_path, header_path, provenance: dict | None = None) -> None:
     """Columnar dump of a map into its target, plus a JSON grid header."""
-    grid = u.grid
-    columns = _node_columns(grid)
-    for d in range(u.target.dim):
-        columns[f"u_{d}"] = u.values[:, :, d].ravel()
-    prov = provenance_for(**(provenance or {}))
-    write_csv(csv_path, columns, prov)
-    header = _grid_header(grid)
-    header["target"] = target_to_dict(u.target)
-    write_json(header_path, header, prov)
+    _write_field(u.grid, {f"u_{d}": u.values[:, :, d].ravel()
+                          for d in range(u.target.dim)},
+                 csv_path, header_path, provenance,
+                 target=target_to_dict(u.target))
 
 
 def map_from_csv(csv_path, header_path):

@@ -497,6 +497,29 @@ class TestCliDriver:
         assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {field}: missing column {column!r}\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("subcommand, column", [("angular", "u_0"),
+                                                    ("qd", "im_psi")])
+    def test_non_finite_field_value_names_csv(self, tmp_path, capsys,
+                                              subcommand, column, value):
+        if subcommand == "qd":
+            field = tmp_path / "f.csv"
+            cfio.qd_field_to_csv(
+                QuadDiffField(CollarGrid(0.15, 24, 8, s_max=2.5),
+                              np.ones((24, 8), dtype=complex)),
+                field, tmp_path / "f.json")
+        else:
+            field = _map_csv(tmp_path)
+        lines = field.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + value
+        field.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([subcommand, "--field", str(field), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: column {column!r}")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert not any(out.iterdir())
+
     def test_zero_dim_torus_names_dim(self, tmp_path, capsys):
         zero = {"kind": "flat-torus", "dim": 0, "periods": []}
         code, lines = _run_config("flow", _with(FLOW_DOC, "flow.target", zero))

@@ -39,6 +39,8 @@ class TestTargets:
             TargetSpec("round-sphere", 3, (1.0, 1.0, 1.0))
         with pytest.raises(DomainError):
             TargetSpec("klein-bottle", 2, None)
+        with pytest.raises(DomainError, match="must be >= 2"):
+            TargetSpec("round-sphere", 1)
 
     def test_sphere_projection_and_tangency(self):
         sph = TargetSpec.round_sphere()

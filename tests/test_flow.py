@@ -215,6 +215,17 @@ class TestEnergyIdentity:
                      TargetSpec.flat_torus(dim=1, periods=(2 * math.pi,)))
         assert face_energy(u) == pytest.approx(2 * math.pi * grid.s_max, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_face_energy_reads_the_jet_differences(self, kind):
+        grid = CollarGrid(0.2, 24, 8)
+        if kind == "flat-torus":
+            u = MapField(grid, random_torus_values(grid, np.random.default_rng(4)),
+                         TORUS2)
+        else:
+            u = sample_map(grid, TargetSpec.round_sphere(), lambda s, t: np.stack(
+                [np.cos(t), np.sin(t), 0.3 * np.sin(s + 2 * t)], axis=-1))
+        assert face_energy(u, jet(u)) == face_energy(u)
+
     def test_energy_monotone_and_residual_first_order(self):
         rng = np.random.default_rng(3)
         residual_sup = []
