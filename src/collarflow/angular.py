@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from collarflow.geometry import DomainError
-from collarflow.fields import MapField, energies, jet, tension, _bump
+from collarflow.fields import (MapField, energies, jet, tension,
+                               tension_density, window_integrals)
 
 DELAY = 0.5
 # L(e^{+-s}) = (cosh(1/2)/4 - 1/2) e^{+-s}: the exponential growth modes
@@ -321,9 +322,13 @@ def angular_bound_audit(u: MapField, profile_step: float = 0.05,
     bound is the kernel supersolution with boundary coefficients
     2 e E0, and the report records whether Theta stays below it.
     """
+    if not (math.isfinite(profile_step) and profile_step > 0):
+        raise DomainError(f"profile_step must be finite and > 0, got {profile_step}")
+    if c1 is not None and not (math.isfinite(c1) and c1 >= 0):
+        raise DomainError(f"c1 must be finite and >= 0, got {c1}")
     grid = u.grid
-    if round(DELAY / profile_step) < 1 or \
-            abs(DELAY / profile_step - round(DELAY / profile_step)) > 1e-9:
+    steps = DELAY / profile_step
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
         raise DomainError("profile_step must divide the half-unit delay")
     half = grid.s_max - 1.0
     n_half = math.floor(half / profile_step)
@@ -332,23 +337,16 @@ def angular_bound_audit(u: MapField, profile_step: float = 0.05,
     s0 = profile_step * np.arange(-n_half, n_half + 1)
 
     J = jet(u)
-    dens_theta = np.sum(J.u_theta**2, axis=-1)
-    tau = tension(u, J)
-    dens_tension = np.sum(tau * tau, axis=-1) * grid.rho_sq[:, None]
-    th_dens = dens_theta.sum(axis=1) * grid.theta_weight
-    g_dens = dens_tension.sum(axis=1) * grid.theta_weight
-    win = _bump(grid.s_nodes[None, :] - s0[:, None]) ** 4
-    theta_vals = win @ (th_dens * grid.s_weights)
-    forcing = win @ (g_dens * grid.s_weights)
+    theta_vals, forcing = window_integrals(
+        grid, s0, J.u_theta_sq, tension_density(u, tension(u, J)))
 
     profile = ProfileFn(s0, theta_vals)
     Lth = delay_operator(profile)
     inner = profile.interior()
-    g_in = forcing[inner]
     # denominator floor: below the discretization noise of Theta itself a
     # pointwise ratio would fit pure roundoff, not the inequality
     floor = 1e-12 * (1.0 + float(np.max(theta_vals, initial=0.0)))
-    ratios = np.where(Lth < 0, -Lth / np.maximum(g_in, floor), 0.0)
+    ratios = np.where(Lth < 0, -Lth / np.maximum(forcing[inner], floor), 0.0)
     fitted_c1 = float(np.max(ratios)) if ratios.size else 0.0
     used_c1 = c1 if c1 is not None else max(DEFAULT_C1, 1.1 * fitted_c1)
 

@@ -57,6 +57,8 @@ def _out_dir(args) -> Path:
 # ----------------------------------------------------------------- geometry
 
 def cmd_geometry(args) -> int:
+    if args.samples < 0:
+        raise DomainError(f"--samples must be >= 0, got {args.samples}")
     out = _out_dir(args)
     params = {"ell": args.ell, "delta": args.delta, "samples": args.samples}
     prov = cfio.provenance_for(params, seed=args.seed, subcommand="geometry")
@@ -199,6 +201,10 @@ def cmd_angular(args) -> int:
 # ----------------------------------------------------------------------- wp
 
 def cmd_wp(args) -> int:
+    try:
+        ells = [float(v) for v in args.sweep.split(",")] if args.sweep else None
+    except ValueError as exc:
+        raise DomainError(f"--sweep: {exc}") from None
     out = _out_dir(args)
     params = {"ell0": args.ell0, "tol": args.tol, "sweep": args.sweep}
     prov = cfio.provenance_for(params, seed=args.seed, subcommand="wp")
@@ -214,8 +220,7 @@ def cmd_wp(args) -> int:
         "leading_order": math.sqrt(2.0 * math.pi * args.ell0),
         "deficit": math.sqrt(2.0 * math.pi * args.ell0) - path.total,
     }
-    if args.sweep:
-        ells = [float(v) for v in args.sweep.split(",")]
+    if ells:
         fit = wp.correction_coefficient(ells, tol=args.tol)
         summary["sweep"] = ells
         summary["fit"] = {

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,9 +131,9 @@ def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
 
 @dataclass
 class MapJet:
-    """First and pure second derivatives of a map at the grid nodes, and the
-    wrapped forward differences they come from (d_s between s rows, d_theta
-    between theta columns, periodic)."""
+    """First and pure second derivatives of a map at the grid nodes, the wrapped
+    forward differences d_s (between s rows) and d_theta (periodic), and the
+    densities |u_s|^2 and |u_theta|^2, each summed on first read and kept."""
 
     u_s: np.ndarray
     u_theta: np.ndarray
@@ -140,6 +141,14 @@ class MapJet:
     u_thth: np.ndarray
     d_s: np.ndarray
     d_theta: np.ndarray
+
+    @cached_property
+    def u_s_sq(self) -> np.ndarray:
+        return np.sum(self.u_s**2, axis=-1)
+
+    @cached_property
+    def u_theta_sq(self) -> np.ndarray:
+        return np.sum(self.u_theta**2, axis=-1)
 
 
 def jet(u: MapField) -> MapJet:
@@ -189,9 +198,12 @@ def tension_l2(u: MapField, tau: np.ndarray | None = None) -> float:
     """
     if tau is None:
         tau = tension(u)
-    grid = u.grid
-    dens = np.sum(tau * tau, axis=-1) * grid.rho_sq[:, None]  # |tau_g|^2 rho^2
-    return math.sqrt(grid.integrate_flat(dens))
+    return math.sqrt(u.grid.integrate_flat(tension_density(u, tau)))
+
+
+def tension_density(u: MapField, tau: np.ndarray) -> np.ndarray:
+    """|tau_g|^2 rho^2 per node, the tension density against ds dtheta."""
+    return np.sum(tau * tau, axis=-1) * u.grid.rho_sq[:, None]
 
 
 def smooth_cutoff(rho: np.ndarray, delta: float = _CUTOFF_DELTA) -> np.ndarray:
@@ -224,16 +236,15 @@ class EnergyReport:
 def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
     grid = u.grid
     J = jet_ or jet(u)
-    dens_theta = np.sum(J.u_theta**2, axis=-1)
-    e_flat = 0.5 * (np.sum(J.u_s**2, axis=-1) + dens_theta)
+    e_flat = 0.5 * (J.u_s_sq + J.u_theta_sq)
     w_inv = grid.rho_inv_sq[:, None]
+    e_weighted = e_flat * w_inv
 
     E = grid.integrate_flat(e_flat)
-    I = grid.integrate_flat(e_flat * w_inv)
-    I_theta = grid.integrate_flat(dens_theta * w_inv)
-    phi = smooth_cutoff(grid.rho)[:, None]
-    I_smooth = grid.integrate_flat(e_flat * w_inv * phi**2)
-    sup_density = float(np.max(e_flat * w_inv))
+    I = grid.integrate_flat(e_weighted)
+    I_theta = grid.integrate_flat(J.u_theta_sq * w_inv)
+    I_smooth = grid.integrate_flat(e_weighted * smooth_cutoff(grid.rho)[:, None]**2)
+    sup_density = float(np.max(e_weighted))
     return EnergyReport(E=E, I=I, I_theta=I_theta, I_smooth=I_smooth,
                         sup_density=sup_density)
 
@@ -248,7 +259,7 @@ def _bump(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta_profile(u: MapField, s0: float, jet_: MapJet | None = None) -> float:
+def theta_profile(u: MapField, s0: float) -> float:
     """Windowed angular energy Theta(s0) = int bump^4(s - s0) |u_theta|^2.
 
     The window is 1 on [s0 - 1/2, s0 + 1/2] and supported in
@@ -258,7 +269,12 @@ def theta_profile(u: MapField, s0: float, jet_: MapJet | None = None) -> float:
     grid = u.grid
     if abs(s0) > grid.s_max - 1.0:
         raise DomainError(f"profile window at s0 = {s0} leaves the grid")
-    J = jet_ or jet(u)
-    w = _bump(grid.s_nodes - s0) ** 4
-    dens = np.sum(J.u_theta**2, axis=-1) * w[:, None]
-    return grid.integrate_flat(dens)
+    return float(window_integrals(grid, np.array([s0]), jet(u).u_theta_sq)[0][0])
+
+
+def window_integrals(grid: CollarGrid, s0: np.ndarray, *densities) -> list[np.ndarray]:
+    """int bump^4(s - s0) dens ds dtheta at each station of s0, for each density;
+    einsum sums each row alone (gemv would not), so no station depends on another."""
+    win = _bump(grid.s_nodes[None, :] - s0[:, None]) ** 4
+    return [np.einsum("ks,s->k", win, dens.sum(axis=1) * grid.theta_weight
+                      * grid.s_weights) for dens in densities]

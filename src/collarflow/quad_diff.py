@@ -212,8 +212,7 @@ def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
     norm never exceeds four times the coordinate energy.
     """
     J = jet_ or jet(u)
-    psi = (np.sum(J.u_s**2, axis=-1) - np.sum(J.u_theta**2, axis=-1)
-           - 2j * np.sum(J.u_s * J.u_theta, axis=-1))
+    psi = J.u_s_sq - J.u_theta_sq - 2j * np.sum(J.u_s * J.u_theta, axis=-1)
     return QuadDiffField(u.grid, psi)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from collarflow.geometry import CollarGrid, DomainError
-from collarflow.fields import MapField, TargetSpec, sample_map
+from collarflow.fields import MapField, TargetSpec, sample_map, theta_profile
 from collarflow.angular import (
     CONSTANT_MODE_RATE,
     DEFAULT_C1,
@@ -299,7 +299,34 @@ class TestAngularAudit:
         assert rep.vacuous
         assert rep.satisfied
 
-    def test_bad_profile_step_rejected(self):
+    @pytest.mark.parametrize("step, named", [
+        (0.3, "profile_step must divide"),
+        (0.0, "profile_step must be finite and > 0"),
+        (math.nan, "profile_step must be finite and > 0"),
+        (-0.05, "profile_step must be finite and > 0"),
+    ], ids=["0.3", "0", "nan", "-0.05"])
+    def test_bad_profile_step_rejected(self, step, named):
         u = self.near_harmonic_map(n_s=400)
-        with pytest.raises(DomainError):
-            angular_bound_audit(u, profile_step=0.3)
+        with pytest.raises(DomainError, match=named):
+            angular_bound_audit(u, profile_step=step)
+
+    @pytest.mark.parametrize("c1", [math.inf, math.nan, -3.0])
+    def test_bad_c1_rejected(self, c1):
+        u = self.near_harmonic_map(n_s=400)
+        with pytest.raises(DomainError, match="c1 must be finite and >= 0"):
+            angular_bound_audit(u, c1=c1)
+        assert angular_bound_audit(u, c1=0.0).c1 == 0.0  # the boundary stays valid
+
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_theta_profile_matches_audit_bitwise(self, kind):
+        # theta_profile and the audit share one window, so every station agrees
+        if kind == "flat-torus":
+            u = self.near_harmonic_map(s_max=3.0, n_s=240, n_theta=16)
+        else:
+            grid = CollarGrid(0.2, 240, 16, s_max=3.0)
+            u = sample_map(grid, TargetSpec.round_sphere(), lambda s, t: np.stack(
+                [np.cos(t), np.sin(t), 0.3 + 0.2 * np.sin(s)], axis=-1))
+        rep = angular_bound_audit(u)
+        assert not rep.vacuous
+        got = np.array([theta_profile(u, s0) for s0 in rep.s0])
+        assert np.array_equal(got, rep.theta)

@@ -520,6 +520,32 @@ class TestCliDriver:
         assert err.count("\n") == 1 and err.count("error:") == 1
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--c1", "inf", "c1"), ("--c1", "nan", "c1"), ("--c1", "-3", "c1"),
+        ("--profile-step", "0", "profile_step"),
+        ("--profile-step", "nan", "profile_step"),
+    ])
+    def test_angular_bad_number_exit_2(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "out"
+        assert main(["angular", "--field", str(_map_csv(tmp_path)), "--out", str(out),
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be finite and >")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["geometry", "--ell", "0.2", "--samples", "-1"], "--samples"),
+        (["wp", "--sweep", "a,b"], "--sweep"),
+    ])
+    def test_bad_numeric_flag_named(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert not out.exists()
+
     def test_zero_dim_torus_names_dim(self, tmp_path, capsys):
         zero = {"kind": "flat-torus", "dim": 0, "periods": []}
         code, lines = _run_config("flow", _with(FLOW_DOC, "flow.target", zero))

@@ -403,6 +403,28 @@ class TestStepInternals:
         # the steps after rows 0 and 3 reuse the velocity their row built
         assert len(calls) == 6 + 1
 
+    def test_jet_densities_formed_once_per_row_and_never_at_eta_zero(self, monkeypatch):
+        # count the evaluations behind the two cached jet densities
+        import collarflow.flow as flow
+        from functools import cached_property
+        from collarflow.fields import MapJet
+        calls = []
+        for name in ("u_s_sq", "u_theta_sq"):
+            def counted(jet_, name=name, density=MapJet.__dict__[name].func):
+                calls.append(name)
+                return density(jet_)
+            prop = cached_property(counted)
+            prop.__set_name__(MapJet, name)
+            monkeypatch.setattr(MapJet, name, prop)
+        cfg = wrap_config()
+        st = initial_state(cfg, wrap_values(cfg.grid_at(cfg.ell0)))
+        flow._sample_row(st, cfg)
+        assert sorted(calls) == ["u_s_sq", "u_theta_sq"]
+        calls.clear()
+        frozen = wrap_config(eta=0.0)
+        step(initial_state(frozen, wrap_values(frozen.grid_at(frozen.ell0))), frozen)
+        assert calls == []
+
     @pytest.mark.parametrize("stepper", ["euler", "rk2"])
     @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
     def test_row_velocity_reuse_keeps_trajectory(self, stepper, kind):
