@@ -172,8 +172,9 @@ def kernel_solution(s: np.ndarray, forcing: np.ndarray, c1: float = DEFAULT_C1,
     half = s[-1]
     w = np.full(s.size, h)
     w[0] = w[-1] = 0.5 * h
-    kernel = np.exp(-np.abs(s[:, None] - s[None, :]))
-    particular = 0.5 * c1 * (kernel * (g * w)[None, :]).sum(axis=1)
+    # e^{-|s_i - s_j|} depends on i - j alone: 2k - 1 weights, no (k, k) array
+    kernel = np.exp(s[0] - s)[np.abs(np.arange(1 - s.size, s.size))]
+    particular = 0.5 * c1 * np.convolve(g * w, kernel, "valid")
     vals = a * np.exp(s - half) + b * np.exp(-s - half) + particular
     return ProfileFn(s, vals)
 

@@ -40,7 +40,6 @@ from collarflow.geometry import (
 from collarflow.demos import DEMOS, build_initial, demo_config
 from collarflow.quad_diff import (
     fourier_decompose,
-    inner_product,
     lp_norm,
     principal_split,
     synthesize,
@@ -129,10 +128,9 @@ def cmd_qd(args) -> int:
         "s_max": field.grid.s_max,
         "b0": [split.b0.real, split.b0.imag],
         "l1": lp_norm(field, 1),
-        "l2": math.sqrt(inner_product(field, field).real),
+        "l2": lp_norm(field, 2),
         "linf": lp_norm(field, math.inf),
-        "remainder_l2": math.sqrt(
-            inner_product(split.remainder, split.remainder).real),
+        "remainder_l2": lp_norm(split.remainder, 2),
         "modes": {str(n): [dec.coefficient(n).real, dec.coefficient(n).imag]
                   for n in range(-n_max, n_max + 1)},
     }
@@ -201,18 +199,12 @@ def cmd_angular(args) -> int:
 # ----------------------------------------------------------------------- wp
 
 def cmd_wp(args) -> int:
+    path = wp.integrate_to_pinch(args.ell0, tol=args.tol)
     try:
         ells = [float(v) for v in args.sweep.split(",")] if args.sweep else None
-    except ValueError as exc:
+        fit = wp.correction_coefficient(ells, tol=args.tol) if ells else None
+    except ValueError as exc:  # DomainError included
         raise DomainError(f"--sweep: {exc}") from None
-    out = _out_dir(args)
-    params = {"ell0": args.ell0, "tol": args.tol, "sweep": args.sweep}
-    prov = cfio.provenance_for(params, seed=args.seed, subcommand="wp")
-    path = wp.integrate_to_pinch(args.ell0, tol=args.tol)
-    cfio.write_csv(out / "wp_path.csv", {
-        "s": path.total - path.distance,  # arclength from the start point
-        "ell": path.ell,
-    }, prov)
     summary = {
         "ell0": args.ell0,
         "tol": args.tol,
@@ -220,8 +212,7 @@ def cmd_wp(args) -> int:
         "leading_order": math.sqrt(2.0 * math.pi * args.ell0),
         "deficit": math.sqrt(2.0 * math.pi * args.ell0) - path.total,
     }
-    if ells:
-        fit = wp.correction_coefficient(ells, tol=args.tol)
+    if fit is not None:
         summary["sweep"] = ells
         summary["fit"] = {
             "c3": fit.c3,
@@ -229,6 +220,13 @@ def cmd_wp(args) -> int:
             "c3_times_84pi": fit.c3 * 84.0 * math.pi,
             "max_rel_residual": fit.max_rel_residual,
         }
+    out = _out_dir(args)
+    params = {"ell0": args.ell0, "tol": args.tol, "sweep": args.sweep}
+    prov = cfio.provenance_for(params, seed=args.seed, subcommand="wp")
+    cfio.write_csv(out / "wp_path.csv", {
+        "s": path.total - path.distance,  # arclength from the start point
+        "ell": path.ell,
+    }, prov)
     cfio.write_json(out / "wp_summary.json", summary, prov)
     return 0
 

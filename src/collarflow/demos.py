@@ -20,7 +20,7 @@ import numpy as np
 
 from collarflow.geometry import DomainError, check_block, half_length
 from collarflow.fields import MapField, TargetSpec, sample_map
-from collarflow.flow import FlowConfig, FlowTrace, run, stability_limit
+from collarflow.flow import FlowConfig, stability_limit
 
 
 # keys each initial kind reads; check_block adds the "kind" tag itself
@@ -110,8 +110,3 @@ def demo_config(name: str) -> tuple[FlowConfig, dict]:
     if name not in DEMOS:
         raise DomainError(f"unknown demo {name!r} (one of {sorted(DEMOS)})")
     return DEMOS[name]()
-
-
-def run_demo(name: str) -> FlowTrace:
-    cfg, init = demo_config(name)
-    return run(cfg, build_initial(cfg, init))

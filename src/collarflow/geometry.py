@@ -127,6 +127,15 @@ def delta_thin_half_length(ell: float, delta: float) -> float:
     return (2.0 * math.pi / ell) * (math.pi / 2.0 - math.asin(ratio))
 
 
+def _check_point(ell: float, s: float, *, closed: bool = False) -> tuple[float, float]:
+    """(ell, s) as floats, with s inside the open collar (-X, X), or [-X, X] if closed."""
+    ell, s = _check_ell(ell), float(s)
+    X = half_length(ell)
+    if not (abs(s) <= X if closed else abs(s) < X):
+        raise DomainError(f"|s| = {abs(s)} is not inside the collar of half length {X}")
+    return ell, s
+
+
 def _rho(ell: float, s) :
     """Unscaled conformal-factor core; accepts scalars or arrays for s."""
     a = ell / (2.0 * math.pi)
@@ -140,11 +149,7 @@ def conformal_factor(ell: float, s: float) -> float:
     ell/(2 pi tanh(ell/2)) at the collar ends; the end value lies in
     (1/pi, sqrt(2) arsinh(1)/pi) over the admissible range of ell.
     """
-    ell = _check_ell(ell)
-    X = half_length(ell)
-    s = float(s)
-    if not abs(s) < X:
-        raise DomainError(f"|s| = {abs(s)} is not inside the collar of half length {X}")
+    ell, s = _check_point(ell, s)
     return float(_rho(ell, s))
 
 
@@ -154,11 +159,7 @@ def injectivity_radius(ell: float, s: float) -> float:
     Equals ell/2 on the core circle and arsinh(cosh(ell/2)) at the collar
     ends; satisfies inj <= pi rho(s) and rho(s) <= inj everywhere.
     """
-    ell = _check_ell(ell)
-    X = half_length(ell)
-    s = float(s)
-    if not abs(s) <= X:
-        raise DomainError(f"|s| = {abs(s)} outside closed collar of half length {X}")
+    ell, s = _check_point(ell, s, closed=True)
     c = math.cos(ell * s / (2.0 * math.pi))
     return math.asinh(math.sinh(0.5 * ell) / c)
 
@@ -169,11 +170,7 @@ def log_rho_slope(ell: float, s: float) -> float:
     Bounded in absolute value by min(rho(s), ell/(2 pi sinh(ell/2)))
     and hence by 1/pi across the whole collar.
     """
-    ell = _check_ell(ell)
-    X = half_length(ell)
-    s = float(s)
-    if not abs(s) < X:
-        raise DomainError(f"|s| = {abs(s)} is not inside the collar of half length {X}")
+    ell, s = _check_point(ell, s)
     a = ell / (2.0 * math.pi)
     return a * math.tan(a * s)
 
@@ -291,10 +288,6 @@ class CollarGrid:
         """Uniform s spacing."""
         return 2.0 * self.s_max / self.n_s
 
-    def node_weights(self) -> np.ndarray:
-        """Flat coordinate-measure weights ds dtheta, shape (n_s, n_theta)."""
-        return np.outer(self.s_weights, np.full(self.n_theta, self.theta_weight))
-
     def integrate_flat(self, values: np.ndarray) -> float:
         """Integrate node samples against ds dtheta."""
         values = np.asarray(values)
@@ -305,6 +298,3 @@ class CollarGrid:
         values = np.asarray(values)
         return float(np.einsum("s,s,st->", self.s_weights, self.rho_sq, values)
                      * self.theta_weight)
-
-    def covers_full_collar(self) -> bool:
-        return self.s_max == half_length(self.ell)

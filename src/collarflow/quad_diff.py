@@ -45,23 +45,23 @@ class QuadDiffField:
 def lp_norm(field: QuadDiffField, p) -> float:
     """Hyperbolic L^p norm of the differential, p in {1, 2, inf}."""
     grid, psi = field.grid, field.psi
-    if p == 1:
-        # |Psi|_g dv = 2 rho^-2 |psi| rho^2 ds dtheta: weights cancel
-        return grid.integrate_flat(2.0 * np.abs(psi))
     if p == 2:
         dens = 4.0 * np.abs(psi) ** 2 * grid.rho_inv_sq[:, None]
         return math.sqrt(grid.integrate_flat(dens))
+    size = 2.0 * np.abs(psi)  # |Psi|_g = size * rho^-2
+    if p == 1:  # |Psi|_g dv = 2 rho^-2 |psi| rho^2 ds dtheta: weights cancel
+        return grid.integrate_flat(size)
     if p in (math.inf, "inf"):
-        return float(np.max(2.0 * np.abs(psi) * grid.rho_inv_sq[:, None]))
+        return float(np.max(size * grid.rho_inv_sq[:, None]))
     raise DomainError(f"unsupported p = {p!r}")
 
 
 def inner_product(f1: QuadDiffField, f2: QuadDiffField) -> complex:
     """<Psi_1, Psi_2> = 4 int psi_1 conj(psi_2) rho^-2 ds dtheta."""
-    if f1.grid is not f2.grid and (f1.grid.n_s, f1.grid.n_theta, f1.grid.s_max) != \
-            (f2.grid.n_s, f2.grid.n_theta, f2.grid.s_max):
+    grid, other = f1.grid, f2.grid
+    if grid is not other and (grid.ell, grid.n_s, grid.n_theta, grid.s_max) != \
+            (other.ell, other.n_s, other.n_theta, other.s_max):
         raise DomainError("inner product needs both fields on the same grid")
-    grid = f1.grid
     dens = f1.psi * np.conj(f2.psi)
     w = grid.s_weights * grid.rho_inv_sq
     return complex(4.0 * grid.theta_weight * np.einsum("s,st->", w, dens))
@@ -234,11 +234,10 @@ def thin_thick_decay_ratio(field: QuadDiffField, delta: float,
     thick = np.abs(grid.s_nodes) >= x_thick
     if not thin.any() or not thick.any():
         raise DomainError("grid does not resolve the requested thin/thick parts")
-    size = 2.0 * np.abs(field.psi) * grid.rho_inv_sq[:, None]
-    sup_thin = float(np.max(size[thin]))
-    dens = 4.0 * np.abs(field.psi) ** 2 * grid.rho_inv_sq[:, None]
-    w = grid.s_weights * thick
-    l2_thick = math.sqrt(float(np.einsum("s,st->", w, dens)) * grid.theta_weight)
+    # rows outside a part hold exact zeros, so each norm sees that part alone
+    part = lambda rows: QuadDiffField(grid, np.where(rows[:, None], field.psi, 0.0))
+    sup_thin = lp_norm(part(thin), math.inf)
+    l2_thick = lp_norm(part(thick), 2)
     if l2_thick == 0.0:
         raise DomainError("differential vanishes on the thick part")
     return sup_thin / l2_thick

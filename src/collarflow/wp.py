@@ -32,6 +32,15 @@ from collarflow.geometry import ELL_MAX, DomainError
 G_AT_PINCH = 32.0 * math.pi**5
 
 
+def _check_lengths(ell, name: str = "ell", closed: bool = False) -> np.ndarray:
+    """ell as a float array in (0, 2 arsinh 1), or [0, 2 arsinh 1] if closed; NaN fails."""
+    ell = np.asarray(ell, dtype=float)
+    inside = (ell >= 0) & (ell <= ELL_MAX) if closed else (ell > 0) & (ell < ELL_MAX)
+    if not np.all(inside):
+        raise DomainError(f"need {name} in {'[0, 2 arsinh 1]' if closed else '(0, 2 arsinh 1)'}")
+    return ell
+
+
 def speed_normalizer(ell):
     """g(ell) = ell^3 ||dz^2||_L2^2 in a form with no cancellation at 0.
 
@@ -39,9 +48,7 @@ def speed_normalizer(ell):
     stays finite and smooth as ell -> 0; accepts scalars or arrays with
     entries in [0, 2 arsinh 1].
     """
-    ell = np.asarray(ell, dtype=float)
-    if np.any(ell < 0) or np.any(ell > ELL_MAX):
-        raise DomainError("need 0 <= ell <= 2 arsinh 1")
+    ell = _check_lengths(ell, closed=True)
     half = np.sinh(ell / 2.0)
     ell_x = 2.0 * math.pi * (math.pi / 2.0 - np.arctan(half))
     out = 32.0 * math.pi**3 * ell_x \
@@ -55,9 +62,7 @@ def pinch_speed(ell):
     Tends to -sqrt(2 ell / pi) at the pinch; since ||dz^2||^2 = g / ell^3,
     the speed -(8 pi^2 / ell) / ||dz^2|| is -8 pi^2 sqrt(ell) / sqrt(g).
     """
-    ell_arr = np.asarray(ell, dtype=float)
-    if np.any(ell_arr <= 0) or np.any(ell_arr >= ELL_MAX):
-        raise DomainError("need 0 < ell < 2 arsinh 1")
+    ell_arr = _check_lengths(ell)
     out = -8.0 * math.pi**2 * np.sqrt(ell_arr) / np.sqrt(speed_normalizer(ell_arr))
     return float(out) if out.ndim == 0 else out
 
@@ -92,8 +97,9 @@ def integrate_to_pinch(ell0: float, tol: float = 1e-10,
     until two totals agree to tol relative); the integrand is smooth on
     the closed interval, so the pinch end needs no special treatment.
     """
-    if not 0.0 < ell0 < ELL_MAX:
-        raise DomainError("need 0 < ell0 < 2 arsinh 1")
+    _check_lengths(ell0, "ell0")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     if n_samples < 2:
         raise DomainError("need at least 2 path samples")
     m, h = np.linspace(0.0, math.sqrt(ell0), n_samples, retstep=True)
@@ -130,8 +136,7 @@ def correction_coefficient(ell_list, dists=None, tol: float = 1e-11) -> Correcti
     ells = np.asarray(ell_list, dtype=float)
     if ells.ndim != 1 or ells.size < 3:
         raise DomainError("need at least 3 sample lengths")
-    if np.any(ells <= 0) or np.any(ells >= ELL_MAX):
-        raise DomainError("sample lengths must sit in (0, 2 arsinh 1)")
+    _check_lengths(ells, "sample lengths")
     spread = np.max(ells) - np.min(ells)
     if spread <= 0 or np.min(np.diff(np.sort(ells))) < 0.05 * spread:
         raise DomainError("sample lengths must be well separated")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,29 @@ class TestKernel:
         f = kernel_solution(s, g, self.c1())
         r = kernel_residual(f, g, self.c1())
         assert np.max(np.abs(r)) < 1e-3 * self.c1() * np.max(g)
+
+    def test_convolution_matches_direct_sum(self):
+        # the trapezoid sum (c1/2) sum_j e^{-|s_i - s_j|} w_j g_j, one row at a time
+        s = profile_grid(3.0, 0.0625)
+        g = np.exp(-s**2) * (1.0 + 0.3 * np.sin(3.0 * s)) ** 2
+        w = np.full(s.size, s[1] - s[0])
+        w[0] = w[-1] = 0.5 * w[0]
+        direct = [0.5 * self.c1() * np.sum(np.exp(-np.abs(si - s)) * w * g) for si in s]
+        f = kernel_solution(s, g, self.c1())
+        np.testing.assert_allclose(f.values, direct, rtol=1e-14)
+
+    def test_memory_linear_in_station_count(self):
+        # a (k, k) kernel at k = 2001 would be 32 MB per temporary
+        s = profile_grid(50.0, 0.05)
+        assert s.size == 2001
+        g = np.exp(-0.01 * s**2)
+        tracemalloc.start()
+        try:
+            kernel_solution(s, g, self.c1(), a=1.0, b=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestAngularAudit:

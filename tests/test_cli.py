@@ -21,9 +21,9 @@ import collarflow
 from collarflow import cli
 from collarflow import io as cfio
 from collarflow.cli import main
-from collarflow.demos import DEMOS, build_initial, demo_config, run_demo
+from collarflow.demos import DEMOS, build_initial, demo_config
 from collarflow.fields import MapField, TargetSpec, sample_map
-from collarflow.flow import TRACE_COLUMNS
+from collarflow.flow import TRACE_COLUMNS, run
 from collarflow.geometry import CollarGrid, DomainError, check_block, half_length
 from collarflow.quad_diff import QuadDiffField
 from collarflow.verify import (
@@ -224,17 +224,22 @@ class TestFieldSerialization:
             cfio.qd_field_from_csv(tmp_path / "f.csv", tmp_path / "f.json")
 
 
+def _run_demo(name):
+    cfg, init = demo_config(name)
+    return run(cfg, build_initial(cfg, init))
+
+
 class TestDemos:
     def test_terminal_statuses(self):
-        assert run_demo("wrap").status == "completed"
-        assert run_demo("pinch").status == "pinched"
-        relax = run_demo("relax")
+        assert _run_demo("wrap").status == "completed"
+        assert _run_demo("pinch").status == "pinched"
+        relax = _run_demo("relax")
         assert relax.status == "completed"
         assert relax["E"][-1] < 0.05 * relax["E"][0]
 
     def test_unknown_demo(self):
         with pytest.raises(DomainError, match="nope"):
-            run_demo("nope")
+            _run_demo("nope")
 
 
 class TestVerifyRegistry:
@@ -543,6 +548,18 @@ class TestCliDriver:
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--tol", "inf"], "tol"), (["--tol", "nan"], "tol"), (["--tol", "-1"], "tol"),
+        (["--sweep", "0.02,0.05,nan"], "--sweep"),
+    ])
+    def test_wp_bad_input_writes_nothing(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert main(["wp", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}")
         assert err.count("\n") == 1 and err.count("error:") == 1
         assert not out.exists()
 

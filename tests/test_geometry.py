@@ -200,6 +200,23 @@ class TestLogRhoSlope:
             assert r0 / vals.min() <= cap * (1 + 1e-10)
 
 
+class TestCollarPoint:
+    @pytest.mark.parametrize("fn", [conformal_factor, injectivity_radius, log_rho_slope])
+    @pytest.mark.parametrize("where", [1.01, -1.01, math.nan])
+    def test_point_outside_collar_rejected(self, fn, where):
+        with pytest.raises(DomainError, match="not inside the collar"):
+            fn(0.2, where * half_length(0.2))
+
+    def test_only_injectivity_radius_accepts_the_collar_end(self):
+        X = half_length(0.2)
+        for fn in (conformal_factor, log_rho_slope):
+            with pytest.raises(DomainError, match="not inside the collar"):
+                fn(0.2, X)
+        assert injectivity_radius(0.2, -X) == injectivity_radius(0.2, X)
+        assert injectivity_radius(0.2, X) == pytest.approx(math.asinh(math.cosh(0.1)),
+                                                           rel=1e-14)
+
+
 class TestDz2Norms:
     def test_l1_linf_closed_forms(self):
         n = dz2_norms(0.1)
@@ -251,7 +268,7 @@ class TestDeformedCircle:
 class TestCollarGrid:
     def test_weights_sum_to_area(self):
         grid = CollarGrid(0.3, n_s=37, n_theta=12)
-        area = grid.node_weights().sum()
+        area = grid.s_weights.sum() * grid.n_theta * grid.theta_weight
         assert area == pytest.approx(4 * math.pi * grid.s_max, rel=1e-12)
 
     def test_nodes_strictly_inside(self):
@@ -262,7 +279,7 @@ class TestCollarGrid:
     def test_truncated_grid(self):
         grid = CollarGrid(0.1, n_s=16, n_theta=8, s_max=2.0)
         assert grid.s_max == 2.0
-        assert not grid.covers_full_collar()
+        assert grid.s_max < half_length(grid.ell)
         with pytest.raises(DomainError):
             CollarGrid(0.1, n_s=16, n_theta=8, s_max=half_length(0.1) + 1.0)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from collarflow.fields import MapField, TargetSpec, jet, sample_map
-from collarflow.geometry import CollarGrid, DomainError, dz2_norms, half_length
+from collarflow.geometry import (CollarGrid, DomainError, delta_thin_half_length,
+                                 dz2_norms, half_length)
 from collarflow.quad_diff import (
     FourierQD,
     QuadDiffField,
@@ -46,6 +47,16 @@ class TestNorms:
         ip = inner_product(f, f)
         assert ip.imag == pytest.approx(0.0, abs=1e-9 * abs(ip))
         assert math.sqrt(ip.real) == pytest.approx(lp_norm(f, 2), rel=1e-12)
+
+    def test_inner_product_needs_equal_core_length(self):
+        a = QuadDiffField(CollarGrid(0.1, 40, 8, s_max=3.0), np.ones((40, 8)))
+        b = QuadDiffField(CollarGrid(0.2, 40, 8, s_max=3.0), np.ones((40, 8)))
+        for f1, f2 in ((a, b), (b, a)):
+            with pytest.raises(DomainError, match="same grid"):
+                inner_product(f1, f2)
+        twin = QuadDiffField(CollarGrid(0.1, 40, 8, s_max=3.0), np.ones((40, 8)))
+        assert twin.grid is not a.grid
+        assert inner_product(a, twin) == inner_product(a, a)
 
     def test_holder_consistency(self, short_grid):
         rng = np.random.default_rng(4)
@@ -223,6 +234,20 @@ class TestDecay:
                 assert slope / n == pytest.approx(1.0, abs=0.1)
         C = max(consts)
         assert np.isfinite(C)
+
+    def test_ratio_matches_inline_formula_bitwise(self):
+        # thin-part sup and thick-part L^2 written out on the masked rows
+        ell, delta, delta0 = 0.1, 0.1, 0.2
+        grid = CollarGrid(ell, n_s=2000, n_theta=8)
+        f = scaled_mode_field(grid, 2)
+        thin = np.abs(grid.s_nodes) <= delta_thin_half_length(ell, delta)
+        thick = np.abs(grid.s_nodes) >= delta_thin_half_length(ell, delta0)
+        size = 2.0 * np.abs(f.psi) * grid.rho_inv_sq[:, None]
+        dens = 4.0 * np.abs(f.psi) ** 2 * grid.rho_inv_sq[:, None]
+        l2_thick = math.sqrt(float(np.einsum("s,st->", grid.s_weights * thick, dens))
+                             * grid.theta_weight)
+        expected = float(np.max(size[thin])) / l2_thick
+        assert thin_thick_decay_ratio(f, delta, delta0) == expected
 
     def test_zero_principal_part_required(self):
         grid = CollarGrid(0.1, n_s=2000, n_theta=8)

@@ -121,8 +121,31 @@ class TestDistance:
         assert abs(total - dist) <= tol * dist
 
     def test_unreachable_tolerance_rejected(self):
-        with pytest.raises(DomainError, match="nodes per panel"):
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
             integrate_to_pinch(0.1, tol=-1.0)
+
+
+class TestLengthCheck:
+    @pytest.mark.parametrize("call", [
+        lambda: speed_normalizer(math.nan),
+        lambda: speed_normalizer(np.array([0.1, math.nan])),
+        lambda: pinch_speed(math.nan),
+        lambda: integrate_to_pinch(math.nan),
+        lambda: correction_coefficient([math.nan, 0.05, 0.1, 0.2], dists=np.ones(4)),
+    ], ids=["speed_normalizer", "speed_normalizer-array", "pinch_speed",
+            "integrate_to_pinch", "correction_coefficient"])
+    def test_nan_length_rejected(self, call):
+        with pytest.raises(DomainError, match="2 arsinh 1"):
+            call()
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            integrate_to_pinch(0.1, tol=tol)
+
+    def test_zero_tol_accepted(self):
+        assert integrate_to_pinch(0.1, tol=0.0).total == pytest.approx(
+            DIST_ORACLES[0.1], abs=1e-12)
 
 
 class TestCorrectionFit:
