@@ -17,6 +17,11 @@ field is rho^-2 P_tan(u_ss + u_thth): the target's second fundamental
 form is zero on the torus and radial on the sphere, so the tangential
 projection removes it.
 
+Every sum over the target-component axis (the densities |u_s|^2 and
+|u_theta|^2, the Hopf cross term, the tension density, the tangential
+and sphere projections and the unit-norm check) goes through
+TargetSpec.dot, which adds the component products in component order.
+
 Energies are reported in the conformal picture: the coordinate energy
 E = 1/2 int |du|^2 ds dtheta is invariant under the conformal factor,
 while the weighted quantities (I, I_theta, the cutoff variant) carry
@@ -59,8 +64,9 @@ class TargetSpec:
         if self.kind == "flat-torus":
             if self.dim < 1 or self.periods is None or len(self.periods) != self.dim:
                 raise DomainError("flat torus needs dim >= 1 and one period per component")
-            if any(p <= 0 for p in self.periods):
-                raise DomainError("torus periods must be positive")
+            if not all(0 < p < math.inf for p in self.periods):
+                raise DomainError(f"torus periods must be positive and finite, "
+                                  f"got periods = {list(self.periods)}")
         elif self.dim < 2:
             raise DomainError("sphere ambient dimension must be >= 2")
         elif self.periods is not None:
@@ -83,20 +89,31 @@ class TargetSpec:
         p = np.asarray(self.periods)
         return d - p * np.round(d / p)
 
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """<a, b> summed over the last (component) axis in component order.
+
+        The in-order sum is bit-identical to np.sum(a * b, axis=-1) for
+        the short component axes used here and runs several times faster.
+        """
+        out = a[..., 0] * b[..., 0]
+        for k in range(1, a.shape[-1]):
+            out += a[..., k] * b[..., k]
+        return out
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """Closest-point projection onto the target."""
         if self.kind == "flat-torus":
             return values
-        norms = np.linalg.norm(values, axis=-1, keepdims=True)
+        norms = np.sqrt(self.dot(values, values))
         if np.any(norms == 0.0):
             raise DomainError("cannot project the zero vector onto the sphere")
-        return values / norms
+        return values / norms[..., None]
 
     def tangential(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Project w onto the tangent space of the target at u."""
         if self.kind == "flat-torus":
             return w
-        return w - np.sum(w * u, axis=-1, keepdims=True) * u
+        return w - self.dot(w, u)[..., None] * u
 
 
 @dataclass
@@ -115,7 +132,7 @@ class MapField:
         if not np.isfinite(self.values).all():
             raise DomainError("map values must be finite")
         if self.target.kind == "round-sphere":
-            norms = np.linalg.norm(self.values, axis=-1)
+            norms = np.sqrt(self.target.dot(self.values, self.values))
             if np.max(np.abs(norms - 1.0)) > 1e-9:
                 raise DomainError("sphere map values must be unit vectors")
 
@@ -133,8 +150,10 @@ def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
 class MapJet:
     """First and pure second derivatives of a map at the grid nodes, the wrapped
     forward differences d_s (between s rows) and d_theta (periodic), and the
-    densities |u_s|^2 and |u_theta|^2, each summed on first read and kept."""
+    densities |u_s|^2 and |u_theta|^2 in the target's inner product, each
+    summed on first read and kept."""
 
+    target: TargetSpec
     u_s: np.ndarray
     u_theta: np.ndarray
     u_ss: np.ndarray
@@ -144,11 +163,11 @@ class MapJet:
 
     @cached_property
     def u_s_sq(self) -> np.ndarray:
-        return np.sum(self.u_s**2, axis=-1)
+        return self.target.dot(self.u_s, self.u_s)
 
     @cached_property
     def u_theta_sq(self) -> np.ndarray:
-        return np.sum(self.u_theta**2, axis=-1)
+        return self.target.dot(self.u_theta, self.u_theta)
 
 
 def jet(u: MapField) -> MapJet:
@@ -173,8 +192,8 @@ def jet(u: MapField) -> MapJet:
     Dt_back = np.roll(Dt, 1, axis=1)
     u_theta = (Dt + Dt_back) / (2.0 * h_t)
     u_thth = (Dt - Dt_back) / h_t**2
-    return MapJet(u_s=u_s, u_theta=u_theta, u_ss=u_ss, u_thth=u_thth,
-                  d_s=D, d_theta=Dt)
+    return MapJet(target=target, u_s=u_s, u_theta=u_theta, u_ss=u_ss,
+                  u_thth=u_thth, d_s=D, d_theta=Dt)
 
 
 def tension(u: MapField, jet_: MapJet | None = None) -> np.ndarray:
@@ -203,7 +222,7 @@ def tension_l2(u: MapField, tau: np.ndarray | None = None) -> float:
 
 def tension_density(u: MapField, tau: np.ndarray) -> np.ndarray:
     """|tau_g|^2 rho^2 per node, the tension density against ds dtheta."""
-    return np.sum(tau * tau, axis=-1) * u.grid.rho_sq[:, None]
+    return u.target.dot(tau, tau) * u.grid.rho_sq[:, None]
 
 
 def smooth_cutoff(rho: np.ndarray, delta: float = _CUTOFF_DELTA) -> np.ndarray:

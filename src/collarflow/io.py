@@ -33,10 +33,11 @@ def _format_value(x) -> str:
 
 
 def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
-    """Write named columns with an exact-width float format.
+    """Write named float columns with an exact-width float format.
 
-    Column order follows the dict; all columns must share one length.
-    Provenance entries become sorted leading comment lines.
+    Column order follows the dict; all columns must share one length and
+    hold floats.  Every row comes from one template.  Provenance entries
+    become sorted leading comment lines.
     """
     names = list(columns)
     if not names:
@@ -45,12 +46,14 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     n_rows = arrays[0].shape[0]
     if any(a.ndim != 1 or a.shape[0] != n_rows for a in arrays):
         raise DomainError("csv columns must be 1-d and equal length")
-    lines = []
-    for key in sorted(provenance or {}):
-        lines.append(f"{COMMENT_PREFIX}{key}: {_format_value((provenance or {})[key])}")
+    for name, a in zip(names, arrays):
+        if a.dtype.kind != "f":
+            raise DomainError(f"csv column {name!r} must hold floats, got {a.dtype}")
+    lines = [f"{COMMENT_PREFIX}{key}: {_format_value(provenance[key])}"
+             for key in sorted(provenance or {})]
     lines.append(",".join(names))
-    for i in range(n_rows):
-        lines.append(",".join(_format_value(a[i]) for a in arrays))
+    row = ",".join([FLOAT_FMT] * len(names))
+    lines.extend(row % tuple(r) for r in np.column_stack(arrays).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -76,6 +79,9 @@ def read_csv(path) -> tuple[dict, dict]:
             continue
         if header is None:
             header = line.split(",")
+            repeated = [h for i, h in enumerate(header) if h in header[:i]]
+            if repeated:
+                raise DomainError(f"{path}: repeated column {repeated[0]!r}")
             continue
         if line:
             values = line.split(",")

@@ -212,7 +212,7 @@ def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
     norm never exceeds four times the coordinate energy.
     """
     J = jet_ or jet(u)
-    psi = J.u_s_sq - J.u_theta_sq - 2j * np.sum(J.u_s * J.u_theta, axis=-1)
+    psi = J.u_s_sq - J.u_theta_sq - 2j * u.target.dot(J.u_s, J.u_theta)
     return QuadDiffField(u.grid, psi)
 
 

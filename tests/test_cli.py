@@ -101,6 +101,15 @@ def _map_csv(tmp_path):
     return field
 
 
+def _qd_csv(tmp_path):
+    """A small quadratic differential written as tmp_path/f.csv plus f.json."""
+    field = tmp_path / "f.csv"
+    cfio.qd_field_to_csv(QuadDiffField(CollarGrid(0.15, 24, 8, s_max=2.5),
+                                       np.ones((24, 8), dtype=complex)),
+                         field, tmp_path / "f.json")
+    return field
+
+
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(collarflow.__file__).resolve().parents[1])
@@ -136,6 +145,31 @@ class TestCsv:
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             cfio.write_csv(tmp_path / "r.csv", {"a": [1.0, 2.0], "b": [3.0]})
+
+    @pytest.mark.parametrize("n_rows", [8, 0])
+    def test_rows_match_per_cell_reference_bytewise(self, tmp_path, n_rows):
+        rng = np.random.default_rng(5)
+        cols = {"edge": np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324,
+                                  1.7976931348623157e308, 0.1, -2.5]),
+                "f32": (np.linspace(-1.0, 1.0, 8) / 3.0).astype(np.float32),
+                "x": rng.normal(size=8)}
+        cols = {name: a[:n_rows] for name, a in cols.items()}
+        path = tmp_path / "t.csv"
+        cfio.write_csv(path, cols, {"tol": 0.1, "seed": 3, "label": "probe"})
+        want = ["# label: probe", "# seed: 3", "# tol: 0.10000000000000001",
+                "edge,f32,x"]
+        want += [",".join("%.17g" % cols[name][i] for name in cols)
+                 for i in range(n_rows)]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    @pytest.mark.parametrize("bad", [np.arange(3), [1, 2, 3],
+                                     np.array(["a", "b", "c"])],
+                             ids=["int-array", "int-list", "str"])
+    def test_non_float_column_rejected_by_name(self, tmp_path, bad):
+        path = tmp_path / "b.csv"
+        with pytest.raises(DomainError, match="csv column 'k' must hold floats"):
+            cfio.write_csv(path, {"x": np.zeros(3), "k": bad})
+        assert not path.exists()
 
     def test_newline_endings(self, tmp_path):
         path = tmp_path / "n.csv"
@@ -493,28 +527,31 @@ class TestCliDriver:
         err = capsys.readouterr().err
         assert err.startswith(want) and err.count("\n") == 1
 
-    @pytest.mark.parametrize("column", ["s", "theta", "u_0"])
-    def test_map_csv_missing_column_exit_2(self, tmp_path, capsys, column):
-        field = _map_csv(tmp_path)
+    @pytest.mark.parametrize("subcommand, column, problem", [
+        ("angular", "s", "missing"), ("angular", "theta", "missing"),
+        ("angular", "u_0", "missing"), ("angular", "u_0", "repeated"),
+        ("qd", "re_psi", "repeated"),
+    ], ids=["s", "theta", "u_0", "repeated-u_0", "repeated-re_psi"])
+    def test_map_csv_missing_column_exit_2(self, tmp_path, capsys, subcommand,
+                                           column, problem):
+        field = _qd_csv(tmp_path) if subcommand == "qd" else _map_csv(tmp_path)
         columns, _ = cfio.read_csv(field)
-        del columns[column]
-        cfio.write_csv(field, columns)
-        assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: {field}: missing column {column!r}\n"
+        if problem == "missing":
+            del columns[column]
+            cfio.write_csv(field, columns)
+        else:
+            # a last column under the same name but holding other values
+            cfio.write_csv(field, {**columns, "dup": columns[column] + 1.0})
+            field.write_text(field.read_text().replace(",dup\n", f",{column}\n", 1))
+        assert main([subcommand, "--field", str(field), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: {problem} column {column!r}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("subcommand, column", [("angular", "u_0"),
                                                     ("qd", "im_psi")])
     def test_non_finite_field_value_names_csv(self, tmp_path, capsys,
                                               subcommand, column, value):
-        if subcommand == "qd":
-            field = tmp_path / "f.csv"
-            cfio.qd_field_to_csv(
-                QuadDiffField(CollarGrid(0.15, 24, 8, s_max=2.5),
-                              np.ones((24, 8), dtype=complex)),
-                field, tmp_path / "f.json")
-        else:
-            field = _map_csv(tmp_path)
+        field = _qd_csv(tmp_path) if subcommand == "qd" else _map_csv(tmp_path)
         lines = field.read_text().splitlines()
         lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + value
         field.write_text("\n".join(lines) + "\n")

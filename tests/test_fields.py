@@ -1,11 +1,14 @@
 """Map fields: jets, tension, energies, angular profile."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import collarflow
 from collarflow.fields import (
     EnergyReport,
     MapField,
@@ -16,10 +19,12 @@ from collarflow.fields import (
     sample_map,
     smooth_cutoff,
     tension,
+    tension_density,
     tension_l2,
     theta_profile,
 )
 from collarflow.geometry import CollarGrid, DomainError, dz2_norms, half_length
+from collarflow.quad_diff import hopf_differential
 
 TORUS1 = TargetSpec.flat_torus(1)
 TORUS2 = TargetSpec.flat_torus(2)
@@ -61,6 +66,81 @@ class TestTargets:
         vals = np.ones((8, 8, 3))
         with pytest.raises(DomainError):
             MapField(grid, vals, TargetSpec.round_sphere())
+
+    def test_sphere_unit_norm_threshold(self):
+        grid = CollarGrid(0.5, n_s=8, n_theta=8)
+        vals = np.zeros((8, 8, 3))
+        vals[..., 2] = 1.0 + 5e-10
+        MapField(grid, vals, TargetSpec.round_sphere())
+        vals[0, 0, 2] = 1.0 + 2e-9
+        with pytest.raises(DomainError, match="unit vectors"):
+            MapField(grid, vals, TargetSpec.round_sphere())
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_torus_periods_positive_and_finite(self, period):
+        with pytest.raises(DomainError, match="periods"):
+            TargetSpec.flat_torus(2, [2 * math.pi, period])
+
+
+class TestComponentSums:
+    """TargetSpec.dot against the numpy reductions it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_dot_matches_numpy_reductions_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(2, 384, 64, d))
+        target = TargetSpec.flat_torus(d)
+        assert np.array_equal(target.dot(a, b), np.sum(a * b, axis=-1))
+        assert np.array_equal(np.sqrt(target.dot(a, a)), np.linalg.norm(a, axis=-1))
+
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_flow_quantities_match_inline_reductions_bitwise(self, kind):
+        rng = np.random.default_rng(17)
+        grid = CollarGrid(0.3, n_s=40, n_theta=16, s_max=2.5)
+        if kind == "flat-torus":
+            target = TargetSpec.flat_torus(2, periods=(2 * math.pi, 3.0))
+            raw = rng.uniform(-4.0, 4.0, size=(40, 16, 2))
+            values = raw
+        else:
+            target = TargetSpec.round_sphere(3)
+            raw = rng.normal(size=(40, 16, 3))
+            values = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        assert np.array_equal(target.project(raw), values)
+        u = MapField(grid, values, target)
+        J = jet(u)
+        us_sq = np.sum(J.u_s**2, axis=-1)
+        ut_sq = np.sum(J.u_theta**2, axis=-1)
+        w = J.u_ss + J.u_thth
+        if kind == "round-sphere":
+            w = w - np.sum(w * values, axis=-1, keepdims=True) * values
+        tau = grid.rho_inv_sq[:, None, None] * w
+        assert np.array_equal(tension(u), tau)
+        assert np.array_equal(tension_density(u, tau),
+                              np.sum(tau * tau, axis=-1) * grid.rho_sq[:, None])
+        psi = us_sq - ut_sq - 2j * np.sum(J.u_s * J.u_theta, axis=-1)
+        assert np.array_equal(hopf_differential(u).psi, psi)
+        e_flat = 0.5 * (us_sq + ut_sq)
+        e_weighted = e_flat * grid.rho_inv_sq[:, None]
+        assert energies(u) == EnergyReport(
+            E=grid.integrate_flat(e_flat), I=grid.integrate_flat(e_weighted),
+            I_theta=grid.integrate_flat(ut_sq * grid.rho_inv_sq[:, None]),
+            I_smooth=grid.integrate_flat(
+                e_weighted * smooth_cutoff(grid.rho)[:, None]**2),
+            sup_density=float(np.max(e_weighted)))
+
+    def test_no_component_axis_reduction_outside_dot(self):
+        # every sum over the target-component axis goes through TargetSpec.dot
+        found = []
+        for path in sorted(Path(collarflow.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                axis = [kw.value for kw in node.keywords if kw.arg == "axis"]
+                last_axis = any(ast.unparse(a) == "-1" for a in axis + node.args[1:2])
+                if name == "np.linalg.norm" or (name.endswith(".sum") and last_axis):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+        assert found == []
 
 
 class TestJet:
