@@ -114,13 +114,13 @@ def cmd_qd(args) -> int:
         params = {"field": str(args.field)}
     seed = doc.get("seed", 0) if args.seed is None else args.seed
     prov = cfio.provenance_for(params, seed=seed, subcommand="qd")
-    cfio.qd_field_to_csv(field, out / "qd_field.csv", out / "qd_field.json",
-                         {"seed": seed, "subcommand": "qd"})
     split = principal_split(field)
     n_max = args.n_max
     if n_max is None:
         n_max = min(8, field.grid.n_theta // 2 - 1)
-    dec = fourier_decompose(field, n_max=n_max)
+    dec = fourier_decompose(field, n_max=n_max)  # checks --n-max before any write
+    cfio.qd_field_to_csv(field, out / "qd_field.csv", out / "qd_field.json",
+                         {"seed": seed, "subcommand": "qd"})
     summary = {
         "ell": field.grid.ell,
         "n_s": field.grid.n_s,
@@ -159,13 +159,11 @@ def cmd_flow(args) -> int:
     cfio.write_csv(out / "trace.csv", {name: trace[name] for name in TRACE_COLUMNS},
                    prov)
     summary = cfio.trace_summary(trace)
-    if trace.n_rows >= 3:
+    try:
         fit = dlogell_bound_check(trace)
-        summary["C_ell"] = fit.C_ell
-        summary["C_smooth"] = fit.C_smooth
-    else:
-        summary["C_ell"] = None
-        summary["C_smooth"] = None
+        summary["C_ell"], summary["C_smooth"] = fit.C_ell, fit.C_smooth
+    except DomainError:  # too few rows, ell <= 0 or I + E0 = 0: no fit
+        summary["C_ell"] = summary["C_smooth"] = None
     cfio.write_json(out / "summary.json", summary, prov)
     return 0
 

@@ -41,6 +41,8 @@ from collarflow.geometry import CollarGrid, DomainError
 # cutoff scale for the smoothed weighted energy: the cutoff is 1 where
 # rho <= _CUTOFF_DELTA and falls to 0 at 2 * _CUTOFF_DELTA
 _CUTOFF_DELTA = 1.0 / (2.0 * math.pi)
+# stations per block of window_integrals' window, which bounds its memory
+_STATION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,12 @@ def theta_profile(u: MapField, s0: float) -> float:
 
 def window_integrals(grid: CollarGrid, s0: np.ndarray, *densities) -> list[np.ndarray]:
     """int bump^4(s - s0) dens ds dtheta at each station of s0, for each density;
-    einsum sums each row alone (gemv would not), so no station depends on another."""
-    win = _bump(grid.s_nodes[None, :] - s0[:, None]) ** 4
-    return [np.einsum("ks,s->k", win, dens.sum(axis=1) * grid.theta_weight
-                      * grid.s_weights) for dens in densities]
+    einsum sums each row alone (gemv would not), so no station depends on another
+    and the (k, n_s) window is built in blocks of _STATION_BLOCK rows."""
+    weighted = [dens.sum(axis=1) * grid.theta_weight * grid.s_weights for dens in densities]
+    out = [np.empty(len(s0)) for _ in densities]
+    for i in range(0, len(s0), _STATION_BLOCK):
+        win = _bump(grid.s_nodes[None, :] - s0[i:i + _STATION_BLOCK, None]) ** 4
+        for o, w in zip(out, weighted):
+            o[i:i + _STATION_BLOCK] = np.einsum("ks,s->k", win, w)
+    return out

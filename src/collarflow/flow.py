@@ -8,11 +8,11 @@ rate dictated by the principal part of the map's Hopf differential:
 
 with b0 the L^2 projection coefficient of the Hopf differential onto
 dz^2 on the run's own coordinate grid.  The coordinate domain
-[-s_max, s_max] x S^1 is fixed once (s_max = X(ell_max) by default) and
-the conformal factor is refreshed as ell moves; since the coordinate
-energy E = 1/2 int |du|^2 ds dtheta is conformally invariant, the
-length motion does no work on E and the discrete energy identity
-dE/dt = -||tau||^2 is carried by the map alone.
+[-s_max, s_max] x S^1 is fixed once, in FlowConfig's one CollarGrid
+(s_max = X(ell_max) by default); grid_at(ell) refreshes only the
+conformal factor.  As the coordinate energy E = 1/2 int |du|^2 ds dtheta
+is conformally invariant, the length motion does no work on E and the
+discrete energy identity dE/dt = -||tau||^2 is carried by the map alone.
 
 Discrete energy bookkeeping: the trace's E column is the staggered
 (face-difference) energy, whose gradient is exactly the five-point
@@ -123,11 +123,10 @@ class FlowConfig:
             raise DomainError("stride must be >= 1")
         if not (self.t_end > 0 and self.dt > 0):
             raise DomainError("dt and t_end must be positive")
-        grid0 = CollarGrid(self.ell_max, self.n_s, self.n_theta)
-        s_max = self.s_max if self.s_max is not None else grid0.s_max
-        object.__setattr__(self, "s_max", float(s_max))
-        if not 0.0 < self.s_max <= grid0.s_max:
-            raise DomainError("s_max must fit inside the collar at ell_max")
+        # the run's one grid; not a field, so asdict and config_sha256 skip it
+        grid = CollarGrid(self.ell_max, self.n_s, self.n_theta, s_max=self.s_max)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "s_max", grid.s_max)
         cap = stability_limit(self.ell_floor, self.n_s, self.n_theta, self.s_max)
         if self.dt > cap:
             raise DomainError(
@@ -135,7 +134,7 @@ class FlowConfig:
                 f"for this grid at ell_floor = {self.ell_floor}")
 
     def grid_at(self, ell: float) -> CollarGrid:
-        return CollarGrid(ell, self.n_s, self.n_theta, s_max=self.s_max)
+        return self.grid.at(ell)
 
 
 @dataclass
@@ -321,14 +320,18 @@ def dlogell_bound_check(trace: FlowTrace) -> BoundFit:
     Derivatives are centered differences on the sampled rows; the fitted
     constants are the row maxima of |d/dt log ell| / (ell (I + E0)) and
     |d/dt log(1 + I_smooth)| / (1 + ||tau||^2), with E0 the trace's first E.
+    The fit is undefined, and raises DomainError, with fewer than 3 rows,
+    a row with ell <= 0 or a row with I + E0 = 0.
     """
     t = trace["t"]
     if len(t) < 3:
         raise DomainError("need at least 3 trace rows to fit the bounds")
     E0 = float(trace["E"][0])
     ell = trace["ell"]
-    dlog_ell = np.gradient(np.log(ell), t)
     denom_ell = ell * (trace["I"] + E0)
+    if np.any(ell <= 0.0) or np.any(denom_ell == 0.0):
+        raise DomainError("the bound fit needs ell > 0 and I + E0 > 0 on every row")
+    dlog_ell = np.gradient(np.log(ell), t)
     ell_ratios = np.abs(dlog_ell) / denom_ell
     dlog_smooth = np.gradient(np.log1p(trace["I_smooth"]), t)
     denom_smooth = 1.0 + trace["tension_l2"] ** 2

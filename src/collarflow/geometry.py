@@ -17,6 +17,7 @@ sits beside DomainError, which every module already imports.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import re
@@ -257,31 +258,37 @@ class CollarGrid:
     """
 
     def __init__(self, ell: float, n_s: int, n_theta: int, s_max: float | None = None):
-        self.ell = _check_ell(ell, closed_top=False)
-        X = half_length(self.ell)
-        if s_max is None:
-            s_max = X
-        s_max = float(s_max)
-        if not 0.0 < s_max <= X:
-            raise DomainError(f"s_max = {s_max} must lie in (0, X] with X = {X}")
         if n_s < 4 or n_theta < 4:
             raise DomainError("need at least 4 nodes in each direction")
         self.n_s = int(n_s)
         self.n_theta = int(n_theta)
-        self.s_max = s_max
-
+        self.s_max = float(half_length(_check_ell(ell, closed_top=False))
+                           if s_max is None else s_max)
         xi_edge = np.linspace(-1.0, 1.0, self.n_s + 1)
-        xi_mid = 0.5 * (xi_edge[:-1] + xi_edge[1:])
-        self.s_nodes = s_max * xi_mid
-        self.s_weights = np.diff(s_max * xi_edge)
+        self.s_nodes = self.s_max * (0.5 * (xi_edge[:-1] + xi_edge[1:]))
+        self.s_weights = np.diff(self.s_max * xi_edge)
         self.theta_nodes = np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
         self.theta_weight = 2.0 * math.pi / self.n_theta
+        for layout in (self.s_nodes, self.s_weights, self.theta_nodes):
+            layout.flags.writeable = False
+        self._set_metric(ell)
 
-        # cached metric samples; built on the _rho core, so a patched
-        # conformal_factor reaches the scalar geometry API only
+    def _set_metric(self, ell: float) -> None:
+        """Check ell and s_max <= X(ell); sample the metric on _rho, not conformal_factor."""
+        self.ell = _check_ell(ell, closed_top=False)
+        X = half_length(self.ell)
+        if not 0.0 < self.s_max <= X:
+            raise DomainError(f"s_max = {self.s_max} must lie in (0, X] with X = {X}")
         self.rho = _rho(self.ell, self.s_nodes)
         self.rho_sq = self.rho**2
         self.rho_inv_sq = 1.0 / self.rho_sq
+        self.pairing_weights = self.s_weights * self.rho_inv_sq
+
+    def at(self, ell: float) -> "CollarGrid":
+        """The same read-only nodes and weights, shared, under the metric of length ell."""
+        grid = copy.copy(self)
+        grid._set_metric(ell)
+        return grid
 
     @property
     def h_s(self) -> float:

@@ -63,7 +63,7 @@ def inner_product(f1: QuadDiffField, f2: QuadDiffField) -> complex:
             (other.ell, other.n_s, other.n_theta, other.s_max):
         raise DomainError("inner product needs both fields on the same grid")
     dens = f1.psi * np.conj(f2.psi)
-    w = grid.s_weights * grid.rho_inv_sq
+    w = grid.pairing_weights
     return complex(4.0 * grid.theta_weight * np.einsum("s,st->", w, dens))
 
 
@@ -88,7 +88,7 @@ def principal_coefficient(field: QuadDiffField) -> complex:
     constant factor 4 and the theta weight cancel.
     """
     grid = field.grid
-    w = grid.s_weights * grid.rho_inv_sq
+    w = grid.pairing_weights
     return complex(np.einsum("s,st->", w, field.psi)) / (grid.n_theta * float(np.sum(w)))
 
 
@@ -140,16 +140,17 @@ def fourier_decompose(field: QuadDiffField, n_max: int = 16) -> FourierQD:
     underflow to zero.
     """
     grid = field.grid
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     if 2 * n_max >= grid.n_theta:
         raise DomainError(f"n_max = {n_max} at or beyond Nyquist for n_theta = {grid.n_theta}")
     dft = np.fft.fft(field.psi, axis=1) / grid.n_theta  # row-wise theta averages
-    w_rho = grid.s_weights * grid.rho_inv_sq
     coeffs = np.zeros(2 * n_max + 1, dtype=complex)
     for n in range(-n_max, n_max + 1):
         anchor = _mode_anchor(n, grid.s_max)
         scaled = np.exp(n * (grid.s_nodes - anchor))
-        den = float(np.sum(w_rho * scaled * scaled))
-        num = complex(np.sum(w_rho * scaled * dft[:, n % grid.n_theta]))
+        den = float(np.sum(grid.pairing_weights * scaled * scaled))
+        num = complex(np.sum(grid.pairing_weights * scaled * dft[:, n % grid.n_theta]))
         coeffs[n + n_max] = (num / den) * math.exp(-n * anchor)
     return FourierQD(grid=grid, n_max=n_max, coeffs=coeffs)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from collarflow.geometry import CollarGrid, DomainError
-from collarflow.fields import MapField, TargetSpec, sample_map, theta_profile
+from collarflow.fields import (MapField, TargetSpec, sample_map, theta_profile,
+                               window_integrals)
 from collarflow.angular import (
     CONSTANT_MODE_RATE,
     DEFAULT_C1,
@@ -268,6 +269,31 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_window_memory_bounded_in_station_count(self):
+        # one (k, n_s) window at k = 8001, n_s = 1000 would be 64 MB per temporary
+        grid = CollarGrid(0.1, 1000, 8, s_max=30.0)
+        s0 = np.linspace(-29.0, 29.0, 8001)
+        dens = np.random.default_rng(0).random((1000, 8))
+        tracemalloc.start()
+        try:
+            window_integrals(grid, s0, dens, dens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+
+    def test_window_blocks_do_not_change_any_station(self):
+        # stations shifted across block boundaries give the same bits
+        grid = CollarGrid(0.1, 300, 8, s_max=20.0)
+        s0 = np.linspace(-19.0, 19.0, 601)
+        dens = np.random.default_rng(1).random((300, 8))
+        full = window_integrals(grid, s0, dens)[0]
+        for lo in (1, 100, 255, 257):
+            np.testing.assert_array_equal(window_integrals(grid, s0[lo:], dens)[0],
+                                          full[lo:])
+        singles = [window_integrals(grid, s0[[i]], dens)[0][0] for i in (0, 255, 256, 600)]
+        np.testing.assert_array_equal(singles, full[[0, 255, 256, 600]])
 
 
 class TestAngularAudit:

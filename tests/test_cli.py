@@ -361,6 +361,56 @@ class TestCliDriver:
         assert math.isfinite(summary["C_ell"])
         assert math.isfinite(summary["C_smooth"])
 
+    # runs whose bound fit is undefined: I + E0 = 0 on every row (a constant
+    # map, with or without a moving length), or ell overshooting below zero
+    PINCH_PAST_ZERO = {
+        "flow": {"ell0": 0.15, "eta": 0.6, "dt": 2e-6, "t_end": 1e-4, "n_s": 40,
+                 "n_theta": 8, "ell_floor": 0.05,
+                 "target": {"kind": "flat-torus", "dim": 1, "periods": [1e9]}},
+        "initial": {"kind": "radial", "b": 40.0}}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("doc, status", [
+        (_with(FLOW_DOC, "initial", {"kind": "wrap", "a": 0.0}), "completed"),
+        ({"flow": cfio.config_to_dict(demo_config("relax")[0]),
+          "initial": {"kind": "theta-modes", "amplitudes": [0.0]}}, "completed"),
+        (PINCH_PAST_ZERO, "pinched"),
+    ])
+    def test_flow_undefined_bound_fit_writes_nulls(self, tmp_path, capsys, doc, status):
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["flow", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == status
+        assert summary["n_rows"] >= 3
+        assert summary["C_ell"] is None and summary["C_smooth"] is None
+        if status == "pinched":
+            assert summary["ell_final"] < 0.0
+
+    @pytest.mark.parametrize("s_max", [0.0, -2.0, 1.01 * half_length(0.6)])
+    def test_flow_window_outside_collar_exit_2(self, s_max):
+        code, lines = _run_config("flow", _with(FLOW_DOC, "flow.s_max", s_max))
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(f"error: s_max = {s_max} ")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("wrap", "473a1b8dd3e3af074d37d9bc8b3754152e04c0106d1727d00f01dc0bac3c2585"),
+        ("pinch", "bb7e603469a3678b0aed52db7fcab3a62a85cb430b0bab1b172088702f8012f8"),
+        ("relax", "9475f3276f2d0a3dd20749c4ca05b44f23aaa02f7ed32cebfdf0f4ae408ac9f4"),
+    ])
+    def test_demo_config_digest_pinned(self, name, digest):
+        assert cfio.config_digest(demo_config(name)[0]) == digest
+
+    def test_qd_negative_n_max_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "qd.json").write_text(json.dumps(QD_DOC))
+        out = tmp_path / "out"
+        assert main(["qd", "--config", str(tmp_path / "qd.json"), "--n-max", "-1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n_max must be >= 0, got -1\n"
+        assert not any(out.iterdir())
+
     def test_flow_config_file(self, tmp_path):
         from collarflow.demos import demo_config
         cfg, init = demo_config("wrap")

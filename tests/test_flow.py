@@ -9,6 +9,7 @@ run must reproduce exactly, row by row.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -106,6 +107,34 @@ class TestConfig:
     def test_stride_positive(self):
         with pytest.raises(DomainError):
             frozen_config(stride=0)
+
+    @pytest.mark.parametrize("s_max", [0.0, -1.0, CollarGrid(0.5, 4, 4).s_max * (1 + 1e-12)])
+    def test_window_outside_collar_at_ell_max_rejected(self, s_max):
+        with pytest.raises(DomainError, match="s_max"):
+            wrap_config(s_max=s_max)
+
+    def test_config_builds_its_grid_outside_the_fields(self):
+        cfg = wrap_config(s_max=5.0, safety=0.1)
+        assert cfg.s_max == cfg.grid.s_max == 5.0
+        assert cfg.grid.ell == cfg.ell_max
+        assert "grid" not in asdict(cfg)
+        assert cfg == wrap_config(s_max=5.0, safety=0.1)
+
+
+class TestGridRefresh:
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    def test_run_builds_no_grid_after_its_config(self, monkeypatch, stepper):
+        cfg = wrap_config(n_s=24, n_theta=8, n_steps=12, stride=5, stepper=stepper)
+        values = wrap_values(cfg.grid_at(cfg.ell0))
+        built = []
+        init = CollarGrid.__init__
+        monkeypatch.setattr(CollarGrid, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        trace = run(cfg, values)
+        assert trace["ell"][-1] > trace["ell"][0]  # the metric did move
+        assert built == []
+        assert trace.final.u.grid.s_nodes is cfg.grid.s_nodes
+        assert trace.final.u.grid.ell == trace.final.ell
 
 
 class TestMetricSpeed:
@@ -340,6 +369,12 @@ class TestBlowupAndBounds:
         # time-column roundoff leaks a subnormal slope into the gradient
         assert fit.C_ell < 1e-9
         assert 0.0 < fit.C_smooth < math.inf
+
+    def test_bound_fit_undefined_on_a_zero_energy_trace(self):
+        cfg = frozen_config(steps=4, stride=1)
+        trace = run(cfg, np.zeros((cfg.n_s, cfg.n_theta, 2)))
+        with pytest.raises(DomainError, match="I \\+ E0"):
+            dlogell_bound_check(trace)
 
     def test_bound_fit_moving_length(self):
         cfg = wrap_config(n_s=40, n_theta=8, n_steps=200, stride=5)

@@ -302,6 +302,58 @@ class TestCollarGrid:
         assert order1 > 1.8 and order2 > 1.8
 
 
+class TestGridRefresh:
+    ARRAYS = ("s_nodes", "s_weights", "theta_nodes", "rho", "rho_sq", "rho_inv_sq",
+              "pairing_weights")
+    LAYOUT = ("s_nodes", "s_weights", "theta_nodes")
+
+    @pytest.mark.parametrize("s_max", [None, 3.0])
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.3, 0.4])
+    def test_at_equals_a_fresh_grid_bitwise(self, ell, s_max):
+        g = CollarGrid(0.4 if s_max is None else 0.6, 48, 12, s_max=s_max)
+        fresh = CollarGrid(ell, 48, 12, s_max=g.s_max)
+        h = g.at(ell)
+        assert (h.ell, h.n_s, h.n_theta, h.s_max, h.theta_weight, h.h_s) == \
+            (fresh.ell, fresh.n_s, fresh.n_theta, fresh.s_max, fresh.theta_weight,
+             fresh.h_s)
+        for name in self.ARRAYS:
+            np.testing.assert_array_equal(getattr(h, name), getattr(fresh, name))
+
+    def test_layout_shared_and_read_only(self):
+        g = CollarGrid(0.4, 24, 8)
+        h = g.at(0.1)
+        assert h is not g and g.ell == 0.4 and h.ell == 0.1
+        for name in self.LAYOUT:
+            arr = getattr(h, name)
+            assert arr is getattr(g, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert h.rho is not g.rho
+
+    def test_pairing_weights_are_the_weighted_cells(self):
+        g = CollarGrid(0.2, 40, 8, s_max=4.0)
+        np.testing.assert_array_equal(g.pairing_weights, g.s_weights * g.rho_inv_sq)
+
+    @pytest.mark.parametrize("ell", [0.0, -0.1, ELL_MAX, 1.0 + ELL_MAX, math.nan, math.inf])
+    def test_at_rejects_length_with_constructor_message(self, ell):
+        g = CollarGrid(0.4, 16, 8, s_max=2.0)
+        with pytest.raises(DomainError) as built:
+            CollarGrid(ell, 16, 8, s_max=2.0)
+        with pytest.raises(DomainError) as refreshed:
+            g.at(ell)
+        assert str(refreshed.value) == str(built.value)
+
+    def test_at_rejects_window_beyond_collar_with_constructor_message(self):
+        g = CollarGrid(0.1, 16, 8)  # s_max = X(0.1) > X(0.4)
+        with pytest.raises(DomainError, match="s_max") as built:
+            CollarGrid(0.4, 16, 8, s_max=g.s_max)
+        with pytest.raises(DomainError) as refreshed:
+            g.at(0.4)
+        assert str(refreshed.value) == str(built.value)
+        assert g.at(0.05).s_max == g.s_max  # a shorter core has a longer collar
+
+
 class TestFaultInjection:
     def test_fault_hits_scalar_api_not_grids(self, monkeypatch):
         base = conformal_factor(0.2, 1.0)

@@ -93,6 +93,10 @@ class TestFourier:
         with pytest.raises(DomainError):
             fourier_decompose(coordinate_differential(short_grid), n_max=16)
 
+    def test_negative_n_max_named(self, short_grid):
+        with pytest.raises(DomainError, match="n_max must be >= 0, got -1"):
+            fourier_decompose(coordinate_differential(short_grid), n_max=-1)
+
     def test_overflow_guard(self):
         grid = CollarGrid(0.05, n_s=64, n_theta=8)  # full collar, s_max ~ 194
         with pytest.raises(DomainError):
