@@ -84,38 +84,76 @@ class TargetSpec:
     def round_sphere(dim: int = 3) -> "TargetSpec":
         return TargetSpec("round-sphere", dim)
 
-    def wrap_increment(self, d: np.ndarray) -> np.ndarray:
-        """Reduce component increments to the nearest torus representative."""
-        if self.kind != "flat-torus":
-            return d
-        p = np.asarray(self.periods)
-        return d - p * np.round(d / p)
+    def wrap_increment(self, d: np.ndarray, out: np.ndarray | None = None,
+                       tmp: np.ndarray | None = None) -> np.ndarray:
+        """Reduce component increments to the nearest torus representative,
+        x - p round(x / p) one component at a time with its scalar period.
 
-    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        The result goes into out (which may be d itself) or a new array;
+        tmp, shaped like one component, holds p round(x / p).
+        """
+        out = _into(out, d)
+        if self.kind != "flat-torus":
+            return out
+        tmp = np.empty(out.shape[:-1]) if tmp is None else tmp
+        for k, p in enumerate(self.periods):
+            x = out[..., k]
+            np.divide(x, p, out=tmp)
+            np.round(tmp, out=tmp)
+            tmp *= p
+            x -= tmp
+        return out
+
+    def dot(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+            tmp: np.ndarray | None = None) -> np.ndarray:
         """<a, b> summed over the last (component) axis in component order.
 
         The in-order sum is bit-identical to np.sum(a * b, axis=-1) for
         the short component axes used here and runs several times faster.
+        The sum goes into out, and each later product into tmp, when given.
         """
-        out = a[..., 0] * b[..., 0]
+        out = np.multiply(a[..., 0], b[..., 0], out=out)
         for k in range(1, a.shape[-1]):
-            out += a[..., k] * b[..., k]
+            out += np.multiply(a[..., k], b[..., k], out=tmp)
         return out
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Closest-point projection onto the target."""
+    def project(self, values: np.ndarray, out: np.ndarray | None = None,
+                norms: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
+        """Closest-point projection onto the target, into out (which may be
+        values itself) when given; norms and tmp are per-node work arrays."""
         if self.kind == "flat-torus":
-            return values
-        norms = np.sqrt(self.dot(values, values))
-        if np.any(norms == 0.0):
+            return values if out is None else _into(out, values)
+        norms = np.sqrt(self.dot(values, values, norms, tmp), out=norms)
+        if not norms.all():
             raise DomainError("cannot project the zero vector onto the sphere")
-        return values / norms[..., None]
+        out = np.empty(values.shape) if out is None else out
+        for k in range(values.shape[-1]):
+            np.divide(values[..., k], norms, out=out[..., k])
+        return out
 
-    def tangential(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Project w onto the tangent space of the target at u."""
+    def tangential(self, u: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
+                   c: np.ndarray | None = None,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+        """Project w onto the tangent space of the target at u, w - <w, u> u
+        one component at a time, into out (which may be w itself) when
+        given; c receives <w, u> and tmp each product."""
         if self.kind == "flat-torus":
-            return w
-        return w - self.dot(w, u)[..., None] * u
+            return w if out is None else _into(out, w)
+        c = self.dot(w, u, c, tmp)
+        out = np.empty_like(w) if out is None else out
+        for k in range(w.shape[-1]):
+            np.subtract(w[..., k], np.multiply(c, u[..., k], out=tmp), out=out[..., k])
+        return out
+
+
+def _into(out: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    """a copied into out, or into a new float array when out is None; out may be a."""
+    if out is None:
+        return np.array(a, dtype=float)
+    if out is not a:
+        out[...] = a
+    return out
 
 
 @dataclass
@@ -134,8 +172,11 @@ class MapField:
         if not np.isfinite(self.values).all():
             raise DomainError("map values must be finite")
         if self.target.kind == "round-sphere":
-            norms = np.sqrt(self.target.dot(self.values, self.values))
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
+            # |norm - 1| in place, so a check holds at most two node arrays
+            err = self.target.dot(self.values, self.values)
+            np.sqrt(err, out=err)
+            err -= 1.0
+            if np.max(np.abs(err, out=err)) > 1e-9:
                 raise DomainError("sphere map values must be unit vectors")
 
 
@@ -153,7 +194,14 @@ class MapJet:
     """First and pure second derivatives of a map at the grid nodes, the wrapped
     forward differences d_s (between s rows) and d_theta (periodic), and the
     densities |u_s|^2 and |u_theta|^2 in the target's inner product, each
-    summed on first read and kept."""
+    summed on first read and kept.
+
+    A jet owns its arrays, so a flow run refills one jet per state
+    (jet(u, out=J)).  node is (4, n_s, n_theta): rows 0 and 1 receive
+    the two densities, rows 2 and 3 are scratch for the Hopf cross term,
+    the projections and each component product.  psi receives the Hopf
+    coefficient (quad_diff.hopf_differential).
+    """
 
     target: TargetSpec
     u_s: np.ndarray
@@ -162,53 +210,97 @@ class MapJet:
     u_thth: np.ndarray
     d_s: np.ndarray
     d_theta: np.ndarray
+    node: np.ndarray
+    psi: np.ndarray
+
+    @staticmethod
+    def empty(target: TargetSpec, n_s: int, n_theta: int) -> "MapJet":
+        """A jet of uninitialized arrays for maps on an n_s x n_theta grid."""
+        full = (n_s, n_theta, target.dim)
+        return MapJet(target=target, u_s=np.empty(full), u_theta=np.empty(full),
+                      u_ss=np.empty(full), u_thth=np.empty(full),
+                      d_s=np.empty((n_s - 1, n_theta, target.dim)),
+                      d_theta=np.empty(full), node=np.empty((4, n_s, n_theta)),
+                      psi=np.empty((n_s, n_theta), dtype=complex))
 
     @cached_property
     def u_s_sq(self) -> np.ndarray:
-        return self.target.dot(self.u_s, self.u_s)
+        return self.target.dot(self.u_s, self.u_s, self.node[0], self.node[3])
 
     @cached_property
     def u_theta_sq(self) -> np.ndarray:
-        return self.target.dot(self.u_theta, self.u_theta)
+        return self.target.dot(self.u_theta, self.u_theta, self.node[1], self.node[3])
 
 
-def jet(u: MapField) -> MapJet:
+def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     """First and pure second derivatives from one pass over the wrapped
     increments: central interior / one-sided second order in s, periodic
-    central in theta."""
-    grid, target = u.grid, u.target
-    h_s, h_t = grid.h_s, grid.theta_weight
-    v = u.values
+    central in theta.
 
-    D = target.wrap_increment(v[1:] - v[:-1])  # (n_s-1, n_theta, d)
-    u_s = np.empty_like(v)
-    u_s[1:-1] = (D[1:] + D[:-1]) / (2.0 * h_s)
+    Fills out (whose densities are then summed afresh on first read) or
+    a new jet; the periodic theta neighbours are slice pairs, not rolls.
+    """
+    grid, target = u.grid, u.target
+    J = MapJet.empty(target, grid.n_s, grid.n_theta) if out is None else out
+    for name in ("u_s_sq", "u_theta_sq"):
+        vars(J).pop(name, None)
+    h_s, h_t = grid.h_s, grid.theta_weight
+    v, tmp = u.values, J.node[3]
+
+    D = np.subtract(v[1:], v[:-1], out=J.d_s)  # (n_s-1, n_theta, d)
+    target.wrap_increment(D, out=D, tmp=tmp[:-1])
+    u_s = J.u_s
+    np.add(D[1:], D[:-1], out=u_s[1:-1])
+    u_s[1:-1] /= 2.0 * h_s
     u_s[0] = (3.0 * D[0] - D[1]) / (2.0 * h_s)
     u_s[-1] = (3.0 * D[-1] - D[-2]) / (2.0 * h_s)
-    u_ss = np.empty_like(v)
-    u_ss[1:-1] = (D[1:] - D[:-1]) / h_s**2
+    u_ss = J.u_ss
+    np.subtract(D[1:], D[:-1], out=u_ss[1:-1])
+    u_ss[1:-1] /= h_s**2
     u_ss[0] = (-2.0 * D[0] + 3.0 * D[1] - D[2]) / h_s**2
     u_ss[-1] = (-2.0 * D[-1] + 3.0 * D[-2] - D[-3]) / h_s**2
 
-    Dt = target.wrap_increment(np.roll(v, -1, axis=1) - v)  # periodic
-    Dt_back = np.roll(Dt, 1, axis=1)
-    u_theta = (Dt + Dt_back) / (2.0 * h_t)
-    u_thth = (Dt - Dt_back) / h_t**2
-    return MapJet(target=target, u_s=u_s, u_theta=u_theta, u_ss=u_ss,
-                  u_thth=u_thth, d_s=D, d_theta=Dt)
+    # Dt[:, j] = v[:, j + 1] - v[:, j] (periodic) and the central forms
+    # Dt[:, j] +- Dt[:, j - 1]: each is one pass over the flattened arrays
+    # shifted by one theta column (d entries), whose wrong seam column is
+    # then redone; strided 2-d slices would make numpy buffer whole maps
+    d = target.dim
+    Dt = J.d_theta
+    vf, Dtf = v.reshape(-1), Dt.reshape(-1)
+    np.subtract(vf[d:], vf[:-d], out=Dtf[:-d])
+    np.subtract(v[:, 0], v[:, -1], out=Dt[:, -1])
+    target.wrap_increment(Dt, out=Dt, tmp=tmp)
+    u_theta = J.u_theta
+    np.add(Dtf[d:], Dtf[:-d], out=u_theta.reshape(-1)[d:])
+    np.add(Dt[:, 0], Dt[:, -1], out=u_theta[:, 0])
+    u_theta /= 2.0 * h_t
+    u_thth = J.u_thth
+    np.subtract(Dtf[d:], Dtf[:-d], out=u_thth.reshape(-1)[d:])
+    np.subtract(Dt[:, 0], Dt[:, -1], out=u_thth[:, 0])
+    u_thth /= h_t**2
+    return J
 
 
-def tension(u: MapField, jet_: MapJet | None = None) -> np.ndarray:
+def tension(u: MapField, jet_: MapJet | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Tension field tau_g(u) = rho^-2 P_tan(u_ss + u_thth).
 
     The tangential projection makes the result tangent to the target at
     u by construction, and it removes the second fundamental form terms
     of the full operator: they vanish on the torus and are radial on the
-    sphere.  Returns an array of shape (n_s, n_theta, dim).
+    sphere.  Returns an array of shape (n_s, n_theta, dim), out when
+    given; the projection works in the jet's scratch rows.
     """
     J = jet_ or jet(u)
-    flat = u.target.tangential(u.values, J.u_ss + J.u_thth)
-    return u.grid.rho_inv_sq[:, None, None] * flat
+    flat = np.add(J.u_ss, J.u_thth, out=out)
+    u.target.tangential(u.values, flat, out=flat, c=J.node[2], tmp=J.node[3])
+    # rho^-2 spread over theta once, then one product per component: as a
+    # broadcast operand numpy would buffer it to the size of a map
+    rho_inv_sq = J.node[2]
+    rho_inv_sq[...] = u.grid.rho_inv_sq[:, None]
+    for k in range(flat.shape[-1]):
+        flat[..., k] *= rho_inv_sq
+    return flat
 
 
 def tension_l2(u: MapField, tau: np.ndarray | None = None) -> float:

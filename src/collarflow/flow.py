@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from collarflow.geometry import ELL_MAX, CollarGrid, DomainError, check_block
+from collarflow.geometry import ELL_MAX, CollarGrid, DomainError, check_block, half_length
 from collarflow.fields import (
     MapField,
     MapJet,
@@ -110,19 +110,33 @@ class FlowConfig:
         check_block({k: v for k, v in vars(self).items() if k != "target"},
                     FLOW_FIELDS, "flow")
         ell_max = self.ell_max if self.ell_max is not None else self.ell0
-        object.__setattr__(self, "ell_max", float(ell_max))
-        if not 0.0 < self.ell_floor < self.ell0 <= self.ell_max < ELL_MAX:
+        # name the first value out of order in the chain; a defaulted ell_max is ell0
+        chain = (("ell_floor", 0.0 < self.ell_floor),
+                 ("ell0", self.ell_floor < self.ell0),
+                 ("ell0" if self.ell_max is None else "ell_max",
+                  self.ell0 <= ell_max < ELL_MAX))
+        bad = next((name for name, ok in chain if not ok), None)
+        if bad is not None:
             raise DomainError(
-                f"need 0 < ell_floor < ell0 <= ell_max < 2 arsinh 1, got "
-                f"{self.ell_floor}, {self.ell0}, {self.ell_max}")
+                f"flow.{bad}: need 0 < ell_floor < ell0 <= ell_max < 2 arsinh 1, got "
+                f"ell_floor = {self.ell_floor}, ell0 = {self.ell0}, ell_max = {ell_max}")
+        object.__setattr__(self, "ell_max", float(ell_max))
         if self.eta < 0:
-            raise DomainError("eta must be nonnegative")
+            raise DomainError(f"flow.eta: must be >= 0, got {self.eta}")
         if self.stepper not in ("euler", "rk2"):
-            raise DomainError(f"unknown stepper {self.stepper!r}")
+            raise DomainError(f"flow.stepper: must be 'euler' or 'rk2', got {self.stepper!r}")
         if self.stride < 1:
-            raise DomainError("stride must be >= 1")
-        if not (self.t_end > 0 and self.dt > 0):
-            raise DomainError("dt and t_end must be positive")
+            raise DomainError(f"flow.stride: must be >= 1, got {self.stride}")
+        for name in ("dt", "t_end"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"flow.{name}: must be > 0, got {getattr(self, name)}")
+        for name in ("n_s", "n_theta"):
+            if getattr(self, name) < 4:
+                raise DomainError(f"flow.{name}: must be >= 4, got {getattr(self, name)}")
+        X = half_length(self.ell_max)
+        if self.s_max is not None and not 0.0 < self.s_max <= X:
+            raise DomainError(f"flow.s_max: must lie in (0, X] with X = X(ell_max) = {X}, "
+                              f"got {self.s_max}")
         # the run's one grid; not a field, so asdict and config_sha256 skip it
         grid = CollarGrid(self.ell_max, self.n_s, self.n_theta, s_max=self.s_max)
         object.__setattr__(self, "grid", grid)
@@ -130,8 +144,8 @@ class FlowConfig:
         cap = stability_limit(self.ell_floor, self.n_s, self.n_theta, self.s_max)
         if self.dt > cap:
             raise DomainError(
-                f"dt = {self.dt} above the parabolic stability bound {cap:.3e} "
-                f"for this grid at ell_floor = {self.ell_floor}")
+                f"flow.dt: must be at most the parabolic stability bound {cap:.3e} "
+                f"for this grid at ell_floor = {self.ell_floor}, got {self.dt}")
 
     def grid_at(self, ell: float) -> CollarGrid:
         return self.grid.at(ell)
@@ -165,9 +179,11 @@ def metric_speed(state: FlowState, eta: float, jet_=None) -> tuple[float, comple
     return speed, b0
 
 
-def pinned_tension(u: MapField, jet_: MapJet | None = None) -> np.ndarray:
-    """Tension field with the two Dirichlet rows zeroed (the flow's vector field)."""
-    tau = tension(u, jet_)
+def pinned_tension(u: MapField, jet_: MapJet | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Tension field with the two Dirichlet rows zeroed (the flow's vector
+    field), into out when given."""
+    tau = tension(u, jet_, out)
     tau[0] = 0.0
     tau[-1] = 0.0
     return tau
@@ -189,41 +205,84 @@ def face_energy(u: MapField, jet_: MapJet | None = None) -> float:
     return 0.5 * (e_s + e_t) * h_s * h_t
 
 
-def _velocity(state: FlowState, config: FlowConfig) -> tuple[np.ndarray, float]:
-    """Pinned tension and length speed of a state, from one derivative pass."""
-    J = jet(state.u)
-    tau = pinned_tension(state.u, J)
+class RunArrays:
+    """The work arrays of one flow run, allocated once and overwritten by
+    every step: one jet (refilled for each state), the pinned tension of
+    the state (tau) and of the RK2 midpoint (tau_mid), and two value
+    arrays that consecutive states take in turn.
+
+    Neither value array is ever the caller's initial values.  A state's
+    values stay intact until the step after next, so a run's final
+    state may keep its array.
+    """
+
+    def __init__(self, config: FlowConfig):
+        shape = (config.n_s, config.n_theta, config.target.dim)
+        # the value arrays first: the one a run's final state keeps then
+        # sits below the others, which malloc can return from the heap top
+        self.values = (np.empty(shape), np.empty(shape))
+        self.jet = MapJet.empty(config.target, config.n_s, config.n_theta)
+        self.tau = np.empty(shape)
+        self.tau_mid = np.empty(shape)
+
+    def free_values(self, state: FlowState) -> np.ndarray:
+        """The value array the state's map does not hold."""
+        a, b = self.values
+        return b if state.u.values is a else a
+
+
+def _velocity(state: FlowState, config: FlowConfig, work: RunArrays,
+              out: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pinned tension (into out) and length speed of a state, from one
+    derivative pass (into work's jet)."""
+    J = jet(state.u, work.jet)
+    tau = pinned_tension(state.u, J, out)
     if config.eta == 0.0:
         return tau, 0.0
     return tau, metric_speed(state, config.eta, jet_=J)[0]
 
 
 def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
-             speed: float) -> FlowState:
-    """The state one Euler step of dt along (tau, speed) from state.
+             speed: float, work: RunArrays) -> FlowState:
+    """The state one Euler step of dt along (tau, speed) from state, its
+    values in work's free value array.
 
-    Raises FlowError on a non-finite result; the new map's grid takes the
-    length clamped to [ell_floor, ell_max], the state keeps it unclamped.
+    Raises FlowError on a non-finite result or a length at or below zero;
+    the new map's grid takes the length clamped to [ell_floor, ell_max],
+    the state keeps it unclamped.
     """
     u = state.u
-    vals = u.target.project(u.values + config.dt * tau)
+    vals = np.multiply(tau, config.dt, out=work.free_values(state))
+    vals += u.values
+    u.target.project(vals, out=vals, norms=work.jet.node[2], tmp=work.jet.node[3])
     ell = state.ell + config.dt * speed
     t = state.t + config.dt
     if not np.isfinite(vals).all() or not math.isfinite(ell):
         raise FlowError("non-finite state", round(t / config.dt))
+    if ell <= 0.0:
+        raise FlowError(f"core length ell = {ell!r} at or below zero", round(t / config.dt))
     grid = config.grid_at(min(max(ell, config.ell_floor), config.ell_max))
     return FlowState(u=MapField(grid, vals, u.target), ell=ell, t=t)
 
 
 def step(state: FlowState, config: FlowConfig,
-         velocity: tuple[np.ndarray, float] | None = None) -> FlowState:
+         velocity: tuple[np.ndarray, float] | None = None,
+         work: RunArrays | None = None) -> FlowState:
     """One explicit step of the coupled system (Euler or Heun RK2); velocity
-    is the state's (pinned tension, length speed) if the caller has it."""
-    tau, speed = velocity or _velocity(state, config)
+    is the state's (pinned tension, length speed) if the caller has it.
+
+    It writes only into work, a run's arrays, or without work into new
+    arrays of its own.
+    """
+    work = work or RunArrays(config)
+    tau, speed = velocity or _velocity(state, config, work, work.tau)
     if config.stepper == "rk2":
-        tau2, speed2 = _velocity(_advance(state, config, tau, speed), config)
-        tau, speed = 0.5 * (tau + tau2), 0.5 * (speed + speed2)
-    return _advance(state, config, tau, speed)
+        mid = _advance(state, config, tau, speed, work)
+        tau2, speed2 = _velocity(mid, config, work, work.tau_mid)
+        tau2 += tau  # Heun's average in place, bit for bit 0.5 * (tau + tau2)
+        tau2 *= 0.5
+        tau, speed = tau2, 0.5 * (speed + speed2)
+    return _advance(state, config, tau, speed, work)
 
 
 @dataclass
@@ -243,14 +302,16 @@ class FlowTrace:
         return len(self.columns["t"])
 
 
-def _sample_row(state: FlowState,
-                config: FlowConfig) -> tuple[dict, tuple[np.ndarray, float]]:
+def _sample_row(state: FlowState, config: FlowConfig, work: RunArrays | None = None
+                ) -> tuple[dict, tuple[np.ndarray, float]]:
     """A trace row of the state (all but dE_residual) and its velocity, from
-    one derivative pass."""
+    one derivative pass; the jet and the tension go into work, a run's
+    arrays, or into new ones."""
+    work = work or RunArrays(config)
     u = state.u
-    J = jet(u)
+    J = jet(u, work.jet)
     rep = energies(u, jet_=J)
-    tau = pinned_tension(u, J)
+    tau = pinned_tension(u, J, work.tau)
     speed, b0 = metric_speed(state, config.eta, jet_=J)
     return dict(t=state.t, ell=state.ell, E=face_energy(u, J), I=rep.I,
                 I_theta=rep.I_theta, I_smooth=rep.I_smooth,
@@ -265,21 +326,25 @@ def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
     state).  Exits: ell at or below ell_floor -> "pinched"; ell above
     ell_max -> "capped"; energy density above the configured threshold
     -> "blow-up-detected"; otherwise "completed" at t_end.
+
+    The steps write into one RunArrays; the final state's values are
+    one of its value arrays, never initial_values.
     """
+    work = RunArrays(config)
     state = initial_state(config, initial_values)
-    row, velocity = _sample_row(state, config)
+    row, velocity = _sample_row(state, config, work)
     rows = [row]
     status = STATUS_COMPLETED
     n_steps = int(round(config.t_end / config.dt))
     for k in range(1, n_steps + 1):
-        state = step(state, config, velocity)
+        state = step(state, config, velocity, work)
         velocity = None
         if state.ell <= config.ell_floor:
             status = STATUS_PINCHED
         elif state.ell > config.ell_max:
             status = STATUS_CAPPED
         if k % config.stride == 0 or k == n_steps or status != STATUS_COMPLETED:
-            row, velocity = _sample_row(state, config)
+            row, velocity = _sample_row(state, config, work)
             rows.append(row)
             if status == STATUS_COMPLETED and row["sup_density"] > config.blowup_sup_density:
                 status = STATUS_BLOWUP

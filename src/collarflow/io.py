@@ -52,9 +52,26 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     lines = [f"{COMMENT_PREFIX}{key}: {_format_value(provenance[key])}"
              for key in sorted(provenance or {})]
     lines.append(",".join(names))
-    row = ",".join([FLOAT_FMT] * len(names))
-    lines.extend(row % tuple(r) for r in np.column_stack(arrays).tolist())
+    cells = [_repeated_cells(a) for a in arrays]
+    row = ",".join(FLOAT_FMT if c is None else "%s" for c in cells)
+    lines.extend(row % r for r in zip(*(a.tolist() if c is None else c
+                                         for a, c in zip(arrays, cells))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _repeated_cells(a: np.ndarray) -> list[str] | None:
+    """The column's cells as text when it holds at most half as many distinct
+    values as rows (each distinct value formatted once), else None.
+
+    Values are told apart by their bit pattern, so -0.0 and 0.0, and every
+    NaN, keep the text FLOAT_FMT gives them.
+    """
+    keys, index = np.unique(np.asarray(a, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    if 2 * len(keys) > len(a):
+        return None
+    text = np.array([FLOAT_FMT % x for x in keys.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def _read_text(path) -> str:

@@ -210,11 +210,17 @@ def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
     """Hopf differential of a map: (|u_s|^2 - |u_theta|^2 - 2 i <u_s, u_theta>) dz^2.
 
     Vanishes exactly on (weakly) conformal maps, and its hyperbolic L^1
-    norm never exceeds four times the coordinate energy.
+    norm never exceeds four times the coordinate energy.  psi is the
+    jet's psi array, written in place: the imaginary part is 0 - 2 X with
+    X = <u_s, u_theta>, so a zero cross term gives +0.0 as the complex
+    form 0 - (0 + 2X i) did.
     """
     J = jet_ or jet(u)
-    psi = J.u_s_sq - J.u_theta_sq - 2j * u.target.dot(J.u_s, J.u_theta)
-    return QuadDiffField(u.grid, psi)
+    cross = u.target.dot(J.u_s, J.u_theta, J.node[2], J.node[3])
+    np.subtract(J.u_s_sq, J.u_theta_sq, out=J.psi.real)
+    cross *= 2.0
+    np.subtract(0.0, cross, out=J.psi.imag)
+    return QuadDiffField(u.grid, J.psi)
 
 
 def thin_thick_decay_ratio(field: QuadDiffField, delta: float,

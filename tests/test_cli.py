@@ -162,6 +162,21 @@ class TestCsv:
                  for i in range(n_rows)]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
+    def test_repeated_values_match_per_cell_reference_bytewise(self, tmp_path):
+        # columns with few distinct values format each once; the bit pattern
+        # keeps -0.0, 0.0 and NaN apart
+        pool = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, 5e-324, 0.1, -2.5])
+        rng = np.random.default_rng(8)
+        cols = {"few": pool[rng.integers(0, len(pool), size=40)],
+                "half": np.repeat(rng.normal(size=20), 2),
+                "f32": np.repeat(np.float32([1 / 3, -0.0]), 20),
+                "x": rng.normal(size=40)}
+        path = tmp_path / "r.csv"
+        cfio.write_csv(path, cols)
+        want = ["few,half,f32,x"]
+        want += [",".join("%.17g" % cols[name][i] for name in cols) for i in range(40)]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
     @pytest.mark.parametrize("bad", [np.arange(3), [1, 2, 3],
                                      np.array(["a", "b", "c"])],
                              ids=["int-array", "int-list", "str"])
@@ -362,19 +377,12 @@ class TestCliDriver:
         assert math.isfinite(summary["C_smooth"])
 
     # runs whose bound fit is undefined: I + E0 = 0 on every row (a constant
-    # map, with or without a moving length), or ell overshooting below zero
-    PINCH_PAST_ZERO = {
-        "flow": {"ell0": 0.15, "eta": 0.6, "dt": 2e-6, "t_end": 1e-4, "n_s": 40,
-                 "n_theta": 8, "ell_floor": 0.05,
-                 "target": {"kind": "flat-torus", "dim": 1, "periods": [1e9]}},
-        "initial": {"kind": "radial", "b": 40.0}}
-
+    # map, with or without a moving length)
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("doc, status", [
         (_with(FLOW_DOC, "initial", {"kind": "wrap", "a": 0.0}), "completed"),
         ({"flow": cfio.config_to_dict(demo_config("relax")[0]),
           "initial": {"kind": "theta-modes", "amplitudes": [0.0]}}, "completed"),
-        (PINCH_PAST_ZERO, "pinched"),
     ])
     def test_flow_undefined_bound_fit_writes_nulls(self, tmp_path, capsys, doc, status):
         (tmp_path / "c.json").write_text(json.dumps(doc))
@@ -385,14 +393,51 @@ class TestCliDriver:
         assert summary["status"] == status
         assert summary["n_rows"] >= 3
         assert summary["C_ell"] is None and summary["C_smooth"] is None
-        if status == "pinched":
-            assert summary["ell_final"] < 0.0
+
+    def test_flow_length_step_past_zero_exit_1(self):
+        # one step takes ell from 0.0614 across ell_floor = 0.05 and zero
+        doc = {"flow": {"ell0": 0.15, "eta": 0.6, "dt": 2e-6, "t_end": 1e-4, "n_s": 40,
+                        "n_theta": 8, "ell_floor": 0.05,
+                        "target": {"kind": "flat-torus", "dim": 1, "periods": [1e9]}},
+               "initial": {"kind": "radial", "b": 40.0}}
+        code, lines = _run_config("flow", doc)
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error: step 3: core length ell = -0.0312")
 
     @pytest.mark.parametrize("s_max", [0.0, -2.0, 1.01 * half_length(0.6)])
     def test_flow_window_outside_collar_exit_2(self, s_max):
         code, lines = _run_config("flow", _with(FLOW_DOC, "flow.s_max", s_max))
         assert code == 2
-        assert len(lines) == 1 and lines[0].startswith(f"error: s_max = {s_max} ")
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: flow.s_max: must lie in (0, X] with X = X(ell_max) = ")
+        assert lines[0].endswith(f", got {s_max}")
+
+    @pytest.mark.parametrize("path, value, named", [
+        ("flow.ell_floor", 0.0, "flow.ell_floor: need 0 < ell_floor < ell0"),
+        ("flow.ell_floor", 0.3, "flow.ell0: need 0 < ell_floor < ell0"),
+        ("flow.ell0", 0.1, "flow.ell0: need"),
+        ("flow.ell_max", 0.24, "flow.ell_max: need"),
+        ("flow.ell_max", 2.0, "flow.ell_max: need"),
+        ("flow.eta", -0.5, "flow.eta: must be >= 0, got -0.5"),
+        ("flow.stepper", "rk7", "flow.stepper: must be 'euler' or 'rk2', got 'rk7'"),
+        ("flow.stride", 0, "flow.stride: must be >= 1, got 0"),
+        ("flow.dt", 0.0, "flow.dt: must be > 0, got 0.0"),
+        ("flow.t_end", -1.0, "flow.t_end: must be > 0, got -1.0"),
+        ("flow.n_theta", 2, "flow.n_theta: must be >= 4, got 2"),
+        ("flow.dt", 1.0, "flow.dt: must be at most the parabolic stability bound"),
+    ])
+    def test_flow_range_error_names_its_field(self, path, value, named):
+        code, lines = _run_config("flow", _with(FLOW_DOC, path, value))
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named}")
+
+    def test_flow_defaulted_ell_max_named_as_ell0(self):
+        doc = _with(FLOW_DOC, "flow.ell_max", None)
+        code, lines = _run_config("flow", _with(_with(doc, "flow.ell0", 2.0), "flow.s_max", None))
+        assert code == 2
+        assert lines == ["error: flow.ell0: need 0 < ell_floor < ell0 <= ell_max < 2 arsinh 1, "
+                         "got ell_floor = 0.2, ell0 = 2.0, ell_max = 2.0"]
 
     @pytest.mark.parametrize("name, digest", [
         ("wrap", "473a1b8dd3e3af074d37d9bc8b3754152e04c0106d1727d00f01dc0bac3c2585"),

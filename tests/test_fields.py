@@ -181,6 +181,42 @@ class TestJet:
         assert np.allclose(Jab.u_s, Ja.u_s + 2.0 * Jb.u_s, atol=1e-10)
 
 
+    @pytest.mark.parametrize("target", [TORUS2, TargetSpec.round_sphere()],
+                             ids=["flat-torus", "round-sphere"])
+    def test_refilled_jet_matches_a_new_one_bitwise(self, target):
+        # a jet passed as out is overwritten and sums its densities afresh
+        grid = CollarGrid(0.5, n_s=24, n_theta=12, s_max=2.0)
+        rng = np.random.default_rng(9)
+        a, b = (MapField(grid, target.project(rng.normal(size=(24, 12, target.dim))),
+                         target) for _ in range(2))
+        J = jet(a)
+        J.u_s_sq, J.u_theta_sq  # cached for a
+        assert jet(b, out=J) is J
+        fresh = jet(b)
+        for name in ("u_s", "u_theta", "u_ss", "u_thth", "d_s", "d_theta",
+                     "u_s_sq", "u_theta_sq"):
+            assert getattr(J, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert tension(b, J).tobytes() == tension(b).tobytes()
+
+    def test_in_place_target_operations_match_allocating_ones(self):
+        rng = np.random.default_rng(4)
+        torus = TargetSpec.flat_torus(2, periods=(1.5, 2 * math.pi))
+        d = rng.uniform(-5.0, 5.0, size=(6, 5, 2))
+        want = d - np.asarray(torus.periods) * np.round(d / np.asarray(torus.periods))
+        got = d.copy()
+        assert torus.wrap_increment(got, out=got, tmp=np.empty((6, 5))) is got
+        assert got.tobytes() == torus.wrap_increment(d).tobytes() == want.tobytes()
+        sph = TargetSpec.round_sphere()
+        v, w = rng.normal(size=(2, 6, 5, 3))
+        node = np.empty((2, 6, 5))
+        p = v.copy()
+        sph.project(p, out=p, norms=node[0], tmp=node[1])
+        assert p.tobytes() == (v / np.linalg.norm(v, axis=-1, keepdims=True)).tobytes()
+        t = w.copy()
+        sph.tangential(p, t, out=t, c=node[0], tmp=node[1])
+        assert t.tobytes() == (w - np.sum(w * p, axis=-1, keepdims=True) * p).tobytes()
+
+
 class TestTension:
     def test_harmonic_torus_map(self):
         grid = CollarGrid(0.5, n_s=32, n_theta=8, s_max=2.0)

@@ -419,9 +419,9 @@ class TestStepInternals:
         import collarflow.quad_diff as quad_diff
         original, calls = fields.jet, []
 
-        def counted(u):
+        def counted(u, *args, **kwargs):
             calls.append(u)
-            return original(u)
+            return original(u, *args, **kwargs)
 
         for module in (fields, flow, quad_diff):
             monkeypatch.setattr(module, "jet", counted)
@@ -488,3 +488,113 @@ class TestStepInternals:
         assert dense.ell != ell0  # the length moved
         assert dense.ell == sparse.ell and dense.t == sparse.t
         assert np.array_equal(dense.u.values, sparse.u.values)
+
+
+def moving_config(kind: str, stepper: str, n_s: int = 40, n_theta: int = 16,
+                  steps: int = 12, stride: int = 5,
+                  dim: int = 2) -> tuple[FlowConfig, np.ndarray]:
+    """A run whose map and length both move, with a seeded initial map
+    (dim is the torus dimension)."""
+    ell0, floor = 0.2, 0.1
+    s_max = CollarGrid(0.3, 4, 4).s_max
+    dt = 0.4 * stability_limit(floor, n_s, n_theta, s_max)
+    grid = CollarGrid(ell0, n_s, n_theta, s_max=s_max)
+    rng = np.random.default_rng(11)
+    if kind == "flat-torus":
+        target = TargetSpec.flat_torus(dim)
+        vals = random_torus_values(grid, rng, dim=dim)
+    else:
+        target = TargetSpec.round_sphere()
+        base = sample_map(grid, target, lambda s, t: np.stack(
+            [np.cos(t), np.sin(t), 0.3 * np.ones_like(t)], axis=-1)).values
+        vals = target.project(base + 0.05 * rng.normal(size=base.shape))
+    cfg = FlowConfig(ell0=ell0, eta=0.8, dt=dt, t_end=steps * dt, n_s=n_s,
+                     n_theta=n_theta, ell_max=0.3, ell_floor=floor, s_max=s_max,
+                     target=target, stepper=stepper, stride=stride)
+    return cfg, vals
+
+
+class TestRunArrays:
+    """run steps inside one RunArrays; the public step allocates its own."""
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_run_matches_allocating_step_loop_bitwise(self, stepper, kind):
+        import collarflow.flow as flow
+        cfg, vals = moving_config(kind, stepper)
+        trace = run(cfg, vals)
+        assert trace.status == STATUS_COMPLETED
+        # the same run through the allocating public step and _sample_row
+        state = initial_state(cfg, vals)
+        row, velocity = flow._sample_row(state, cfg)
+        rows = [row]
+        n_steps = round(cfg.t_end / cfg.dt)
+        for k in range(1, n_steps + 1):
+            state = step(state, cfg, velocity)
+            velocity = None
+            if k % cfg.stride == 0 or k == n_steps:
+                row, velocity = flow._sample_row(state, cfg)
+                rows.append(row)
+        assert trace.n_rows == len(rows) == 4
+        for name in trace.columns:
+            if name != "dE_residual":
+                want = np.array([r[name] for r in rows])
+                assert trace[name].tobytes() == want.tobytes(), name
+        assert trace.final.u.values.tobytes() == state.u.values.tobytes()
+        assert (trace.final.ell, trace.final.t) == (state.ell, state.t)
+
+    def test_run_leaves_initial_values_alone(self):
+        cfg, vals = moving_config("round-sphere", "rk2")
+        before = vals.copy()
+        trace = run(cfg, vals)
+        assert vals.tobytes() == before.tobytes()
+        assert not np.shares_memory(trace.final.u.values, vals)
+        # a second run from the same array repeats the first
+        again = run(cfg, vals)
+        assert again.final.u.values.tobytes() == trace.final.u.values.tobytes()
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_unsampled_step_allocates_less_than_one_map(self, stepper, kind):
+        # Both targets have three components.  principal_coefficient's einsum
+        # lets numpy buffer its real weights cast to complex, up to 8192
+        # entries; at 96 x 32 that buffer is 16 bytes a node, the size of
+        # a two-component map, so a dim-2 map could not tell it from a copy.
+        import tracemalloc
+        from collarflow.flow import RunArrays
+        cfg, vals = moving_config(kind, stepper, n_s=96, n_theta=32, dim=3)
+        work = RunArrays(cfg)
+        state = step(initial_state(cfg, vals), cfg, work=work)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            state = step(state, cfg, work=work)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.u.values is work.values[1]  # the first step took values[0]
+        assert peak - current < vals.nbytes
+
+    def test_pinch_inside_the_floor_keeps_unclamped_length(self):
+        # u = b s moves ell^2 down linearly; the last step lands in (0, ell_floor]
+        ell0, floor, eta, b = 0.15, 0.1, 0.6, 0.8
+        cap = stability_limit(floor, 40, 8, CollarGrid(ell0, 4, 4).s_max)
+        cfg = FlowConfig(ell0=ell0, eta=eta, dt=0.8 * cap, t_end=1.0, n_s=40,
+                         n_theta=8, target=TORUS1, ell_floor=floor)
+        grid = cfg.grid_at(ell0)
+        vals = (b * grid.s_nodes)[:, None, None] * np.ones((1, grid.n_theta, 1))
+        trace = run(cfg, vals)
+        assert trace.status == STATUS_PINCHED
+        assert 0.0 < trace.final.ell < floor
+        assert trace["ell"][-1] == trace.final.ell
+        assert trace.final.u.grid.ell == floor
+
+    def test_step_past_zero_length_raises(self):
+        from collarflow.flow import FlowError
+        cfg = FlowConfig(ell0=0.15, eta=0.6, dt=2e-6, t_end=1e-4, n_s=40, n_theta=8,
+                         ell_floor=0.05, target=TargetSpec.flat_torus(1, periods=(1e9,)))
+        grid = cfg.grid_at(cfg.ell0)
+        vals = (40.0 * grid.s_nodes)[:, None, None] * np.ones((1, grid.n_theta, 1))
+        with pytest.raises(FlowError, match="step 3: core length ell = -0.0312") as err:
+            run(cfg, vals)
+        assert err.value.step_index == 3

@@ -178,6 +178,26 @@ class TestProjection:
 
 
 class TestHopf:
+    @pytest.mark.parametrize("kind", ["random", "theta-only"])
+    def test_psi_matches_complex_formula_bitwise(self, kind):
+        # written in place, psi keeps every bit of the complex expression,
+        # including the +0.0 imaginary part where u_s vanishes
+        grid = CollarGrid(0.3, n_s=32, n_theta=16, s_max=2.5)
+        target = TargetSpec.flat_torus(2)
+        if kind == "random":
+            vals = np.random.default_rng(3).uniform(-2.0, 2.0, size=(32, 16, 2))
+        else:
+            vals = np.stack(np.broadcast_arrays(
+                0.3 * np.cos(grid.theta_nodes), -0.2 * np.sin(2 * grid.theta_nodes)),
+                axis=-1)[None].repeat(32, axis=0)
+        u = MapField(grid, vals, target)
+        J = jet(u)
+        want = J.u_s_sq - J.u_theta_sq - 2j * target.dot(J.u_s, J.u_theta)
+        psi = hopf_differential(u, jet_=J).psi
+        assert psi.tobytes() == want.tobytes()
+        if kind == "theta-only":
+            assert not np.signbit(psi.imag).any()
+
     def test_wrap_map_constant_hopf(self):
         grid = CollarGrid(0.3, n_s=48, n_theta=16)
         torus = TargetSpec.flat_torus(2)
