@@ -22,7 +22,8 @@ evaluation is a pure stencil with no interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,38 +39,57 @@ CONSTANT_MODE_RATE = -1.25  # L(c) = -(5/4) c
 DEFAULT_C1 = 16.0
 
 
+_SHAPE_ERROR = "profile needs matching 1-d arrays, >= 5 nodes"
+
+
+@lru_cache(maxsize=16)
+def _grid_steps(key: bytes) -> tuple[float, int]:
+    """(h, delay steps) of the profile grid whose float64 bytes are key.
+
+    Memoized on the exact bytes, so a grid is checked once however many
+    profiles live on it; a failure raises and is never cached.
+    """
+    s = np.frombuffer(key)
+    steps = np.diff(s)
+    h = steps[0]
+    if h <= 0 or not np.all(np.abs(steps - h) <= 1e-9 * h):
+        raise DomainError("profile grid must be uniform and increasing")
+    m = DELAY / h
+    if abs(m - round(m)) > 1e-9 * max(1.0, m):
+        raise DomainError(
+            f"grid step {h} must divide the delay {DELAY} exactly")
+    if round(m) < 1 or 2 * round(m) + 2 >= s.size:
+        raise DomainError("profile too short for the delayed stencil")
+    return float(h), round(m)
+
+
+def _checked_grid(s) -> tuple[np.ndarray, float, int]:
+    """The grid as a float array, its step and its delay in steps."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or s.size < 5:
+        raise DomainError(_SHAPE_ERROR)
+    return (s, *_grid_steps(s.tobytes()))
+
+
 @dataclass(frozen=True)
 class ProfileFn:
     """A scalar profile on a uniform grid whose step divides the delay."""
 
     s: np.ndarray
     values: np.ndarray
+    h: float = field(init=False, repr=False, compare=False)
+    delay_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
         v = np.asarray(self.values, dtype=float)
+        if v.shape != s.shape:
+            raise DomainError(_SHAPE_ERROR)
+        s, h, m = _checked_grid(s)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "values", v)
-        if s.ndim != 1 or s.size < 5 or v.shape != s.shape:
-            raise DomainError("profile needs matching 1-d arrays, >= 5 nodes")
-        steps = np.diff(s)
-        h = steps[0]
-        if h <= 0 or not np.all(np.abs(steps - h) <= 1e-9 * h):
-            raise DomainError("profile grid must be uniform and increasing")
-        m = DELAY / h
-        if abs(m - round(m)) > 1e-9 * max(1.0, m):
-            raise DomainError(
-                f"grid step {h} must divide the delay {DELAY} exactly")
-        if round(m) < 1 or 2 * round(m) + 2 >= s.size:
-            raise DomainError("profile too short for the delayed stencil")
-
-    @property
-    def h(self) -> float:
-        return float(self.s[1] - self.s[0])
-
-    @property
-    def delay_steps(self) -> int:
-        return round(DELAY / self.h)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "delay_steps", m)
 
     def interior(self) -> slice:
         """Nodes where the full delayed stencil fits inside the grid."""
@@ -106,7 +126,8 @@ def _premises(d: np.ndarray, h: float, m: int, tol: float = 0.0):
     d >= -tol on both boundary bands.
     """
     Ld = _delay_stencil(d, h, m)
-    return Ld, np.all(Ld <= tol, axis=-1), np.all(_end_bands(d, m) >= -tol, axis=-1)
+    return (Ld, np.logical_and.reduce(Ld <= tol, axis=-1),
+            np.logical_and.reduce(_end_bands(d, m) >= -tol, axis=-1))
 
 
 def delay_operator(f: ProfileFn) -> np.ndarray:
@@ -145,9 +166,9 @@ def comparison_check(lower: ProfileFn, upper: ProfileFn,
     return ComparisonReport(
         premise_operator=bool(premise_op),
         premise_boundary=bool(premise_bd),
-        conclusion=bool(np.all(d >= -abs(tol))),
-        min_gap=float(np.min(d)),
-        max_operator_violation=float(np.max(Ld)),
+        conclusion=bool(np.logical_and.reduce(d >= -abs(tol))),
+        min_gap=float(np.minimum.reduce(d)),
+        max_operator_violation=float(np.maximum.reduce(Ld)),
     )
 
 
@@ -196,17 +217,31 @@ def default_comparison_grid(half: float = 3.0, step: float = 0.25) -> np.ndarray
     return step * np.arange(-n, n + 1)
 
 
+_MODES = np.arange(1, 5)
+
+
+@lru_cache(maxsize=16)
+def _sampler_tables(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos and sin of the four cosine modes, and the cosh growth mode, on
+    the profile grid whose float64 bytes are key (read-only, memoized)."""
+    s = np.frombuffer(key)
+    arg = 0.5 * math.pi * np.multiply.outer(_MODES, s / s[-1])
+    tables = np.cos(arg), np.sin(arg), np.cosh(0.5 * s) / math.cosh(0.5 * s[-1])
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 def _random_smooth(rng: np.random.Generator, s: np.ndarray,
                    rows: int) -> np.ndarray:
     """(rows, n) random four-mode cosine profiles, each peaking at 1 in |.|."""
-    k = np.arange(1, 5)
-    coef = rng.normal(size=(rows, 4)) / k
+    coef = rng.normal(size=(rows, 4)) / _MODES
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 4))
-    arg = 0.5 * math.pi * np.multiply.outer(k, s / s[-1])
+    cos_arg, sin_arg, _ = _sampler_tables(s.tobytes())
     # sum_k coef cos(arg + phase), expanded so no (rows, 4, n) array forms
-    vals = np.einsum("rk,kn->rn", coef * np.cos(phase), np.cos(arg)) \
-        - np.einsum("rk,kn->rn", coef * np.sin(phase), np.sin(arg))
-    peak = np.max(np.abs(vals), axis=-1, keepdims=True)
+    vals = np.einsum("rk,kn->rn", coef * np.cos(phase), cos_arg) \
+        - np.einsum("rk,kn->rn", coef * np.sin(phase), sin_arg)
+    peak = np.maximum.reduce(np.abs(vals), axis=-1, keepdims=True)
     return vals / np.where(peak > 0, peak, 1.0)
 
 
@@ -220,9 +255,9 @@ def _candidate_block(rng: np.random.Generator, s: np.ndarray, m: int,
     """
     smooth = _random_smooth(rng, s, 2 * rows)
     lower = rng.uniform(0.5, 2.0, (rows, 1)) * smooth[:rows]
-    grow = np.cosh(0.5 * s) / math.cosh(0.5 * s[-1])
+    grow = _sampler_tables(s.tobytes())[2]
     gap = smooth[rows:] + rng.uniform(0.3, 2.5, (rows, 1)) * grow
-    band_min = _end_bands(gap, m).min(axis=1, keepdims=True)
+    band_min = np.minimum.reduce(_end_bands(gap, m), axis=1, keepdims=True)
     gap += np.maximum(0.0, -band_min) + rng.uniform(0.0, 0.5, (rows, 1))
     return lower, lower + gap
 
@@ -248,15 +283,15 @@ def comparison_pairs(rng: np.random.Generator, n_pairs: int,
     Returns (pairs, n_candidates): the list of (lower, upper) pairs and
     the number of candidates drawn up to and including the last
     returned pair, so n_pairs / n_candidates is the acceptance rate.
-    Raises RuntimeError when n_pairs acceptances need more than
-    max_tries * n_pairs candidates.
+    Raises DomainError for an n_pairs or max_tries that is not a
+    nonnegative integer, and RuntimeError when n_pairs acceptances need
+    more than max_tries * n_pairs candidates.
     """
-    if n_pairs < 0:
-        raise DomainError("n_pairs must be nonnegative")
-    if s is None:
-        s = default_comparison_grid()
-    probe = ProfileFn(s, np.zeros_like(s))
-    s, h, m = probe.s, probe.h, probe.delay_steps
+    for name, value in (("n_pairs", n_pairs), ("max_tries", max_tries)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                or value < 0:
+            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    s, h, m = _checked_grid(default_comparison_grid() if s is None else s)
     budget = max_tries * n_pairs
     pairs: list = []
     drawn = 0

@@ -189,27 +189,32 @@ def pinned_tension(u: MapField, jet_: MapJet | None = None,
     return tau
 
 
-def face_energy(u: MapField, jet_: MapJet | None = None) -> float:
+def face_energy(u: MapField, jet_: MapJet | None = None,
+                scratch: np.ndarray | None = None) -> float:
     """Staggered coordinate energy 1/2 sum over faces of |du|^2.
 
     Second-order accurate for E and exactly paired with the five-point
     tension stencil: its gradient at an interior node is minus the flat
     Laplacian times the cell area, which makes the semi-discrete energy
-    identity along the flow exact.  The face differences are the jet's.
+    identity along the flow exact.  The face differences are the jet's;
+    their squares go into scratch, a spare array of the map's shape,
+    when given.
     """
     J = jet_ or jet(u)
     h_s, h_t = u.grid.h_s, u.grid.theta_weight
     Ds, Dt = J.d_s, J.d_theta
-    e_s = float(np.sum(Ds * Ds)) / h_s**2
-    e_t = float(np.sum(Dt * Dt)) / h_t**2
+    sq_s = np.multiply(Ds, Ds, out=None if scratch is None else scratch[:len(Ds)])
+    e_s = float(np.sum(sq_s)) / h_s**2
+    e_t = float(np.sum(np.multiply(Dt, Dt, out=scratch))) / h_t**2
     return 0.5 * (e_s + e_t) * h_s * h_t
 
 
 class RunArrays:
     """The work arrays of one flow run, allocated once and overwritten by
     every step: one jet (refilled for each state), the pinned tension of
-    the state (tau) and of the RK2 midpoint (tau_mid), and two value
-    arrays that consecutive states take in turn.
+    the state (tau) and of the RK2 midpoint (tau_mid, between steps also
+    the scratch of a sampled row's face energy), and two value arrays
+    that consecutive states take in turn.
 
     Neither value array is ever the caller's initial values.  A state's
     values stay intact until the step after next, so a run's final
@@ -313,7 +318,9 @@ def _sample_row(state: FlowState, config: FlowConfig, work: RunArrays | None = N
     rep = energies(u, jet_=J)
     tau = pinned_tension(u, J, work.tau)
     speed, b0 = metric_speed(state, config.eta, jet_=J)
-    return dict(t=state.t, ell=state.ell, E=face_energy(u, J), I=rep.I,
+    # tau_mid is free between steps: the next step overwrites it first
+    E = face_energy(u, J, work.tau_mid)
+    return dict(t=state.t, ell=state.ell, E=E, I=rep.I,
                 I_theta=rep.I_theta, I_smooth=rep.I_smooth,
                 tension_l2=tension_l2(u, tau), re_b0=b0.real, im_b0=b0.imag,
                 sup_density=rep.sup_density), (tau, speed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -17,7 +18,9 @@ from collarflow.angular import (
     EXP_MODE_RATE,
     ProfileFn,
     _candidate_block,
+    _grid_steps,
     _premises,
+    _sampler_tables,
     angular_bound_audit,
     comparison_check,
     comparison_pairs,
@@ -64,6 +67,54 @@ class TestProfileFn:
         s = 0.25 * np.arange(5)
         with pytest.raises(DomainError):
             ProfileFn(s, np.zeros_like(s))
+
+    @pytest.mark.parametrize("s, message", [
+        (np.concatenate([0.25 * np.arange(8), [2.1]]),
+         "profile grid must be uniform and increasing"),
+        (-0.25 * np.arange(25), "profile grid must be uniform and increasing"),
+        (np.where(np.arange(25) == 7, np.nan, 0.25 * np.arange(25)),
+         "profile grid must be uniform and increasing"),
+        (0.3 * np.arange(-10, 11),
+         "grid step 0.30000000000000027 must divide the delay 0.5 exactly"),
+        (0.25 * np.arange(6), "profile too short for the delayed stencil"),
+    ], ids=["nonuniform", "decreasing", "nan", "step", "short"])
+    def test_invalid_grid_raises_the_same_text_every_time(self, s, message):
+        # a failed check is never memoized, so a repeat runs it again
+        for _ in range(3):
+            misses = _grid_steps.cache_info().misses
+            with pytest.raises(DomainError) as err:
+                ProfileFn(s, np.zeros_like(s))
+            assert str(err.value) == message
+            assert _grid_steps.cache_info().misses == misses + 1
+
+    def test_grid_mutated_in_place_is_checked_again(self):
+        s = profile_grid(2.0, 0.25)
+        assert ProfileFn(s, np.zeros_like(s)).delay_steps == 2
+        s[5] += 0.01
+        with pytest.raises(DomainError, match="uniform and increasing"):
+            ProfileFn(s, np.zeros_like(s))
+        s[5] -= 0.01
+        assert ProfileFn(s, np.zeros_like(s)).h == 0.25
+
+    def test_grid_memo_is_small_and_serves_repeats(self):
+        s = profile_grid(2.5, 0.125)
+        ProfileFn(s, np.zeros_like(s))
+        hits = _grid_steps.cache_info().hits
+        f = ProfileFn(s.copy(), np.ones_like(s))
+        assert _grid_steps.cache_info().hits == hits + 1
+        assert (f.h, f.delay_steps) == (0.125, 4)
+        for memo in (_grid_steps, _sampler_tables):
+            assert 0 < memo.cache_info().maxsize <= 64
+
+    @pytest.mark.parametrize("half, step", [(3.0, 0.25), (2.0, 0.125)])
+    def test_sampler_tables_match_their_formulas_bitwise(self, half, step):
+        s = default_comparison_grid(half, step)
+        cos_arg, sin_arg, grow = _sampler_tables(s.tobytes())
+        arg = 0.5 * math.pi * np.multiply.outer(np.arange(1, 5), s / s[-1])
+        assert cos_arg.tobytes() == np.cos(arg).tobytes()
+        assert sin_arg.tobytes() == np.sin(arg).tobytes()
+        assert grow.tobytes() == (np.cosh(0.5 * s) / math.cosh(0.5 * s[-1])).tobytes()
+        assert not cos_arg.flags.writeable
 
     def test_interior_slice_excludes_delay_bands(self):
         s = profile_grid(2.0, 0.25)
@@ -191,6 +242,49 @@ class TestComparisonPairs:
         # a single try per pair cannot supply 50 pairs at ~20 % acceptance
         with pytest.raises(RuntimeError):
             comparison_pairs(np.random.default_rng(0), 50, max_tries=1)
+
+    @staticmethod
+    def stream_digest(pairs) -> str:
+        h = hashlib.sha256()
+        for lower, upper in pairs:
+            h.update(lower.values.tobytes())
+            h.update(upper.values.tobytes())
+        return h.hexdigest()
+
+    def test_seeded_wrapper_stream_is_pinned(self):
+        # digests of the seeded streams under numpy 2.4 on x86-64: a
+        # change to the draw order or to any arithmetic on the drawn
+        # values changes them
+        rng = np.random.default_rng([0, 1, 0])
+        s = default_comparison_grid()
+        pairs = [random_comparison_pair(rng, s) for _ in range(500)]
+        assert self.stream_digest(pairs) == \
+            "48fffdf7f2349d2ba2a435fb36e23a4f0648e77cb20539cefa076fff162ddfc2"
+
+    def test_seeded_block_stream_is_pinned(self):
+        pairs, n_candidates = comparison_pairs(np.random.default_rng(11), 300)
+        assert n_candidates == 1371
+        assert self.stream_digest(pairs) == \
+            "8c579f17e36527214d95c75397c198bb74c23d85a6438a6f7ecd853042769725"
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(n_pairs=2.5), "n_pairs must be a nonnegative integer, got 2.5"),
+        (dict(n_pairs=-1), "n_pairs must be a nonnegative integer, got -1"),
+        (dict(n_pairs=True), "n_pairs must be a nonnegative integer, got True"),
+        (dict(n_pairs=3, max_tries=-1),
+         "max_tries must be a nonnegative integer, got -1"),
+        (dict(n_pairs=3, max_tries=1.5),
+         "max_tries must be a nonnegative integer, got 1.5"),
+    ])
+    def test_bad_counts_rejected(self, kwargs, named):
+        with pytest.raises(DomainError) as err:
+            comparison_pairs(np.random.default_rng(0), **kwargs)
+        assert str(err.value) == named
+
+    def test_numpy_integer_counts_accepted(self):
+        pairs, _ = comparison_pairs(np.random.default_rng(2), np.int64(2),
+                                    max_tries=np.int32(500))
+        assert len(pairs) == 2
 
     def test_single_pair_wrapper_matches_block_sampler(self):
         s = default_comparison_grid(2.0, 0.125)

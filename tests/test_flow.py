@@ -255,6 +255,23 @@ class TestEnergyIdentity:
                 [np.cos(t), np.sin(t), 0.3 * np.sin(s + 2 * t)], axis=-1))
         assert face_energy(u, jet(u)) == face_energy(u)
 
+    def test_face_energy_squares_into_scratch(self):
+        import tracemalloc
+        grid = CollarGrid(0.2, 96, 32)
+        u = MapField(grid, random_torus_values(grid, np.random.default_rng(6), dim=3),
+                     TargetSpec.flat_torus(dim=3))
+        J = jet(u)
+        scratch = np.empty_like(u.values)
+        expected = face_energy(u, J)
+        tracemalloc.start()
+        try:
+            E = face_energy(u, J, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert E == expected
+        assert peak < u.values.nbytes / 10
+
     def test_energy_monotone_and_residual_first_order(self):
         rng = np.random.default_rng(3)
         residual_sup = []
