@@ -99,7 +99,7 @@ class TargetSpec:
         for k, p in enumerate(self.periods):
             x = out[..., k]
             np.divide(x, p, out=tmp)
-            np.round(tmp, out=tmp)
+            np.rint(tmp, out=tmp)
             tmp *= p
             x -= tmp
         return out
@@ -179,6 +179,16 @@ class MapField:
             if np.max(np.abs(err, out=err)) > 1e-9:
                 raise DomainError("sphere map values must be unit vectors")
 
+    @classmethod
+    def _of_projected(cls, grid: CollarGrid, values: np.ndarray,
+                      target: TargetSpec) -> "MapField":
+        """A map of float values of the grid's shape that the caller has just
+        checked finite and projected onto the target, built without the
+        finiteness and unit-norm passes of __post_init__."""
+        u = object.__new__(cls)
+        u.grid, u.values, u.target = grid, values, target
+        return u
+
 
 def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
     """Build a MapField by sampling fn(s, theta) -> dim-vector on the grid."""
@@ -199,8 +209,8 @@ class MapJet:
     A jet owns its arrays, so a flow run refills one jet per state
     (jet(u, out=J)).  node is (4, n_s, n_theta): rows 0 and 1 receive
     the two densities, rows 2 and 3 are scratch for the Hopf cross term,
-    the projections and each component product.  psi receives the Hopf
-    coefficient (quad_diff.hopf_differential).
+    the projections, the energies' densities and each component product.
+    psi receives the Hopf coefficient (quad_diff.hopf_differential).
     """
 
     target: TargetSpec
@@ -347,17 +357,23 @@ class EnergyReport:
 
 
 def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
+    """The EnergyReport of u; the densities are formed in the jet's scratch
+    rows, e_flat and then e_weighted in node[2], each weighted product in
+    node[3]."""
     grid = u.grid
     J = jet_ or jet(u)
-    e_flat = 0.5 * (J.u_s_sq + J.u_theta_sq)
+    # summed (into node[0] and node[1], with node[3] as scratch) before node[3] is reused
+    u_s_sq, u_theta_sq = J.u_s_sq, J.u_theta_sq
     w_inv = grid.rho_inv_sq[:, None]
-    e_weighted = e_flat * w_inv
-
-    E = grid.integrate_flat(e_flat)
-    I = grid.integrate_flat(e_weighted)
-    I_theta = grid.integrate_flat(J.u_theta_sq * w_inv)
-    I_smooth = grid.integrate_flat(e_weighted * smooth_cutoff(grid.rho)[:, None]**2)
-    sup_density = float(np.max(e_weighted))
+    e = np.add(u_s_sq, u_theta_sq, out=J.node[2])
+    e *= 0.5
+    E = grid.integrate_flat(e)
+    e *= w_inv
+    I = grid.integrate_flat(e)
+    I_theta = grid.integrate_flat(np.multiply(u_theta_sq, w_inv, out=J.node[3]))
+    cutoff_sq = smooth_cutoff(grid.rho)[:, None]**2
+    I_smooth = grid.integrate_flat(np.multiply(e, cutoff_sq, out=J.node[3]))
+    sup_density = float(np.max(e))
     return EnergyReport(E=E, I=I, I_theta=I_theta, I_smooth=I_smooth,
                         sup_density=sup_density)
 

@@ -252,9 +252,10 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     """The state one Euler step of dt along (tau, speed) from state, its
     values in work's free value array.
 
-    Raises FlowError on a non-finite result or a length at or below zero;
-    the new map's grid takes the length clamped to [ell_floor, ell_max],
-    the state keeps it unclamped.
+    Raises FlowError on a non-finite result or a length at or below zero.
+    The values are projected and checked finite here, so the new map skips
+    MapField's own checks.  Its grid takes the length clamped to
+    [ell_floor, ell_max]; the state keeps it unclamped.
     """
     u = state.u
     vals = np.multiply(tau, config.dt, out=work.free_values(state))
@@ -267,7 +268,7 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     if ell <= 0.0:
         raise FlowError(f"core length ell = {ell!r} at or below zero", round(t / config.dt))
     grid = config.grid_at(min(max(ell, config.ell_floor), config.ell_max))
-    return FlowState(u=MapField(grid, vals, u.target), ell=ell, t=t)
+    return FlowState(u=MapField._of_projected(grid, vals, u.target), ell=ell, t=t)
 
 
 def step(state: FlowState, config: FlowConfig,

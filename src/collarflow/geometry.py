@@ -17,7 +17,6 @@ sits beside DomainError, which every module already imports.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import re
@@ -286,7 +285,8 @@ class CollarGrid:
 
     def at(self, ell: float) -> "CollarGrid":
         """The same read-only nodes and weights, shared, under the metric of length ell."""
-        grid = copy.copy(self)
+        grid = object.__new__(type(self))
+        grid.__dict__.update(self.__dict__)
         grid._set_metric(ell)
         return grid
 

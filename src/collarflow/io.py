@@ -82,37 +82,79 @@ def _read_text(path) -> str:
 
 
 def read_csv(path) -> tuple[dict, dict]:
-    """Read a csv written by write_csv: (columns, provenance)."""
+    """Read a csv written by write_csv: (columns, provenance).
+
+    The data lines are parsed in one np.loadtxt pass.  Where that pass
+    fails or could read them otherwise than float() does line by line
+    (_rows_by_line), the line loop reads them instead: it words every
+    error with the file and line number, takes '# key: value' lines
+    after the header into provenance, and accepts cells such as 1_0.
+    """
+    text = _read_text(path)
+    # float() does not strip the unit separator U+001F around a cell; loadtxt does
+    one_pass = "\x1f" not in text
+    lines = text.splitlines()
+    del text  # not kept beside its lines while they are parsed
     provenance = {}
-    header = None
-    rows = []
-    for n, line in enumerate(_read_text(path).splitlines(), 1):
-        if line.startswith(COMMENT_PREFIX.rstrip()):
-            body = line[len(COMMENT_PREFIX):] if line.startswith(COMMENT_PREFIX) \
-                else line.lstrip("#")
-            if ": " in body:
-                key, val = body.split(": ", 1)
-                provenance[key] = val
-            continue
-        if header is None:
-            header = line.split(",")
-            repeated = [h for i, h in enumerate(header) if h in header[:i]]
-            if repeated:
-                raise DomainError(f"{path}: repeated column {repeated[0]!r}")
-            continue
-        if line:
-            values = line.split(",")
-            if len(values) != len(header):
-                raise DomainError(f"{path}: line {n}: {len(values)} values "
-                                  f"for {len(header)} columns")
-            try:
-                rows.append([float(v) for v in values])
-            except ValueError as exc:
-                raise DomainError(f"{path}: line {n}: {exc}") from exc
-    if header is None:
+    start = 0
+    while start < len(lines) and _comment(lines[start], provenance):
+        start += 1
+    if start == len(lines):
         raise DomainError(f"{path}: no header line")
-    data = np.array(rows) if rows else np.zeros((0, len(header)))
+    header = lines[start].split(",")
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise DomainError(f"{path}: repeated column {repeated[0]!r}")
+    body = lines[start + 1:]
+    data = _rows_in_one_pass(body, len(header)) if one_pass else None
+    if data is None:
+        data = _rows_by_line(path, body, start + 2, len(header), provenance)
     return {name: data[:, j] for j, name in enumerate(header)}, provenance
+
+
+def _comment(line: str, provenance: dict) -> bool:
+    """Whether line is a comment; a '# key: value' comment goes into provenance."""
+    if not line.startswith(COMMENT_PREFIX.rstrip()):
+        return False
+    body = line[len(COMMENT_PREFIX):] if line.startswith(COMMENT_PREFIX) \
+        else line.lstrip("#")
+    if ": " in body:
+        key, val = body.split(": ", 1)
+        provenance[key] = val
+    return True
+
+
+def _rows_in_one_pass(lines: list[str], width: int) -> np.ndarray | None:
+    """The data lines as one (rows, width) array parsed by np.loadtxt, or None
+    when there are no rows, loadtxt rejects a line (a '#' line among them),
+    or the rows hold another number of columns than the header."""
+    if lines.count("") == len(lines):
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                          dtype=np.float64)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width else None
+
+
+def _rows_by_line(path, lines: list[str], first: int, width: int,
+                  provenance: dict) -> np.ndarray:
+    """The data lines as a (rows, width) array, one float() per cell; lines
+    are numbered from first, and comments go into provenance."""
+    rows = []
+    for n, line in enumerate(lines, first):
+        if _comment(line, provenance) or not line:
+            continue
+        values = line.split(",")
+        if len(values) != width:
+            raise DomainError(f"{path}: line {n}: {len(values)} values "
+                              f"for {width} columns")
+        try:
+            rows.append([float(v) for v in values])
+        except ValueError as exc:
+            raise DomainError(f"{path}: line {n}: {exc}") from exc
+    return np.array(rows) if rows else np.zeros((0, width))
 
 
 def write_json(path, payload: dict, provenance: dict | None = None) -> None:

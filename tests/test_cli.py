@@ -193,6 +193,99 @@ class TestCsv:
         assert b"\r" not in raw and raw.endswith(b"\n")
 
 
+def _read_in_one_pass(path, monkeypatch):
+    """read_csv with its line loop disabled, so the one loadtxt pass must read."""
+    def no_loop(*args):
+        raise AssertionError("the line loop ran")
+    with monkeypatch.context() as m:
+        m.setattr(cfio, "_rows_by_line", no_loop)
+        return cfio.read_csv(path)
+
+
+def _read_by_line(path, monkeypatch):
+    """read_csv with its one-pass parse disabled, so the line loop reads."""
+    with monkeypatch.context() as m:
+        m.setattr(cfio, "_rows_in_one_pass", lambda lines, width: None)
+        return cfio.read_csv(path)
+
+
+def _outcome(read, path, monkeypatch):
+    """The columns as (name, bytes) pairs and the provenance, or the error text."""
+    try:
+        columns, prov = read(path, monkeypatch)
+    except DomainError as exc:
+        return str(exc)
+    return [(name, a.tobytes()) for name, a in columns.items()], prov
+
+
+@pytest.fixture(scope="module")
+def cli_csvs(tmp_path_factory):
+    """One file of each CSV the CLI writes, by artifact name."""
+    d = tmp_path_factory.mktemp("cli_csvs")
+    grid = CollarGrid(0.2, 300, 16, s_max=6.0)
+    def f(s, t):
+        env = np.exp(s - grid.s_max) + np.exp(-s - grid.s_max)
+        return np.stack([0.4 * env * np.sin(t), 0.4 * env * np.cos(t)], axis=-1)
+    cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=2), f),
+                    d / "map.csv", d / "map.json", {"seed": 4})
+    (d / "qd.json").write_text(json.dumps(QD_DOC))
+    for argv in (["geometry", "--ell", "0.1", "--delta", "0.3"],
+                 ["qd", "--config", str(d / "qd.json")],
+                 ["flow", "--demo", "wrap"],
+                 ["angular", "--field", str(d / "map.csv")],
+                 ["wp", "--ell0", "0.05"]):
+        assert main([*argv, "--out", str(d)]) == 0
+    return d
+
+
+class TestCsvReadPaths:
+    """read_csv's one loadtxt pass against its line loop, the reference."""
+
+    @pytest.mark.parametrize("name", ["trace", "geometry_profile", "qd_field",
+                                      "angular_audit", "wp_path", "map"])
+    def test_one_pass_matches_line_loop_on_cli_csvs(self, cli_csvs, monkeypatch,
+                                                    name):
+        path = cli_csvs / f"{name}.csv"
+        fast = _outcome(_read_in_one_pass, path, monkeypatch)
+        assert fast == _outcome(_read_by_line, path, monkeypatch)
+        assert isinstance(fast, tuple) and fast[1]["version"]
+
+    @pytest.mark.parametrize("text, one_pass, want", [
+        ("a,b\n1_0,2\n", False, {"a": [10.0], "b": [2.0]}),
+        ("a,b\n1,2\n   \n3,4\n", False, ": line 3: 1 values for 2 columns"),
+        ("a\n1\n  \n", False, ": line 3: could not convert string to float: '  '"),
+        ("# seed: 1\na,b\n1,2\n# key: late\n3,4\n", False,
+         {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+        ("a,b\n1,2,\n", False, ": line 2: 3 values for 2 columns"),
+        ("a,b\n1,2,3\n4,5,6\n", False, ": line 2: 3 values for 2 columns"),
+        ("a,b\n1,\n", False, ": line 2: could not convert string to float: ''"),
+        ("a,b\n1\x1f,2\n", False, ": line 2: could not convert string to float"),
+        ("# seed: 1\r\na,b\r\n1,2\r\n\r\n3,4\r\n", True,
+         {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+        ("# seed: 1\na,b\n", False, {"a": [], "b": []}),
+        ("# seed: 1\n#\n", False, ": no header line"),
+        ("a\n1\n2.5\n", True, {"a": [1.0, 2.5]}),
+        ("a,b\n -1.5 ,inf\n", True, {"a": [-1.5], "b": [math.inf]}),
+    ], ids=["underscore", "blank-line", "blank-line-one-column", "late-comment",
+            "trailing-comma", "extra-column", "empty-cell", "unit-separator", "crlf", "no-rows", "no-header",
+            "one-column", "padded"])
+    def test_one_pass_matches_line_loop_on_edge_input(self, tmp_path, monkeypatch,
+                                                      text, one_pass, want):
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.encode("utf-8"))
+        loop = _outcome(_read_by_line, path, monkeypatch)
+        read = _read_in_one_pass if one_pass else (lambda p, m: cfio.read_csv(p))
+        assert _outcome(read, path, monkeypatch) == loop
+        if isinstance(want, str):
+            assert loop.startswith(f"{path}{want}")
+        else:
+            columns, prov = cfio.read_csv(path)
+            assert {k: v.tolist() for k, v in columns.items()} == want
+            assert all(v.shape == (len(want["a"]),) for v in columns.values())
+            assert prov == {k: v for k, v in [("seed", "1"), ("key", "late")]
+                            if f"# {k}: {v}" in text}
+
+
 class TestConfigSerialization:
     def test_round_trip_lossless(self):
         for name in DEMOS:
@@ -795,6 +888,29 @@ class TestCliDriver:
                      "--with-timing", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert "elapsed_s" in report["checks"][0]
+
+    def test_repeated_calls_write_what_fresh_runs_write(self, tmp_path):
+        # main keeps one parser per process; no parsed value may carry over
+        # from one call to the next (the repeatable --suite list above all)
+        runs = [("verify", ["verify", "--suite", "geometry"], "verify_report.json"),
+                ("flow", ["flow", "--demo", "wrap"], "trace.csv"),
+                ("all", ["verify"], "verify_report.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, argv, _ in runs:
+                assert main([*argv, "--out", str(tmp_path / "one" / name)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(collarflow.__file__).parents[1])}
+        for name, argv, artifact in runs:
+            fresh = tmp_path / "fresh" / name
+            subprocess.run([sys.executable, "-m", "collarflow.cli", *argv,
+                            "--out", str(fresh)], env=env, check=True,
+                           capture_output=True)
+            for path in sorted(fresh.iterdir()):
+                assert (tmp_path / "one" / name / path.name).read_bytes() \
+                    == path.read_bytes()
+            assert (fresh / artifact).exists()
+        n_checks = json.loads((tmp_path / "one" / "all" / "verify_report.json")
+                              .read_text())["n_checks"]
+        assert n_checks == len(CHECKS)
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -76,6 +76,26 @@ class TestTargets:
         with pytest.raises(DomainError, match="unit vectors"):
             MapField(grid, vals, TargetSpec.round_sphere())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("target", [TargetSpec.flat_torus(3),
+                                        TargetSpec.round_sphere(3)],
+                             ids=["torus", "sphere"])
+    def test_non_finite_values_rejected(self, target, bad):
+        grid = CollarGrid(0.5, n_s=8, n_theta=8)
+        vals = np.zeros((8, 8, 3))
+        vals[..., 2] = 1.0
+        vals[3, 5, 0] = bad
+        with pytest.raises(DomainError, match="map values must be finite"):
+            MapField(grid, vals, target)
+
+    def test_wrap_increment_matches_round_formula_bitwise(self):
+        torus = TargetSpec.flat_torus(2, periods=(2 * math.pi, 0.75))
+        rng = np.random.default_rng(3)
+        d = rng.normal(scale=5.0, size=(40, 7, 2))
+        d[:5, :, 1] = 0.75 * (np.arange(-2, 3)[:, None] + 0.5)  # exact halves
+        want = d - np.array(torus.periods) * np.round(d / np.array(torus.periods))
+        assert torus.wrap_increment(d).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_torus_periods_positive_and_finite(self, period):
         with pytest.raises(DomainError, match="periods"):
@@ -352,6 +372,29 @@ class TestEnergies:
         u = sample_map(grid, TORUS1, lambda s, t: (np.sin(t) * np.cos(0.2 * s))[..., None])
         rep = energies(u)
         assert rep.I >= rep.I_theta / 2
+
+    def test_densities_formed_in_jet_scratch(self):
+        import tracemalloc
+        grid = CollarGrid(0.2, n_s=384, n_theta=64, s_max=8.0)
+        u = sample_map(grid, TargetSpec.round_sphere(3), lambda s, t: np.stack(
+            [np.cos(t) + 0.1 * np.sin(s), np.sin(t), 0.3 * np.cos(2 * t + s)], axis=-1))
+        J = jet(u)
+        tracemalloc.start()
+        try:
+            rep = energies(u, jet_=J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.n_s * grid.n_theta * 8
+        # the formulas as written with temporaries, bit for bit
+        e_flat = 0.5 * (J.u_s_sq + J.u_theta_sq)
+        w_inv = grid.rho_inv_sq[:, None]
+        e_weighted = e_flat * w_inv
+        assert rep == EnergyReport(
+            E=grid.integrate_flat(e_flat), I=grid.integrate_flat(e_weighted),
+            I_theta=grid.integrate_flat(J.u_theta_sq * w_inv),
+            I_smooth=grid.integrate_flat(e_weighted * smooth_cutoff(grid.rho)[:, None]**2),
+            sup_density=float(np.max(e_weighted)))
 
 
 class TestThetaProfile:

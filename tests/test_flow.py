@@ -615,3 +615,39 @@ class TestRunArrays:
         with pytest.raises(FlowError, match="step 3: core length ell = -0.0312") as err:
             run(cfg, vals)
         assert err.value.step_index == 3
+
+    @pytest.mark.parametrize("kind, stepper, index", [
+        ("flat-torus", "euler", 3), ("round-sphere", "euler", 3),
+        ("round-sphere", "rk2", 2)])
+    def test_non_finite_map_raises_at_its_step(self, monkeypatch, kind, stepper, index):
+        # the third tension evaluated is poisoned: with stride 1 that is the
+        # state of step 2 (euler, step 3 fails) or of step 1 (rk2, whose
+        # second step fails at its midpoint)
+        from collarflow import flow
+        calls = []
+        def poisoned(*args, **kw):
+            tau = pinned_tension(*args, **kw)
+            calls.append(None)
+            if len(calls) == 3:
+                tau[4, 2, 0] = math.nan
+            return tau
+        monkeypatch.setattr(flow, "pinned_tension", poisoned)
+        cfg, vals = moving_config(kind, stepper, stride=1)
+        with pytest.raises(flow.FlowError, match=f"step {index}: non-finite state") as err:
+            run(cfg, vals)
+        assert err.value.step_index == index
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_steps_build_maps_without_checking_them_again(self, monkeypatch, kind,
+                                                          stepper):
+        cfg, vals = moving_config(kind, stepper)
+        checked = []
+        check = MapField.__post_init__
+        monkeypatch.setattr(MapField, "__post_init__",
+                            lambda u: checked.append(check(u)))
+        trace = run(cfg, vals)
+        assert len(checked) == 1  # the initial state only
+        final = trace.final.u
+        MapField(final.grid, final.values, final.target)  # passes every check
+        assert len(checked) == 2
