@@ -119,15 +119,15 @@ def _end_bands(v: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate([v[..., :m + 1], v[..., v.shape[-1] - m - 1:]], axis=-1)
 
 
-def _premises(d: np.ndarray, h: float, m: int, tol: float = 0.0):
+def _premises(d: np.ndarray, h: float, m: int):
     """L(d) and the two comparison premises for gaps d along the last axis.
 
-    Returns L(d) on the interior, whether L(d) <= tol there, and whether
-    d >= -tol on both boundary bands.
+    Returns L(d) on the interior, whether L(d) <= 0 there, and whether
+    d >= 0 on both boundary bands.
     """
     Ld = _delay_stencil(d, h, m)
-    return (Ld, np.logical_and.reduce(Ld <= tol, axis=-1),
-            np.logical_and.reduce(_end_bands(d, m) >= -tol, axis=-1))
+    return (Ld, np.logical_and.reduce(Ld <= 0.0, axis=-1),
+            np.logical_and.reduce(_end_bands(d, m) >= 0.0, axis=-1))
 
 
 def delay_operator(f: ProfileFn) -> np.ndarray:
@@ -143,30 +143,29 @@ def delay_operator(f: ProfileFn) -> np.ndarray:
 class ComparisonReport:
     """Premises and conclusion of one comparison-principle application."""
 
-    premise_operator: bool   # L(upper - lower) <= tol on the interior
+    premise_operator: bool   # L(upper - lower) <= 0 on the interior
     premise_boundary: bool   # upper >= lower on both end bands
     conclusion: bool         # upper >= lower everywhere
     min_gap: float
     max_operator_violation: float
 
 
-def comparison_check(lower: ProfileFn, upper: ProfileFn,
-                     tol: float = 0.0) -> ComparisonReport:
+def comparison_check(lower: ProfileFn, upper: ProfileFn) -> ComparisonReport:
     """Check the discrete comparison principle on a pair of profiles.
 
-    With d = upper - lower, the premises are L(d) <= tol on the interior
-    and d >= -tol on the two boundary bands (everything within one delay
-    of the ends).  Whenever both hold with tol = 0 the minimum-point
-    argument forces d >= 0 everywhere, exactly in the discrete setting.
+    With d = upper - lower, the premises are L(d) <= 0 on the interior
+    and d >= 0 on the two boundary bands (everything within one delay
+    of the ends).  Whenever both hold the minimum-point argument forces
+    d >= 0 everywhere, exactly in the discrete setting.
     """
     if lower.s.shape != upper.s.shape or not np.array_equal(lower.s, upper.s):
         raise DomainError("profiles must share one grid")
     d = upper.values - lower.values
-    Ld, premise_op, premise_bd = _premises(d, lower.h, lower.delay_steps, tol)
+    Ld, premise_op, premise_bd = _premises(d, lower.h, lower.delay_steps)
     return ComparisonReport(
         premise_operator=bool(premise_op),
         premise_boundary=bool(premise_bd),
-        conclusion=bool(np.logical_and.reduce(d >= -abs(tol))),
+        conclusion=bool(np.logical_and.reduce(d >= 0.0)),
         min_gap=float(np.minimum.reduce(d)),
         max_operator_violation=float(np.maximum.reduce(Ld)),
     )

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from collarflow.geometry import DomainError, check_block, half_length
-from collarflow.fields import MapField, TargetSpec, sample_map
+from collarflow.fields import FlatTorus, RoundSphere, TargetSpec, sample_map
 from collarflow.flow import FlowConfig, stability_limit
 
 
@@ -27,6 +27,9 @@ from collarflow.flow import FlowConfig, stability_limit
 _INITIAL = ("kind", {"wrap": {"a?": float}, "radial": {"b?": float},
                      "theta-modes": {"amplitudes?": list[float], "width?": float},
                      "sphere-equator": {"eps?": float}})
+# the target class each initial kind needs, and the least dim it fills
+_NEEDS = {"wrap": (FlatTorus, 1), "radial": (FlatTorus, 1),
+          "theta-modes": (FlatTorus, 1), "sphere-equator": (RoundSphere, 3)}
 
 
 def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
@@ -34,23 +37,27 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
 
     Kinds: "wrap" (theta winding, scale a), "radial" (u = b s per
     component), "theta-modes" (sum of a_n sin(n theta) profiles with a
-    gaussian envelope in s), "sphere-equator" (equatorial winding,
-    optional transverse tilt eps).  A key the kind does not read is an
-    error.
+    gaussian envelope in s), each on a flat torus, and "sphere-equator"
+    (equatorial winding, optional transverse tilt eps, zero past the third
+    component).  A key the kind does not read is an error, and so is a
+    target not in _NEEDS.
     """
     kind = check_block(spec, _INITIAL, "initial")["kind"]
     grid = config.grid_at(config.ell0)
     target = config.target
+    need, least = _NEEDS[kind]
+    if not isinstance(target, need) or target.dim < least:
+        raise DomainError(f"initial.kind: {kind!r} needs a {need.kind} target with "
+                          f"dim >= {least}, got {target.kind} with dim = {target.dim}")
+
+    def padded(*components):  # the components, then zeros up to target.dim
+        zeros = [np.zeros_like(components[0])] * (target.dim - len(components))
+        return np.stack([*components, *zeros], axis=-1)
+
     if kind == "wrap":
-        a = spec.get("a", 1.0)
-        u = sample_map(grid, target, lambda s, t: np.stack(
-            [a * t] + [np.zeros_like(t)] * (target.dim - 1), axis=-1))
-        return u.values
+        return sample_map(grid, target, lambda s, t: padded(spec.get("a", 1.0) * t)).values
     if kind == "radial":
-        b = spec.get("b", 1.0)
-        u = sample_map(grid, target, lambda s, t: np.stack(
-            [b * s] + [np.zeros_like(s)] * (target.dim - 1), axis=-1))
-        return u.values
+        return sample_map(grid, target, lambda s, t: padded(spec.get("b", 1.0) * s)).values
     if kind == "theta-modes":
         amps = spec.get("amplitudes", [0.3])
         width = spec.get("width", 0.5) * grid.s_max
@@ -62,12 +69,8 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
                 * np.sin(n * grid.theta_nodes)[None, :]
         return vals
     # sphere-equator
-    if target.kind != "round-sphere":
-        raise DomainError("sphere-equator initial data needs a sphere target")
-    eps = spec.get("eps", 0.0)
-    u = sample_map(grid, target, lambda s, t: np.stack(
-        [np.cos(t), np.sin(t), eps * np.tanh(s) * np.ones_like(t)], axis=-1))
-    return target.project(u.values)
+    return target.project(sample_map(grid, target, lambda s, t: padded(
+        np.cos(t), np.sin(t), spec.get("eps", 0.0) * np.tanh(s) * np.ones_like(t))).values)
 
 
 def _demo_wrap() -> tuple[FlowConfig, dict]:

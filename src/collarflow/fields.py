@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from collarflow.geometry import CollarGrid, DomainError
+from collarflow.geometry import CollarGrid, DomainError, check_block
 
 # cutoff scale for the smoothed weighted energy: the cutoff is 1 where
 # rho <= _CUTOFF_DELTA and falls to 0 at 2 * _CUTOFF_DELTA
@@ -47,62 +47,40 @@ _STATION_BLOCK = 256
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target manifold: a flat torus R^d / (periods Z^d) or the round unit sphere.
+    """Target manifold: flat R^dim itself, and the base of each target kind, a
+    frozen subclass that overrides what differs and carries its JSON tag (kind)
+    and keys (a check_block table).  _KINDS pairs it with its factory, the one
+    place of its defaults.  A constructor error starts with its key ("dim: ")."""
 
-    kind is "flat-torus" or "round-sphere".  For the torus, periods holds
-    one period per component; increments between nearby samples are
-    reduced to the nearest representative so winding maps differentiate
-    cleanly.  For the sphere, dim is the ambient dimension and values
-    are unit vectors.
-    """
-
-    kind: str
     dim: int
-    periods: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("flat-torus", "round-sphere"):
-            raise DomainError(f"unknown target kind {self.kind!r}")
-        if self.kind == "flat-torus":
-            if self.dim < 1 or self.periods is None or len(self.periods) != self.dim:
-                raise DomainError("flat torus needs dim >= 1 and one period per component")
-            if not all(0 < p < math.inf for p in self.periods):
-                raise DomainError(f"torus periods must be positive and finite, "
-                                  f"got periods = {list(self.periods)}")
-        elif self.dim < 2:
-            raise DomainError("sphere ambient dimension must be >= 2")
-        elif self.periods is not None:
-            raise DomainError("sphere target takes no periods")
 
     @staticmethod
-    def flat_torus(dim: int = 1, periods=None) -> "TargetSpec":
-        if periods is None:
-            periods = (2.0 * math.pi,) * dim
-        return TargetSpec("flat-torus", dim, tuple(float(p) for p in periods))
+    def flat_torus(dim: int = 1, periods=None) -> "FlatTorus":
+        periods = (2.0 * math.pi,) * dim if periods is None else periods
+        return FlatTorus(dim, tuple(float(p) for p in periods))
 
     @staticmethod
-    def round_sphere(dim: int = 3) -> "TargetSpec":
-        return TargetSpec("round-sphere", dim)
+    def round_sphere(dim: int = 3) -> "RoundSphere":
+        return RoundSphere(dim)
+
+    @staticmethod
+    def from_dict(d, where: str = "target") -> "TargetSpec":
+        """The target of a JSON block; an error starts with the bad value's path."""
+        make = _KINDS[check_block(d, _SCHEMA, where)["kind"]]
+        try:
+            return make(**{key: d[key] for key in d if key != "kind"})
+        except DomainError as exc:
+            raise DomainError(f"{where}.{exc}") from exc
+
+    def to_dict(self) -> dict:
+        """The JSON form: the kind's tag, then the fields, a tuple as a list."""
+        return {"kind": self.kind, **{key: list(v) if isinstance(v, tuple) else v
+                                      for key, v in vars(self).items()}}
 
     def wrap_increment(self, d: np.ndarray, out: np.ndarray | None = None,
                        tmp: np.ndarray | None = None) -> np.ndarray:
-        """Reduce component increments to the nearest torus representative,
-        x - p round(x / p) one component at a time with its scalar period.
-
-        The result goes into out (which may be d itself) or a new array;
-        tmp, shaped like one component, holds p round(x / p).
-        """
-        out = _into(out, d)
-        if self.kind != "flat-torus":
-            return out
-        tmp = np.empty(out.shape[:-1]) if tmp is None else tmp
-        for k, p in enumerate(self.periods):
-            x = out[..., k]
-            np.divide(x, p, out=tmp)
-            np.rint(tmp, out=tmp)
-            tmp *= p
-            x -= tmp
-        return out
+        """d reduced to the nearest representatives, into out (may be d) or a new array."""
+        return _into(out, d)
 
     def dot(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
             tmp: np.ndarray | None = None) -> np.ndarray:
@@ -118,12 +96,61 @@ class TargetSpec:
         return out
 
     def project(self, values: np.ndarray, out: np.ndarray | None = None,
-                norms: np.ndarray | None = None,
-                tmp: np.ndarray | None = None) -> np.ndarray:
-        """Closest-point projection onto the target, into out (which may be
-        values itself) when given; norms and tmp are per-node work arrays."""
-        if self.kind == "flat-torus":
-            return values if out is None else _into(out, values)
+                norms: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+        """Closest-point projection onto the target, into out (may be values) if given."""
+        return values if out is None else _into(out, values)
+
+    def tangential(self, u: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
+                   c: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+        """w projected onto the tangent space at u, into out (may be w) if given."""
+        return w if out is None else _into(out, w)
+
+    def check_values(self, values: np.ndarray) -> None:
+        """Raise DomainError unless the (finite) map values lie on the target."""
+
+
+@dataclass(frozen=True)
+class FlatTorus(TargetSpec):
+    """R^dim / (periods Z^dim); wrapped increments make winding maps differentiable."""
+
+    periods: tuple[float, ...]
+    kind = "flat-torus"
+    keys = {"dim?": int, "periods?": list[float]}
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise DomainError(f"dim: must be >= 1, got {self.dim}")
+        if len(self.periods) != self.dim:
+            raise DomainError(f"periods: must hold {self.dim} periods, got {list(self.periods)}")
+        if not all(0 < p < math.inf for p in self.periods):
+            raise DomainError(f"periods: must be positive and finite, got {list(self.periods)}")
+
+    def wrap_increment(self, d, out=None, tmp=None):
+        # x - p round(x / p) one component at a time, p round(x / p) in tmp
+        out = _into(out, d)
+        tmp = np.empty(out.shape[:-1]) if tmp is None else tmp
+        for k, p in enumerate(self.periods):
+            x = out[..., k]
+            np.divide(x, p, out=tmp)
+            np.rint(tmp, out=tmp)
+            tmp *= p
+            x -= tmp
+        return out
+
+
+@dataclass(frozen=True)
+class RoundSphere(TargetSpec):
+    """The round unit sphere in R^dim: map values are unit vectors."""
+
+    kind = "round-sphere"
+    keys = {"dim?": int}
+
+    def __post_init__(self):
+        if self.dim < 2:
+            raise DomainError(f"dim: must be >= 2, got {self.dim}")
+
+    def project(self, values, out=None, norms=None, tmp=None):
+        # values / |values| one component at a time, |values| in norms
         norms = np.sqrt(self.dot(values, values, norms, tmp), out=norms)
         if not norms.all():
             raise DomainError("cannot project the zero vector onto the sphere")
@@ -132,19 +159,26 @@ class TargetSpec:
             np.divide(values[..., k], norms, out=out[..., k])
         return out
 
-    def tangential(self, u: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
-                   c: np.ndarray | None = None,
-                   tmp: np.ndarray | None = None) -> np.ndarray:
-        """Project w onto the tangent space of the target at u, w - <w, u> u
-        one component at a time, into out (which may be w itself) when
-        given; c receives <w, u> and tmp each product."""
-        if self.kind == "flat-torus":
-            return w if out is None else _into(out, w)
+    def tangential(self, u, w, out=None, c=None, tmp=None):
+        # w - <w, u> u one component at a time, <w, u> in c and each product in tmp
         c = self.dot(w, u, c, tmp)
         out = np.empty_like(w) if out is None else out
         for k in range(w.shape[-1]):
             np.subtract(w[..., k], np.multiply(c, u[..., k], out=tmp), out=out[..., k])
         return out
+
+    def check_values(self, values: np.ndarray) -> None:
+        # |norm - 1| in place, so a check holds at most two node arrays
+        err = self.dot(values, values)
+        np.sqrt(err, out=err)
+        err -= 1.0
+        if np.max(np.abs(err, out=err)) > 1e-9:
+            raise DomainError("sphere map values must be unit vectors")
+
+
+# each target kind's factory by JSON tag: the factory's keywords are the kind's keys
+_KINDS = {FlatTorus.kind: TargetSpec.flat_torus, RoundSphere.kind: TargetSpec.round_sphere}
+_SCHEMA = ("kind", {cls.kind: cls.keys for cls in (FlatTorus, RoundSphere)})
 
 
 def _into(out: np.ndarray | None, a: np.ndarray) -> np.ndarray:
@@ -171,20 +205,14 @@ class MapField:
             raise DomainError(f"values shape {self.values.shape} != {expected}")
         if not np.isfinite(self.values).all():
             raise DomainError("map values must be finite")
-        if self.target.kind == "round-sphere":
-            # |norm - 1| in place, so a check holds at most two node arrays
-            err = self.target.dot(self.values, self.values)
-            np.sqrt(err, out=err)
-            err -= 1.0
-            if np.max(np.abs(err, out=err)) > 1e-9:
-                raise DomainError("sphere map values must be unit vectors")
+        self.target.check_values(self.values)
 
     @classmethod
     def _of_projected(cls, grid: CollarGrid, values: np.ndarray,
                       target: TargetSpec) -> "MapField":
         """A map of float values of the grid's shape that the caller has just
         checked finite and projected onto the target, built without the
-        finiteness and unit-norm passes of __post_init__."""
+        finiteness pass and check_values of __post_init__."""
         u = object.__new__(cls)
         u.grid, u.values, u.target = grid, values, target
         return u

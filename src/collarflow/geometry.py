@@ -91,7 +91,7 @@ def check_block(value, schema, where: str = ""):
 def _check_ell(ell: float, *, closed_top: bool = True) -> float:
     ell = float(ell)
     if not math.isfinite(ell) or ell <= 0.0:
-        raise DomainError(f"core length must be positive, got {ell!r}")
+        raise DomainError(f"core length must be finite and positive, got {ell!r}")
     if closed_top:
         if ell > ELL_MAX:
             raise DomainError(f"core length {ell} exceeds 2*arsinh(1) = {ELL_MAX}")

@@ -177,41 +177,18 @@ def read_json(path):
             f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
 
 
-# per-kind target keys; check_block adds the "kind" tag itself
-_TARGET = ("kind", {"flat-torus": {"dim?": int, "periods?": list[float]},
-                    "round-sphere": {"dim?": int}})
 _GRID_HEADER = {"ell": float, "n_s": int, "n_theta": int, "s_max": float,
                 "provenance?": dict}
 
 
-def target_to_dict(target: TargetSpec) -> dict:
-    d = {"kind": target.kind, "dim": target.dim}
-    if target.periods is not None:
-        d["periods"] = list(target.periods)
-    return d
-
-
-def target_from_dict(d: dict, where: str = "target") -> TargetSpec:
-    check_block(d, _TARGET, where)
-    torus = d["kind"] == "flat-torus"
-    dim, least = d.get("dim", 1 if torus else 3), 1 if torus else 2
-    if dim < least:
-        raise DomainError(f"{where}.dim: must be >= {least}, got {dim}")
-    if torus:
-        return TargetSpec.flat_torus(dim=dim, periods=d.get("periods"))
-    return TargetSpec.round_sphere(dim=dim)
-
-
 def config_to_dict(config: FlowConfig) -> dict:
-    d = asdict(config)
-    d["target"] = target_to_dict(config.target)
-    return d
+    return {**asdict(config), "target": config.target.to_dict()}
 
 
 def config_from_dict(d: dict) -> FlowConfig:
     """Strict parse of a flow block: nothing is dropped or coerced."""
-    check_block(d, {**FLOW_FIELDS, "target": _TARGET}, "flow")
-    return FlowConfig(**{**d, "target": target_from_dict(d["target"], "flow.target")})
+    check_block(d, {**FLOW_FIELDS, "target": dict}, "flow")
+    return FlowConfig(**{**d, "target": TargetSpec.from_dict(d["target"], "flow.target")})
 
 
 def config_digest(config: FlowConfig | dict) -> str:
@@ -311,13 +288,13 @@ def map_to_csv(u, csv_path, header_path, provenance: dict | None = None) -> None
     _write_field(u.grid, {f"u_{d}": u.values[:, :, d].ravel()
                           for d in range(u.target.dim)},
                  csv_path, header_path, provenance,
-                 target=target_to_dict(u.target))
+                 target=u.target.to_dict())
 
 
 def map_from_csv(csv_path, header_path):
     from collarflow.fields import MapField
-    header, grid = _read_header(header_path, {**_GRID_HEADER, "target": _TARGET})
-    target = target_from_dict(header["target"], f"{header_path}.target")
+    header, grid = _read_header(header_path, {**_GRID_HEADER, "target": dict})
+    target = TargetSpec.from_dict(header["target"], f"{header_path}.target")
     names = [f"u_{d}" for d in range(target.dim)]
     columns = _read_columns(csv_path, grid, names)
     values = np.stack([columns[name] for name in names], axis=-1)

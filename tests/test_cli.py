@@ -320,9 +320,9 @@ class TestConfigSerialization:
 
     def test_target_dict_strict(self):
         with pytest.raises(DomainError):
-            cfio.target_from_dict({"kind": "flat-torus", "color": "red"})
+            TargetSpec.from_dict({"kind": "flat-torus", "color": "red"})
         with pytest.raises(DomainError):
-            cfio.target_from_dict({"kind": "round-sphere", "periods": [1.0]})
+            TargetSpec.from_dict({"kind": "round-sphere", "periods": [1.0]})
 
     def test_readme_flow_config_matches_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -629,6 +629,8 @@ class TestCliDriver:
         ("qd", "qd.modes.a", [1, 0], "qd.modes: key 'a'"),
         ("qd", "output_dir", "runs", "top level: unknown key 'output_dir'"),
         ("qd", "qd.stretch", "arctan", "qd: unknown key 'stretch'"),
+        ("flow", "flow.target", {"kind": "round-sphere", "periods": [1.0]},
+         "flow.target: unknown key 'periods'"),
     ])
     def test_malformed_config_names_json_path(self, subcommand, path, value, named):
         base = FLOW_DOC if subcommand == "flow" else QD_DOC
@@ -801,6 +803,49 @@ class TestCliDriver:
         assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {header}.target.dim: must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("periods, message", [
+        ([1.0], "must hold 2 periods, got [1.0]"),
+        ([-1.0, 1.0], "must be positive and finite, got [-1.0, 1.0]"),
+    ], ids=["count", "sign"])
+    def test_bad_periods_name_their_path(self, tmp_path, capsys, periods, message):
+        torus = {"kind": "flat-torus", "dim": 2, "periods": periods}
+        code, lines = _run_config("flow", _with(FLOW_DOC, "flow.target", torus))
+        assert code == 2
+        assert lines == [f"error: flow.target.periods: {message}"]
+        field = _map_csv(tmp_path)
+        header = field.with_suffix(".json")
+        header.write_text(json.dumps({**json.loads(header.read_text()), "target": torus}))
+        assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {header}.target.periods: {message}\n"
+
+    @pytest.mark.parametrize("initial, target", [
+        ({"kind": "wrap"}, {"kind": "round-sphere", "dim": 3}),
+        ({"kind": "theta-modes"}, {"kind": "round-sphere", "dim": 3}),
+        ({"kind": "radial"}, {"kind": "round-sphere", "dim": 3}),
+        ({"kind": "sphere-equator"}, {"kind": "round-sphere", "dim": 2}),
+        ({"kind": "sphere-equator"}, {"kind": "flat-torus", "dim": 3}),
+    ], ids=["wrap-sphere", "theta-modes-sphere", "radial-sphere", "equator-dim2",
+            "equator-torus"])
+    def test_initial_kind_needs_its_target(self, initial, target):
+        doc = _with(_with(FLOW_DOC, "flow.target", target), "initial", initial)
+        code, lines = _run_config("flow", doc)
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: initial.kind: ")
+        assert repr(initial["kind"]) in lines[0]
+
+    def test_sphere_equator_pads_past_the_third_component(self):
+        eps = {"kind": "sphere-equator", "eps": 0.2}
+        cfg3 = cfio.config_from_dict({**FLOW_DOC["flow"],
+                                      "target": {"kind": "round-sphere", "dim": 3}})
+        cfg4 = cfio.config_from_dict({**FLOW_DOC["flow"],
+                                      "target": {"kind": "round-sphere", "dim": 4}})
+        v3, v4 = build_initial(cfg3, eps), build_initial(cfg4, eps)
+        assert v4.shape == v3.shape[:2] + (4,)
+        assert np.array_equal(v4[..., :3], v3) and not v4[..., 3].any()
+        code, _ = _run_config("flow", _with(_with(FLOW_DOC, "flow.target",
+                                                  cfg4.target.to_dict()), "initial", eps))
+        assert code == 0
 
     def test_config_file_seed_recorded_unless_flag_given(self, tmp_path):
         for doc, sub, artifact in [({**FLOW_DOC, "seed": 3}, "flow", "trace.csv"),

@@ -39,13 +39,14 @@ def wrap_map(grid, a=1.0):
 class TestTargets:
     def test_validation(self):
         with pytest.raises(DomainError):
-            TargetSpec("flat-torus", 2, None)
+            TargetSpec.flat_torus(2, periods=[2 * math.pi])
         with pytest.raises(DomainError):
-            TargetSpec("round-sphere", 3, (1.0, 1.0, 1.0))
+            TargetSpec.from_dict({"kind": "round-sphere", "dim": 3,
+                                  "periods": [1.0, 1.0, 1.0]})
         with pytest.raises(DomainError):
-            TargetSpec("klein-bottle", 2, None)
+            TargetSpec.from_dict({"kind": "klein-bottle", "dim": 2})
         with pytest.raises(DomainError, match="must be >= 2"):
-            TargetSpec("round-sphere", 1)
+            TargetSpec.round_sphere(1)
 
     def test_sphere_projection_and_tangency(self):
         sph = TargetSpec.round_sphere()
@@ -100,6 +101,40 @@ class TestTargets:
     def test_torus_periods_positive_and_finite(self, period):
         with pytest.raises(DomainError, match="periods"):
             TargetSpec.flat_torus(2, [2 * math.pi, period])
+
+    @pytest.mark.parametrize("target", [TargetSpec.flat_torus(2, periods=(5.0, 7.0)),
+                                        TargetSpec.round_sphere(4)],
+                             ids=["torus", "sphere"])
+    def test_dict_round_trip(self, target):
+        assert TargetSpec.from_dict(target.to_dict()) == target
+
+    def test_from_dict_defaults_are_the_factories(self):
+        assert TargetSpec.from_dict({"kind": "flat-torus"}) == TargetSpec.flat_torus()
+        assert TargetSpec.from_dict({"kind": "round-sphere"}) == TargetSpec.round_sphere()
+
+    @pytest.mark.parametrize("target, block", [
+        (TargetSpec.flat_torus(2, periods=(5.0, 2 * math.pi)),
+         '  "target": {\n    "dim": 2,\n    "kind": "flat-torus",\n'
+         '    "periods": [\n      5.0,\n      6.283185307179586\n    ]\n  }\n}\n'),
+        (TargetSpec.round_sphere(3),
+         '  "target": {\n    "dim": 3,\n    "kind": "round-sphere"\n  }\n}\n'),
+    ], ids=["torus", "sphere"])
+    def test_map_header_target_block_pinned(self, tmp_path, target, block):
+        # the target block of a map_to_csv header, pinned byte for byte:
+        # serialized maps and every config_sha256 are built from it
+        from collarflow import io as cfio
+        grid = CollarGrid(0.2, 8, 4, s_max=1.5)
+        u = sample_map(grid, target, lambda s, t: np.stack(
+            [np.cos(t), np.sin(t), 0 * s][:target.dim], axis=-1))
+        cfio.map_to_csv(u, tmp_path / "u.csv", tmp_path / "u.json")
+        assert (tmp_path / "u.json").read_text(encoding="utf-8").endswith(block)
+
+    def test_kind_strings_only_in_fields(self):
+        # fields.py is the one module that knows what a target kind is
+        holders = sorted({path.name for path in Path(collarflow.__file__).parent.glob("*.py")
+                          for tag in ("flat-torus", "round-sphere")
+                          if tag in path.read_text(encoding="utf-8")})
+        assert holders == ["fields.py"]
 
 
 class TestComponentSums:

@@ -344,6 +344,11 @@ class TestGridRefresh:
             g.at(ell)
         assert str(refreshed.value) == str(built.value)
 
+    @pytest.mark.parametrize("ell", [0.0, -0.1, math.nan, math.inf])
+    def test_length_must_be_finite_and_positive(self, ell):
+        with pytest.raises(DomainError, match="must be finite and positive"):
+            CollarGrid(ell, 16, 8, s_max=2.0)
+
     def test_at_rejects_window_beyond_collar_with_constructor_message(self):
         g = CollarGrid(0.1, 16, 8)  # s_max = X(0.1) > X(0.4)
         with pytest.raises(DomainError, match="s_max") as built:
