@@ -38,9 +38,6 @@ import numpy as np
 
 from collarflow.geometry import CollarGrid, DomainError, check_block
 
-# cutoff scale for the smoothed weighted energy: the cutoff is 1 where
-# rho <= _CUTOFF_DELTA and falls to 0 at 2 * _CUTOFF_DELTA
-_CUTOFF_DELTA = 1.0 / (2.0 * math.pi)
 # stations per block of window_integrals' window, which bounds its memory
 _STATION_BLOCK = 256
 
@@ -239,6 +236,7 @@ class MapJet:
     the two densities, rows 2 and 3 are scratch for the Hopf cross term,
     the projections, the energies' densities and each component product.
     psi receives the Hopf coefficient (quad_diff.hopf_differential).
+    The views of these that jet and hopf_differential use are bound once.
     """
 
     target: TargetSpec
@@ -261,6 +259,21 @@ class MapJet:
                       d_theta=np.empty(full), node=np.empty((4, n_s, n_theta)),
                       psi=np.empty((n_s, n_theta), dtype=complex))
 
+    def __post_init__(self):
+        # s: D's interior pairs, the interior and end rows of u_s and u_ss, the
+        # end rows' operands (D rows 0, 1, 2 with -1, -2, -3) and a scratch pair
+        n_s, d, D, Dt = len(self.u_s), self.target.dim, self.d_s, self.d_theta
+        self._s_views = (D[1:], D[:-1], self.u_s[1:-1], self.u_ss[1:-1],
+                         self.u_s[::n_s - 1], self.u_ss[::n_s - 1],
+                         _end_rows(D, 0), _end_rows(D, 1), _end_rows(D, 2),
+                         np.empty((2,) + D.shape[1:]), self.node[3][:-1])
+        # theta: the flattened arrays shifted by one column (d entries), and the seam columns
+        Dtf = Dt.reshape(-1)
+        self._theta_views = (Dtf[d:], Dtf[:-d], Dt[:, 0], Dt[:, -1],
+                             self.u_theta.reshape(-1)[d:], self.u_theta[:, 0],
+                             self.u_thth.reshape(-1)[d:], self.u_thth[:, 0])
+        self._psi_parts = (self.psi.real, self.psi.imag)
+
     @cached_property
     def u_s_sq(self) -> np.ndarray:
         return self.target.dot(self.u_s, self.u_s, self.node[0], self.node[3])
@@ -270,52 +283,61 @@ class MapJet:
         return self.target.dot(self.u_theta, self.u_theta, self.node[1], self.node[3])
 
 
+def _end_rows(a: np.ndarray, k: int) -> np.ndarray:
+    """Rows k and -1 - k of a as one read-only view, by a stride that may be
+    negative or zero; a slice a[k::len(a) - 1 - 2k] can take a third row."""
+    step = ((len(a) - 1 - 2 * k) * a.strides[0],) + a.strides[1:]
+    return np.lib.stride_tricks.as_strided(a[k], (2,) + a.shape[1:], step, writeable=False)
+
+
 def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     """First and pure second derivatives from one pass over the wrapped
     increments: central interior / one-sided second order in s, periodic
     central in theta.
 
     Fills out (whose densities are then summed afresh on first read) or
-    a new jet; the periodic theta neighbours are slice pairs, not rolls.
+    a new jet through its bound views: only views of u's values are made
+    per call.  The periodic theta neighbours are slice pairs, not rolls.
     """
     grid, target = u.grid, u.target
     J = MapJet.empty(target, grid.n_s, grid.n_theta) if out is None else out
-    for name in ("u_s_sq", "u_theta_sq"):
-        vars(J).pop(name, None)
+    J.__dict__.pop("u_s_sq", None)
+    J.__dict__.pop("u_theta_sq", None)
     h_s, h_t = grid.h_s, grid.theta_weight
-    v, tmp = u.values, J.node[3]
+    v, D = u.values, J.d_s
+    D_hi, D_lo, us_in, uss_in, us_end, uss_end, D0, D1, D2, scratch, tmp = J._s_views
 
-    D = np.subtract(v[1:], v[:-1], out=J.d_s)  # (n_s-1, n_theta, d)
-    target.wrap_increment(D, out=D, tmp=tmp[:-1])
-    u_s = J.u_s
-    np.add(D[1:], D[:-1], out=u_s[1:-1])
-    u_s[1:-1] /= 2.0 * h_s
-    u_s[0] = (3.0 * D[0] - D[1]) / (2.0 * h_s)
-    u_s[-1] = (3.0 * D[-1] - D[-2]) / (2.0 * h_s)
-    u_ss = J.u_ss
-    np.subtract(D[1:], D[:-1], out=u_ss[1:-1])
-    u_ss[1:-1] /= h_s**2
-    u_ss[0] = (-2.0 * D[0] + 3.0 * D[1] - D[2]) / h_s**2
-    u_ss[-1] = (-2.0 * D[-1] + 3.0 * D[-2] - D[-3]) / h_s**2
+    np.subtract(v[1:], v[:-1], out=D)  # (n_s-1, n_theta, d)
+    target.wrap_increment(D, out=D, tmp=tmp)
+    np.add(D_hi, D_lo, out=us_in)
+    us_in /= 2.0 * h_s
+    # both end rows at once: (3.0 D0 - D1) / 2h_s, ((-2.0 D0 + 3.0 D1) - D2) / h_s^2
+    np.multiply(3.0, D0, out=us_end)
+    us_end -= D1
+    us_end /= 2.0 * h_s
+    np.subtract(D_hi, D_lo, out=uss_in)
+    uss_in /= h_s**2
+    np.multiply(-2.0, D0, out=uss_end)
+    uss_end += np.multiply(3.0, D1, out=scratch)
+    uss_end -= D2
+    uss_end /= h_s**2
 
     # Dt[:, j] = v[:, j + 1] - v[:, j] (periodic) and the central forms
     # Dt[:, j] +- Dt[:, j - 1]: each is one pass over the flattened arrays
     # shifted by one theta column (d entries), whose wrong seam column is
     # then redone; strided 2-d slices would make numpy buffer whole maps
     d = target.dim
-    Dt = J.d_theta
-    vf, Dtf = v.reshape(-1), Dt.reshape(-1)
-    np.subtract(vf[d:], vf[:-d], out=Dtf[:-d])
-    np.subtract(v[:, 0], v[:, -1], out=Dt[:, -1])
-    target.wrap_increment(Dt, out=Dt, tmp=tmp)
-    u_theta = J.u_theta
-    np.add(Dtf[d:], Dtf[:-d], out=u_theta.reshape(-1)[d:])
-    np.add(Dt[:, 0], Dt[:, -1], out=u_theta[:, 0])
-    u_theta /= 2.0 * h_t
-    u_thth = J.u_thth
-    np.subtract(Dtf[d:], Dtf[:-d], out=u_thth.reshape(-1)[d:])
-    np.subtract(Dt[:, 0], Dt[:, -1], out=u_thth[:, 0])
-    u_thth /= h_t**2
+    Dt_hi, Dt_lo, Dt_first, Dt_last, ut_tail, ut_first, utt_tail, utt_first = J._theta_views
+    vf = v.reshape(-1)
+    np.subtract(vf[d:], vf[:-d], out=Dt_lo)
+    np.subtract(v[:, 0], v[:, -1], out=Dt_last)
+    target.wrap_increment(J.d_theta, out=J.d_theta, tmp=J.node[3])
+    np.add(Dt_hi, Dt_lo, out=ut_tail)
+    np.add(Dt_first, Dt_last, out=ut_first)
+    J.u_theta /= 2.0 * h_t
+    np.subtract(Dt_hi, Dt_lo, out=utt_tail)
+    np.subtract(Dt_first, Dt_last, out=utt_first)
+    J.u_thth /= h_t**2
     return J
 
 
@@ -341,29 +363,26 @@ def tension(u: MapField, jet_: MapJet | None = None,
     return flat
 
 
-def tension_l2(u: MapField, tau: np.ndarray | None = None) -> float:
+def tension_l2(u: MapField, tau: np.ndarray | None = None,
+               jet_: MapJet | None = None) -> float:
     """||tau_g(u)||_{L^2} in the hyperbolic metric.
 
     |tau_g|^2 dv = rho^-2 |tau_flat|^2 ds dtheta, i.e. the norm of
-    rho tau_g against the flat measure.
+    rho tau_g against the flat measure; the density is formed in jet_'s rows.
     """
     if tau is None:
-        tau = tension(u)
-    return math.sqrt(u.grid.integrate_flat(tension_density(u, tau)))
+        tau = tension(u, jet_)
+    return math.sqrt(u.grid.integrate_flat(tension_density(u, tau, jet_)))
 
 
-def tension_density(u: MapField, tau: np.ndarray) -> np.ndarray:
-    """|tau_g|^2 rho^2 per node, the tension density against ds dtheta."""
-    return u.target.dot(tau, tau) * u.grid.rho_sq[:, None]
-
-
-def smooth_cutoff(rho: np.ndarray, delta: float = _CUTOFF_DELTA) -> np.ndarray:
-    """Quintic-smoothstep cutoff: 1 for rho <= delta, 0 for rho >= 2 delta.
-
-    The quintic ramp keeps |phi'| <= 15/(8 delta) < 2/delta.
-    """
-    x = np.clip((np.asarray(rho) - delta) / delta, 0.0, 1.0)
-    return 1.0 - x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+def tension_density(u: MapField, tau: np.ndarray, jet_: MapJet | None = None) -> np.ndarray:
+    """|tau_g|^2 rho^2 per node, the tension density against ds dtheta, in
+    node[2] of jet_ if given (each product, then rho^2, in node[3])."""
+    dens, rho_sq = np.empty((2,) + tau.shape[:-1]) if jet_ is None else jet_.node[2:]
+    u.target.dot(tau, tau, dens, rho_sq)
+    # rho^2 spread over theta: as a broadcast operand numpy would buffer it
+    rho_sq[...] = u.grid.rho_sq[:, None]
+    return np.multiply(dens, rho_sq, out=dens)
 
 
 @dataclass(frozen=True)
@@ -399,8 +418,7 @@ def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
     e *= w_inv
     I = grid.integrate_flat(e)
     I_theta = grid.integrate_flat(np.multiply(u_theta_sq, w_inv, out=J.node[3]))
-    cutoff_sq = smooth_cutoff(grid.rho)[:, None]**2
-    I_smooth = grid.integrate_flat(np.multiply(e, cutoff_sq, out=J.node[3]))
+    I_smooth = grid.integrate_flat(np.multiply(e, grid.cutoff_sq, out=J.node[3]))
     sup_density = float(np.max(e))
     return EnergyReport(E=E, I=I, I_theta=I_theta, I_smooth=I_smooth,
                         sup_density=sup_density)

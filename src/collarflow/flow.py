@@ -184,8 +184,7 @@ def pinned_tension(u: MapField, jet_: MapJet | None = None,
     """Tension field with the two Dirichlet rows zeroed (the flow's vector
     field), into out when given."""
     tau = tension(u, jet_, out)
-    tau[0] = 0.0
-    tau[-1] = 0.0
+    tau[::len(tau) - 1] = 0.0
     return tau
 
 
@@ -255,7 +254,8 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     Raises FlowError on a non-finite result or a length at or below zero.
     The values are projected and checked finite here, so the new map skips
     MapField's own checks.  Its grid takes the length clamped to
-    [ell_floor, ell_max]; the state keeps it unclamped.
+    [ell_floor, ell_max], the state's own grid if that has not moved (eta
+    = 0, or held at the floor or cap); the state keeps it unclamped.
     """
     u = state.u
     vals = np.multiply(tau, config.dt, out=work.free_values(state))
@@ -267,7 +267,8 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
         raise FlowError("non-finite state", round(t / config.dt))
     if ell <= 0.0:
         raise FlowError(f"core length ell = {ell!r} at or below zero", round(t / config.dt))
-    grid = config.grid_at(min(max(ell, config.ell_floor), config.ell_max))
+    ell_grid = min(max(ell, config.ell_floor), config.ell_max)
+    grid = u.grid if ell_grid == u.grid.ell else config.grid_at(ell_grid)
     return FlowState(u=MapField._of_projected(grid, vals, u.target), ell=ell, t=t)
 
 
@@ -323,7 +324,7 @@ def _sample_row(state: FlowState, config: FlowConfig, work: RunArrays | None = N
     E = face_energy(u, J, work.tau_mid)
     return dict(t=state.t, ell=state.ell, E=E, I=rep.I,
                 I_theta=rep.I_theta, I_smooth=rep.I_smooth,
-                tension_l2=tension_l2(u, tau), re_b0=b0.real, im_b0=b0.imag,
+                tension_l2=tension_l2(u, tau, J), re_b0=b0.real, im_b0=b0.imag,
                 sup_density=rep.sup_density), (tau, speed)
 
 

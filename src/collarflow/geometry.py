@@ -23,6 +23,7 @@ import re
 import sys
 import typing
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -246,6 +247,19 @@ def deformed_circle_radius_sq(ell: float, s0: float, b0: complex, eps: float,
     return (length / (2.0 * math.pi)) ** 2
 
 
+# cutoff scale for the smoothed weighted energy: 1 where rho <= it, 0 from twice it
+_CUTOFF_DELTA = 1.0 / (2.0 * math.pi)
+
+
+def smooth_cutoff(rho: np.ndarray, delta: float = _CUTOFF_DELTA) -> np.ndarray:
+    """Quintic-smoothstep cutoff: 1 for rho <= delta, 0 for rho >= 2 delta.
+
+    The quintic ramp keeps |phi'| <= 15/(8 delta) < 2/delta.
+    """
+    x = np.clip((np.asarray(rho) - delta) / delta, 0.0, 1.0)
+    return 1.0 - x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+
+
 class CollarGrid:
     """Uniform tensor grid on the subcylinder (-s_max, s_max) x S^1 of a collar.
 
@@ -282,6 +296,12 @@ class CollarGrid:
         self.rho_sq = self.rho**2
         self.rho_inv_sq = 1.0 / self.rho_sq
         self.pairing_weights = self.s_weights * self.rho_inv_sq
+        self.__dict__.pop("cutoff_sq", None)  # at() copies the old metric's
+
+    @cached_property
+    def cutoff_sq(self) -> np.ndarray:
+        """smooth_cutoff(rho)^2 as an (n_s, 1) column (I_smooth's weight), kept with the metric."""
+        return smooth_cutoff(self.rho)[:, None]**2
 
     def at(self, ell: float) -> "CollarGrid":
         """The same read-only nodes and weights, shared, under the metric of length ell."""

@@ -211,15 +211,16 @@ def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
 
     Vanishes exactly on (weakly) conformal maps, and its hyperbolic L^1
     norm never exceeds four times the coordinate energy.  psi is the
-    jet's psi array, written in place: the imaginary part is 0 - 2 X with
-    X = <u_s, u_theta>, so a zero cross term gives +0.0 as the complex
-    form 0 - (0 + 2X i) did.
+    jet's psi, written through its bound real and imaginary views: the
+    imaginary part is 0 - 2 X with X = <u_s, u_theta>, so a zero cross
+    term gives +0.0 as the complex form 0 - (0 + 2X i) did.
     """
     J = jet_ or jet(u)
     cross = u.target.dot(J.u_s, J.u_theta, J.node[2], J.node[3])
-    np.subtract(J.u_s_sq, J.u_theta_sq, out=J.psi.real)
+    re, im = J._psi_parts
+    np.subtract(J.u_s_sq, J.u_theta_sq, out=re)
     cross *= 2.0
-    np.subtract(0.0, cross, out=J.psi.imag)
+    np.subtract(0.0, cross, out=im)
     return QuadDiffField(u.grid, J.psi)
 
 

@@ -17,13 +17,12 @@ from collarflow.fields import (
     energies,
     jet,
     sample_map,
-    smooth_cutoff,
     tension,
     tension_density,
     tension_l2,
     theta_profile,
 )
-from collarflow.geometry import CollarGrid, DomainError, dz2_norms, half_length
+from collarflow.geometry import CollarGrid, DomainError, dz2_norms, half_length, smooth_cutoff
 from collarflow.quad_diff import hopf_differential
 
 TORUS1 = TargetSpec.flat_torus(1)
@@ -198,6 +197,28 @@ class TestComponentSums:
         assert found == []
 
 
+def slice_formula_jet(u):
+    """The jet by the slice formulas the bound views replaced, one temporary
+    per expression: the reference a jet must match bit for bit."""
+    target, v = u.target, u.values
+    h_s, h_t = u.grid.h_s, u.grid.theta_weight
+    D = target.wrap_increment(v[1:] - v[:-1])
+    u_s, u_ss, Dt = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    u_s[1:-1] = (D[1:] + D[:-1]) / (2.0 * h_s)
+    u_s[0] = (3.0 * D[0] - D[1]) / (2.0 * h_s)
+    u_s[-1] = (3.0 * D[-1] - D[-2]) / (2.0 * h_s)
+    u_ss[1:-1] = (D[1:] - D[:-1]) / h_s**2
+    u_ss[0] = (-2.0 * D[0] + 3.0 * D[1] - D[2]) / h_s**2
+    u_ss[-1] = (-2.0 * D[-1] + 3.0 * D[-2] - D[-3]) / h_s**2
+    Dt[:, :-1] = v[:, 1:] - v[:, :-1]
+    Dt[:, -1] = v[:, 0] - v[:, -1]
+    Dt = target.wrap_increment(Dt)
+    prev = np.concatenate([Dt[:, -1:], Dt[:, :-1]], axis=1)  # Dt[:, j - 1]
+    return dict(u_s=u_s, u_theta=(Dt + prev) / (2.0 * h_t), u_ss=u_ss,
+                u_thth=(Dt - prev) / h_t**2, d_s=D, d_theta=Dt,
+                u_s_sq=target.dot(u_s, u_s))
+
+
 class TestJet:
     def test_linear_in_s_exact(self):
         grid = CollarGrid(0.5, n_s=32, n_theta=8, s_max=2.0)
@@ -252,6 +273,25 @@ class TestJet:
                      "u_s_sq", "u_theta_sq"):
             assert getattr(J, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert tension(b, J).tobytes() == tension(b).tobytes()
+
+    @pytest.mark.parametrize("n_theta", [4, 7])
+    @pytest.mark.parametrize("n_s", range(4, 11))
+    @pytest.mark.parametrize("target", [
+        TargetSpec.flat_torus(1, periods=(2.5,)),
+        TargetSpec.flat_torus(2, periods=(2 * math.pi, 3.0)),
+        TargetSpec.round_sphere()], ids=["torus1", "torus2", "round-sphere"])
+    def test_bound_views_match_slice_formulas_bitwise(self, target, n_s, n_theta):
+        # the end-row operand pairs coincide or run backwards on the
+        # shortest grids; a refilled jet must show no view of the first map
+        grid = CollarGrid(0.5, n_s=n_s, n_theta=n_theta, s_max=2.0)
+        rng = np.random.default_rng(100 * n_s + n_theta)
+        J = None
+        for _ in range(2):
+            raw = rng.uniform(-4.0, 4.0, size=(n_s, n_theta, target.dim))
+            u = MapField(grid, target.project(raw), target)
+            J = jet(u, out=J)
+            for name, want in slice_formula_jet(u).items():
+                assert getattr(J, name).tobytes() == want.tobytes(), name
 
     def test_in_place_target_operations_match_allocating_ones(self):
         rng = np.random.default_rng(4)
@@ -430,6 +470,38 @@ class TestEnergies:
             I_theta=grid.integrate_flat(J.u_theta_sq * w_inv),
             I_smooth=grid.integrate_flat(e_weighted * smooth_cutoff(grid.rho)[:, None]**2),
             sup_density=float(np.max(e_weighted)))
+
+
+    def test_tension_l2_density_in_jet_scratch(self):
+        import tracemalloc
+        grid = CollarGrid(0.2, n_s=384, n_theta=64, s_max=8.0)
+        u = sample_map(grid, TargetSpec.round_sphere(3), lambda s, t: np.stack(
+            [np.cos(t) + 0.1 * np.sin(s), np.sin(t), 0.3 * np.cos(2 * t + s)], axis=-1))
+        J = jet(u)
+        tau = tension(u, J)
+        tracemalloc.start()
+        try:
+            value = tension_l2(u, tau, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.n_s * grid.n_theta * 8
+        # the density as written with temporaries: the dot, then rho^2
+        want = math.sqrt(grid.integrate_flat(u.target.dot(tau, tau) * grid.rho_sq[:, None]))
+        assert value == want == tension_l2(u, tau)
+
+    def test_cutoff_kept_per_metric(self):
+        # at() copies the grid's attributes, so a cutoff cached at one
+        # length must not carry over to the next; rho crosses the cutoff's
+        # ramp at both lengths
+        g = CollarGrid(1.7, n_s=32, n_theta=8, s_max=2.0)
+        ga, fresh = g.at(1.6), CollarGrid(1.1, n_s=32, n_theta=8, s_max=2.0)
+        fn = lambda s, t: np.stack([np.sin(t) * np.cos(0.3 * s), 0.2 * s], axis=-1)
+        energies(sample_map(ga, TORUS2, fn))
+        assert ga.cutoff_sq is ga.cutoff_sq
+        gb = ga.at(1.1)
+        assert energies(sample_map(gb, TORUS2, fn)) == energies(sample_map(fresh, TORUS2, fn))
+        assert gb.cutoff_sq.tobytes() == fresh.cutoff_sq.tobytes() != ga.cutoff_sq.tobytes()
 
 
 class TestThetaProfile:
