@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -226,61 +225,81 @@ def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
 
 @dataclass
 class MapJet:
-    """First and pure second derivatives of a map at the grid nodes, the wrapped
-    forward differences d_s (between s rows) and d_theta (periodic), and the
-    densities |u_s|^2 and |u_theta|^2 in the target's inner product, each
-    summed on first read and kept.
+    """First and pure second derivatives of a map at the grid nodes, the
+    wrapped forward differences between s rows and between theta columns
+    (periodic), and the densities |u_s|^2 and |u_theta|^2 in the target's
+    inner product.
+
+    Each pair of per-direction arrays is one buffer, so that a shared
+    operation (the wrap, the density sum) runs once for both directions:
+    first (2, n_s, n_theta, dim) holds u_s then u_theta, second holds u_ss
+    then u_thth, and diffs (2 n_s - 1, n_theta, dim) holds the n_s - 1 rows
+    of d_s then the n_s rows of d_theta.  The six named arrays are views.
 
     A jet owns its arrays, so a flow run refills one jet per state
-    (jet(u, out=J)).  node is (4, n_s, n_theta): rows 0 and 1 receive
-    the two densities, rows 2 and 3 are scratch for the Hopf cross term,
-    the projections, the energies' densities and each component product.
+    (jet(u, out=J)).  node is (4, n_s, n_theta): rows 0 and 1 receive the
+    two densities, summed by densities() in one pass on its first call
+    after each fill, and rows 2 and 3 are scratch (that pass's, the Hopf
+    cross term's, the projections', the energies' and each component
+    product's), so a caller reads the densities before it writes there.
     psi receives the Hopf coefficient (quad_diff.hopf_differential).
     The views of these that jet and hopf_differential use are bound once.
     """
 
     target: TargetSpec
-    u_s: np.ndarray
-    u_theta: np.ndarray
-    u_ss: np.ndarray
-    u_thth: np.ndarray
-    d_s: np.ndarray
-    d_theta: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    diffs: np.ndarray
     node: np.ndarray
     psi: np.ndarray
 
     @staticmethod
     def empty(target: TargetSpec, n_s: int, n_theta: int) -> "MapJet":
         """A jet of uninitialized arrays for maps on an n_s x n_theta grid."""
-        full = (n_s, n_theta, target.dim)
-        return MapJet(target=target, u_s=np.empty(full), u_theta=np.empty(full),
-                      u_ss=np.empty(full), u_thth=np.empty(full),
-                      d_s=np.empty((n_s - 1, n_theta, target.dim)),
-                      d_theta=np.empty(full), node=np.empty((4, n_s, n_theta)),
+        pair = (2, n_s, n_theta, target.dim)
+        return MapJet(target=target, first=np.empty(pair), second=np.empty(pair),
+                      diffs=np.empty((2 * n_s - 1, n_theta, target.dim)),
+                      node=np.empty((4, n_s, n_theta)),
                       psi=np.empty((n_s, n_theta), dtype=complex))
 
     def __post_init__(self):
+        n_s, d = self.first.shape[1], self.target.dim
+        self.u_s, self.u_theta = self.first
+        self.u_ss, self.u_thth = self.second
+        self.d_s, self.d_theta = D, Dt = self.diffs[:n_s - 1], self.diffs[n_s - 1:]
         # s: D's interior pairs, the interior and end rows of u_s and u_ss, the
         # end rows' operands (D rows 0, 1, 2 with -1, -2, -3) and a scratch pair
-        n_s, d, D, Dt = len(self.u_s), self.target.dim, self.d_s, self.d_theta
         self._s_views = (D[1:], D[:-1], self.u_s[1:-1], self.u_ss[1:-1],
                          self.u_s[::n_s - 1], self.u_ss[::n_s - 1],
                          _end_rows(D, 0), _end_rows(D, 1), _end_rows(D, 2),
-                         np.empty((2,) + D.shape[1:]), self.node[3][:-1])
+                         np.empty((2,) + D.shape[1:]))
         # theta: the flattened arrays shifted by one column (d entries), and the seam columns
         Dtf = Dt.reshape(-1)
         self._theta_views = (Dtf[d:], Dtf[:-d], Dt[:, 0], Dt[:, -1],
                              self.u_theta.reshape(-1)[d:], self.u_theta[:, 0],
                              self.u_thth.reshape(-1)[d:], self.u_thth[:, 0])
+        # the wrap's scratch, one node per difference, in node rows 2 and 3
+        self._wrap_tmp = self.node[2:].reshape(2 * n_s, -1)[:-1]
+        self._density_pass = (self.node[:2], self.node[2:])
+        self._densities = (self.node[0], self.node[1])
+        self._summed = False
         self._psi_parts = (self.psi.real, self.psi.imag)
 
-    @cached_property
-    def u_s_sq(self) -> np.ndarray:
-        return self.target.dot(self.u_s, self.u_s, self.node[0], self.node[3])
+    def densities(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|u_s|^2, |u_theta|^2), node rows 0 and 1: the first call after a
+        fill sums both in one pass over first, with node rows 2 and 3 as scratch."""
+        if not self._summed:
+            self.target.dot(self.first, self.first, *self._density_pass)
+            self._summed = True
+        return self._densities
 
-    @cached_property
+    @property
+    def u_s_sq(self) -> np.ndarray:
+        return self.densities()[0]
+
+    @property
     def u_theta_sq(self) -> np.ndarray:
-        return self.target.dot(self.u_theta, self.u_theta, self.node[1], self.node[3])
+        return self.densities()[1]
 
 
 def _end_rows(a: np.ndarray, k: int) -> np.ndarray:
@@ -298,45 +317,46 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     Fills out (whose densities are then summed afresh on first read) or
     a new jet through its bound views: only views of u's values are made
     per call.  The periodic theta neighbours are slice pairs, not rolls.
+    Both directions' differences share one wrap.
     """
     grid, target = u.grid, u.target
     J = MapJet.empty(target, grid.n_s, grid.n_theta) if out is None else out
-    J.__dict__.pop("u_s_sq", None)
-    J.__dict__.pop("u_theta_sq", None)
+    J._summed = False
     h_s, h_t = grid.h_s, grid.theta_weight
-    v, D = u.values, J.d_s
-    D_hi, D_lo, us_in, uss_in, us_end, uss_end, D0, D1, D2, scratch, tmp = J._s_views
+    v, d = u.values, target.dim
+    D_hi, D_lo, us_in, uss_in, us_end, uss_end, D0, D1, D2, scratch = J._s_views
+    Dt_hi, Dt_lo, Dt_first, Dt_last, ut_tail, ut_first, utt_tail, utt_first = J._theta_views
 
-    np.subtract(v[1:], v[:-1], out=D)  # (n_s-1, n_theta, d)
-    target.wrap_increment(D, out=D, tmp=tmp)
+    # D[i] = v[i + 1] - v[i] between s rows, and Dt[:, j] = v[:, j + 1] - v[:, j]
+    # (periodic) as one pass over the flattened values shifted by one theta
+    # column (d entries), whose wrong seam column is then redone; strided
+    # 2-d slices would make numpy buffer whole maps.  One wrap takes both.
+    vf = v.reshape(-1)
+    np.subtract(v[1:], v[:-1], out=J.d_s)
+    np.subtract(vf[d:], vf[:-d], out=Dt_lo)
+    np.subtract(v[:, 0], v[:, -1], out=Dt_last)
+    target.wrap_increment(J.diffs, out=J.diffs, tmp=J._wrap_tmp)
+
+    # first derivatives, each then divided whole by its spacing: the s
+    # interior D[i] + D[i - 1] and both end rows 3.0 D0 - D1 over 2 h_s, the
+    # theta central sums Dt[:, j] + Dt[:, j - 1] over 2 h_t
     np.add(D_hi, D_lo, out=us_in)
-    us_in /= 2.0 * h_s
-    # both end rows at once: (3.0 D0 - D1) / 2h_s, ((-2.0 D0 + 3.0 D1) - D2) / h_s^2
     np.multiply(3.0, D0, out=us_end)
     us_end -= D1
-    us_end /= 2.0 * h_s
+    np.add(Dt_hi, Dt_lo, out=ut_tail)
+    np.add(Dt_first, Dt_last, out=ut_first)
+    J.u_s /= 2.0 * h_s
+    J.u_theta /= 2.0 * h_t
+
+    # second derivatives, each divided whole: the s interior D[i] - D[i - 1]
+    # and end rows (-2.0 D0 + 3.0 D1) - D2 over h_s^2, Dt[:, j] - Dt[:, j - 1] over h_t^2
     np.subtract(D_hi, D_lo, out=uss_in)
-    uss_in /= h_s**2
     np.multiply(-2.0, D0, out=uss_end)
     uss_end += np.multiply(3.0, D1, out=scratch)
     uss_end -= D2
-    uss_end /= h_s**2
-
-    # Dt[:, j] = v[:, j + 1] - v[:, j] (periodic) and the central forms
-    # Dt[:, j] +- Dt[:, j - 1]: each is one pass over the flattened arrays
-    # shifted by one theta column (d entries), whose wrong seam column is
-    # then redone; strided 2-d slices would make numpy buffer whole maps
-    d = target.dim
-    Dt_hi, Dt_lo, Dt_first, Dt_last, ut_tail, ut_first, utt_tail, utt_first = J._theta_views
-    vf = v.reshape(-1)
-    np.subtract(vf[d:], vf[:-d], out=Dt_lo)
-    np.subtract(v[:, 0], v[:, -1], out=Dt_last)
-    target.wrap_increment(J.d_theta, out=J.d_theta, tmp=J.node[3])
-    np.add(Dt_hi, Dt_lo, out=ut_tail)
-    np.add(Dt_first, Dt_last, out=ut_first)
-    J.u_theta /= 2.0 * h_t
     np.subtract(Dt_hi, Dt_lo, out=utt_tail)
     np.subtract(Dt_first, Dt_last, out=utt_first)
+    J.u_ss /= h_s**2
     J.u_thth /= h_t**2
     return J
 
@@ -409,8 +429,8 @@ def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
     node[3]."""
     grid = u.grid
     J = jet_ or jet(u)
-    # summed (into node[0] and node[1], with node[3] as scratch) before node[3] is reused
-    u_s_sq, u_theta_sq = J.u_s_sq, J.u_theta_sq
+    # summed (into node[0] and node[1], with node[2:4] as scratch) before node[2:4] is reused
+    u_s_sq, u_theta_sq = J.densities()
     w_inv = grid.rho_inv_sq[:, None]
     e = np.add(u_s_sq, u_theta_sq, out=J.node[2])
     e *= 0.5

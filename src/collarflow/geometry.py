@@ -296,6 +296,7 @@ class CollarGrid:
         self.rho_sq = self.rho**2
         self.rho_inv_sq = 1.0 / self.rho_sq
         self.pairing_weights = self.s_weights * self.rho_inv_sq
+        self.pairing_norm = self.n_theta * float(np.sum(self.pairing_weights))
         self.__dict__.pop("cutoff_sq", None)  # at() copies the old metric's
 
     @cached_property

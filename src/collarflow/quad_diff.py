@@ -88,8 +88,7 @@ def principal_coefficient(field: QuadDiffField) -> complex:
     constant factor 4 and the theta weight cancel.
     """
     grid = field.grid
-    w = grid.pairing_weights
-    return complex(np.einsum("s,st->", w, field.psi)) / (grid.n_theta * float(np.sum(w)))
+    return complex(np.einsum("s,st->", grid.pairing_weights, field.psi)) / grid.pairing_norm
 
 
 def principal_split(field: QuadDiffField) -> PrincipalSplit:
@@ -216,9 +215,11 @@ def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
     term gives +0.0 as the complex form 0 - (0 + 2X i) did.
     """
     J = jet_ or jet(u)
+    # the densities first: their pass, if still due, takes node[2:4] as scratch
+    u_s_sq, u_theta_sq = J.densities()
     cross = u.target.dot(J.u_s, J.u_theta, J.node[2], J.node[3])
     re, im = J._psi_parts
-    np.subtract(J.u_s_sq, J.u_theta_sq, out=re)
+    np.subtract(u_s_sq, u_theta_sq, out=re)
     cross *= 2.0
     np.subtract(0.0, cross, out=im)
     return QuadDiffField(u.grid, J.psi)

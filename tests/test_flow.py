@@ -498,22 +498,21 @@ class TestStepInternals:
         assert len(calls) == 6 + 1
 
     def test_jet_densities_formed_once_per_row_and_never_at_eta_zero(self, monkeypatch):
-        # count the evaluations behind the two cached jet densities
+        # count the jet's one density pass: the dot over its stacked
+        # (2, n_s, n_theta, dim) first derivatives, which no other dot takes
         import collarflow.flow as flow
-        from functools import cached_property
-        from collarflow.fields import MapJet
-        calls = []
-        for name in ("u_s_sq", "u_theta_sq"):
-            def counted(jet_, name=name, density=MapJet.__dict__[name].func):
-                calls.append(name)
-                return density(jet_)
-            prop = cached_property(counted)
-            prop.__set_name__(MapJet, name)
-            monkeypatch.setattr(MapJet, name, prop)
+        dot, calls = TargetSpec.dot, []
+
+        def counted(target, a, b, out=None, tmp=None):
+            if a.ndim == 4:
+                calls.append(a.shape)
+            return dot(target, a, b, out, tmp)
+
+        monkeypatch.setattr(TargetSpec, "dot", counted)
         cfg = wrap_config()
         st = initial_state(cfg, wrap_values(cfg.grid_at(cfg.ell0)))
         flow._sample_row(st, cfg)
-        assert sorted(calls) == ["u_s_sq", "u_theta_sq"]
+        assert calls == [(2, cfg.n_s, cfg.n_theta, cfg.target.dim)]
         calls.clear()
         frozen = wrap_config(eta=0.0)
         step(initial_state(frozen, wrap_values(frozen.grid_at(frozen.ell0))), frozen)

@@ -335,6 +335,14 @@ class TestGridRefresh:
         g = CollarGrid(0.2, 40, 8, s_max=4.0)
         np.testing.assert_array_equal(g.pairing_weights, g.s_weights * g.rho_inv_sq)
 
+    @pytest.mark.parametrize("ell", [0.05, 0.2, 0.4])
+    def test_pairing_norm_is_the_summed_weights_of_each_metric(self, ell):
+        # the norm^2 of dz^2 in the pairing, up to 4 theta_weight, kept with the metric
+        g = CollarGrid(0.3, 40, 8, s_max=4.0)
+        for h in (CollarGrid(ell, 40, 8, s_max=4.0), g.at(ell)):
+            assert h.pairing_norm == h.n_theta * float(np.sum(h.pairing_weights))
+        assert g.pairing_norm == 8 * float(np.sum(g.pairing_weights))
+
     @pytest.mark.parametrize("ell", [0.0, -0.1, ELL_MAX, 1.0 + ELL_MAX, math.nan, math.inf])
     def test_at_rejects_length_with_constructor_message(self, ell):
         g = CollarGrid(0.4, 16, 8, s_max=2.0)
