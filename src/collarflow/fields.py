@@ -9,7 +9,8 @@ model maps used throughout the tests:
     with torus increments reduced modulo the periods; winding maps such
     as u = (a theta, 0) differentiate exactly across the seam,
   * s derivatives are central in the interior and one-sided second
-    order on the two boundary rows, hence exact on fields linear in s.
+    order on the two boundary rows, hence u_s is exact on fields
+    quadratic in s and u_ss on fields cubic in s.
 
 One pass (jet) builds the wrapped s and theta differences once and
 returns them with the first and pure second derivatives.  The tension
@@ -268,11 +269,12 @@ class MapJet:
         self.u_ss, self.u_thth = self.second
         self.d_s, self.d_theta = D, Dt = self.diffs[:n_s - 1], self.diffs[n_s - 1:]
         # s: D's interior pairs, the interior and end rows of u_s and u_ss, the
-        # end rows' operands (D rows 0, 1, 2 with -1, -2, -3) and a scratch pair
+        # end rows' operands (D rows 0, 1, 2 with -1, -2, -3), a scratch pair
+        # and u_ss's last row, whose one-sided differences point inward
         self._s_views = (D[1:], D[:-1], self.u_s[1:-1], self.u_ss[1:-1],
                          self.u_s[::n_s - 1], self.u_ss[::n_s - 1],
                          _end_rows(D, 0), _end_rows(D, 1), _end_rows(D, 2),
-                         np.empty((2,) + D.shape[1:]))
+                         np.empty((2,) + D.shape[1:]), self.u_ss[-1])
         # theta: the flattened arrays shifted by one column (d entries), and the seam columns
         Dtf = Dt.reshape(-1)
         self._theta_views = (Dtf[d:], Dtf[:-d], Dt[:, 0], Dt[:, -1],
@@ -324,7 +326,7 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     J._summed = False
     h_s, h_t = grid.h_s, grid.theta_weight
     v, d = u.values, target.dim
-    D_hi, D_lo, us_in, uss_in, us_end, uss_end, D0, D1, D2, scratch = J._s_views
+    D_hi, D_lo, us_in, uss_in, us_end, uss_end, D0, D1, D2, scratch, uss_last = J._s_views
     Dt_hi, Dt_lo, Dt_first, Dt_last, ut_tail, ut_first, utt_tail, utt_first = J._theta_views
 
     # D[i] = v[i + 1] - v[i] between s rows, and Dt[:, j] = v[:, j + 1] - v[:, j]
@@ -349,11 +351,13 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     J.u_theta /= 2.0 * h_t
 
     # second derivatives, each divided whole: the s interior D[i] - D[i - 1]
-    # and end rows (-2.0 D0 + 3.0 D1) - D2 over h_s^2, Dt[:, j] - Dt[:, j - 1] over h_t^2
+    # and end rows (-2.0 D0 + 3.0 D1) - D2 over h_s^2, the last row negated
+    # (its differences run the other way), Dt[:, j] - Dt[:, j - 1] over h_t^2
     np.subtract(D_hi, D_lo, out=uss_in)
     np.multiply(-2.0, D0, out=uss_end)
     uss_end += np.multiply(3.0, D1, out=scratch)
     uss_end -= D2
+    np.negative(uss_last, out=uss_last)
     np.subtract(Dt_hi, Dt_lo, out=utt_tail)
     np.subtract(Dt_first, Dt_last, out=utt_first)
     J.u_ss /= h_s**2

@@ -146,6 +146,12 @@ class FlowConfig:
             raise DomainError(
                 f"flow.dt: must be at most the parabolic stability bound {cap:.3e} "
                 f"for this grid at ell_floor = {self.ell_floor}, got {self.dt}")
+        # the run's step count; like grid, not a field
+        n_steps = self.t_end / self.dt
+        if not (math.isfinite(n_steps) and round(n_steps) >= 1):
+            raise DomainError(f"flow.t_end: t_end / dt must round to a finite step count "
+                              f">= 1, got t_end = {self.t_end}, dt = {self.dt}")
+        object.__setattr__(self, "n_steps", round(n_steps))
 
     def grid_at(self, ell: float) -> CollarGrid:
         return self.grid.at(ell)
@@ -344,7 +350,7 @@ def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
     row, velocity = _sample_row(state, config, work)
     rows = [row]
     status = STATUS_COMPLETED
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = config.n_steps
     for k in range(1, n_steps + 1):
         state = step(state, config, velocity, work)
         velocity = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -84,77 +85,61 @@ def _read_text(path) -> str:
 def read_csv(path) -> tuple[dict, dict]:
     """Read a csv written by write_csv: (columns, provenance).
 
-    The data lines are parsed in one np.loadtxt pass.  Where that pass
-    fails or could read them otherwise than float() does line by line
-    (_rows_by_line), the line loop reads them instead: it words every
-    error with the file and line number, takes '# key: value' lines
-    after the header into provenance, and accepts cells such as 1_0.
+    Leading '# key: value' lines are the provenance, the next line is the
+    header, and the data lines after it are parsed in one np.loadtxt call,
+    whose number grammar is the only one: a cell is stripped of whitespace
+    (U+001F included) and read as an ASCII float, so '1_0', non-ASCII
+    digits and a comment after the header are rejected.  Empty lines are
+    skipped, and no data lines give zero rows.  A rejected body raises
+    DomainError naming the file and its first bad line.
     """
-    text = _read_text(path)
-    # float() does not strip the unit separator U+001F around a cell; loadtxt does
-    one_pass = "\x1f" not in text
-    lines = text.splitlines()
-    del text  # not kept beside its lines while they are parsed
+    lines = _read_text(path).splitlines()
     provenance = {}
-    start = 0
-    while start < len(lines) and _comment(lines[start], provenance):
-        start += 1
-    if start == len(lines):
+    for start, line in enumerate(lines):
+        if not line.startswith("#"):
+            break
+        key, sep, val = (line[2:] if line.startswith(COMMENT_PREFIX)
+                         else line.lstrip("#")).partition(": ")
+        if sep:
+            provenance[key] = val
+    else:
         raise DomainError(f"{path}: no header line")
     header = lines[start].split(",")
     repeated = [h for i, h in enumerate(header) if h in header[:i]]
     if repeated:
         raise DomainError(f"{path}: repeated column {repeated[0]!r}")
     body = lines[start + 1:]
-    data = _rows_in_one_pass(body, len(header)) if one_pass else None
-    if data is None:
-        data = _rows_by_line(path, body, start + 2, len(header), provenance)
+    try:
+        with warnings.catch_warnings():  # loadtxt warns when it finds no rows
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64)
+    except ValueError:
+        data = np.empty((0, 0))
+    if not len(data) or data.shape[1] != len(header):
+        _raise_at_bad_line(path, body, start + 2, len(header))
+        data = np.empty((0, len(header)))
     return {name: data[:, j] for j, name in enumerate(header)}, provenance
 
 
-def _comment(line: str, provenance: dict) -> bool:
-    """Whether line is a comment; a '# key: value' comment goes into provenance."""
-    if not line.startswith(COMMENT_PREFIX.rstrip()):
-        return False
-    body = line[len(COMMENT_PREFIX):] if line.startswith(COMMENT_PREFIX) \
-        else line.lstrip("#")
-    if ": " in body:
-        key, val = body.split(": ", 1)
-        provenance[key] = val
-    return True
-
-
-def _rows_in_one_pass(lines: list[str], width: int) -> np.ndarray | None:
-    """The data lines as one (rows, width) array parsed by np.loadtxt, or None
-    when there are no rows, loadtxt rejects a line (a '#' line among them),
-    or the rows hold another number of columns than the header."""
-    if lines.count("") == len(lines):
-        return None
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                          dtype=np.float64)
-    except ValueError:
-        return None
-    return data if data.shape[1] == width else None
-
-
-def _rows_by_line(path, lines: list[str], first: int, width: int,
-                  provenance: dict) -> np.ndarray:
-    """The data lines as a (rows, width) array, one float() per cell; lines
-    are numbered from first, and comments go into provenance."""
-    rows = []
+def _raise_at_bad_line(path, lines: list[str], first: int, width: int) -> None:
+    """Raise DomainError naming the first of lines (numbered from first) that
+    holds other than width cells or a cell np.loadtxt does not read as a
+    number; a blank cell is none.  Returns only if every line is empty."""
     for n, line in enumerate(lines, first):
-        if _comment(line, provenance) or not line:
-            continue
-        values = line.split(",")
-        if len(values) != width:
-            raise DomainError(f"{path}: line {n}: {len(values)} values "
-                              f"for {width} columns")
-        try:
-            rows.append([float(v) for v in values])
-        except ValueError as exc:
-            raise DomainError(f"{path}: line {n}: {exc}") from exc
-    return np.array(rows) if rows else np.zeros((0, width))
+        cells = line.split(",") if line else []
+        if cells and len(cells) != width:
+            raise DomainError(f"{path}: line {n}: {len(cells)} values for {width} columns")
+        for cell in cells:
+            try:
+                if not cell.strip():  # loadtxt would read it as no row
+                    raise ValueError
+                np.loadtxt([cell], delimiter=",", comments=None)
+            except ValueError:
+                raise DomainError(f"{path}: line {n}: could not convert string "
+                                  f"to float: {cell!r}") from None
+    if any(lines):
+        raise DomainError(f"{path}: np.loadtxt rejects the data lines")
 
 
 def write_json(path, payload: dict, provenance: dict | None = None) -> None:

@@ -209,7 +209,7 @@ def slice_formula_jet(u):
     u_s[-1] = (3.0 * D[-1] - D[-2]) / (2.0 * h_s)
     u_ss[1:-1] = (D[1:] - D[:-1]) / h_s**2
     u_ss[0] = (-2.0 * D[0] + 3.0 * D[1] - D[2]) / h_s**2
-    u_ss[-1] = (-2.0 * D[-1] + 3.0 * D[-2] - D[-3]) / h_s**2
+    u_ss[-1] = (2.0 * D[-1] - 3.0 * D[-2] + D[-3]) / h_s**2
     Dt[:, :-1] = v[:, 1:] - v[:, :-1]
     Dt[:, -1] = v[:, 0] - v[:, -1]
     Dt = target.wrap_increment(Dt)
@@ -226,6 +226,16 @@ class TestJet:
         J = jet(u)
         assert np.allclose(J.u_s, 0.7, atol=1e-12)
         assert np.allclose(J.u_theta, 0.0, atol=1e-12)
+
+    def test_cubic_in_s_second_derivative_exact_on_every_row(self):
+        # the one-sided end rows are exact on cubics, at s = +s_max as at -s_max
+        grid = CollarGrid(0.5, n_s=12, n_theta=8, s_max=2.0)
+        s = grid.s_nodes[:, None, None]
+        J = jet(sample_map(grid, TargetSpec(1), lambda s, t: (s**3)[..., None]))
+        assert np.allclose(J.u_ss, 6.0 * s, rtol=0, atol=1e-10)
+        J = jet(sample_map(grid, TargetSpec(1), lambda s, t: (s**2)[..., None]))
+        assert np.allclose(J.u_s, 2.0 * s, rtol=0, atol=1e-10)
+        assert np.allclose(J.u_ss, 2.0, rtol=0, atol=1e-10)
 
     def test_wrap_map_exact_across_seam(self):
         grid = CollarGrid(0.5, n_s=16, n_theta=16)

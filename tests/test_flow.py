@@ -138,22 +138,14 @@ class TestGridRefresh:
         assert trace.final.u.grid.ell == trace.final.ell
 
 
-    # sha256 of each demo's trace.csv and summary.json under numpy 2.4 on
-    # x86-64 (the config digests inside are pinned in test_cli)
-    @pytest.mark.parametrize("name, frozen, trace_digest, summary_digest", [
-        ("relax", True, "e2e9d343f15b52258f65f49f60c6a41851461ae3d20674cde10e39b836d4707a",
-         "b132b1d54438362fc3d2215f67f7775a95fd3014abc2e2683bfec9b36e6fbf2d"),
-        ("pinch", False, "a164a6e6dfb7b252cee92271b948261b7bf726e9a7cf1b80b6f2b84a63046002",
-         "df35814ea8b6b7cda936b4603780a6e6ab19bdbc5b4e398ecf8a7731171a72dd"),
-        ("wrap", False, "b3518bad2e70e89a8dfa3d2b2c6f8a7cd981c34356c879fe4754ef37c8835538",
-         "8801e967b070f464809234ebb61f0851f333442212b78977cf0968cd8bb87642"),
-    ])
+    # each demo's trace.csv and summary.json digests are pinned by test_golden
+    @pytest.mark.parametrize("name, frozen", [("relax", True), ("pinch", False),
+                                              ("wrap", False)])
     def test_step_keeps_its_grid_while_the_length_is_frozen(
-            self, monkeypatch, tmp_path, name, frozen, trace_digest, summary_digest):
+            self, monkeypatch, tmp_path, name, frozen):
         # eta = 0 keeps the initial grid, and so its one cutoff, for the
         # whole run; a moving length builds a grid per step and a cutoff
         # per sampled row
-        import hashlib
         import collarflow.flow as flow
         import collarflow.geometry as geometry
         from collarflow.cli import main
@@ -175,8 +167,6 @@ class TestGridRefresh:
         else:
             assert all(new is not old for old, new in grids) and len(cutoffs) == n_rows
             assert len({id(new) for _, new in grids}) == len(grids)
-        for file, digest in (("trace.csv", trace_digest), ("summary.json", summary_digest)):
-            assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
 
 
 class TestMetricSpeed:

@@ -1,0 +1,119 @@
+"""Golden artifacts: the files the CLI and a flow dump write for fixed
+inputs, regenerated in a temporary directory and compared by sha256 with
+the digests in golden.json.
+
+A failing test names the artifact that moved.  To list the moved digests,
+or to rewrite the manifest after a change meant to move them:
+
+    PYTHONPATH=src python tests/test_golden.py          # list moved digests
+    PYTHONPATH=src python tests/test_golden.py --write  # and rewrite golden.json
+
+A rewrite changes test data: CHANGES.md names each moved digest and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from collarflow import io as cfio
+from collarflow.cli import main
+from collarflow.demos import build_initial
+from collarflow.fields import TargetSpec
+from collarflow.flow import FlowConfig, run, stability_limit
+from collarflow.geometry import CollarGrid
+
+MANIFEST = Path(__file__).with_name("golden.json")
+
+# CLI runs by output directory, in order; the audit reads the sphere flow's
+# map by a relative path, since its provenance hashes the --field text
+RUNS = {
+    "wrap": ["flow", "--demo", "wrap"],
+    "pinch": ["flow", "--demo", "pinch"],
+    "relax": ["flow", "--demo", "relax"],
+    "verify": ["verify", "--seed", "0"],
+    "wp": ["wp", "--ell0", "0.1", "--sweep", "0.02,0.05,0.1"],
+    "angular": ["angular", "--field", "sphere_rk2/map.csv"],
+}
+
+
+def _sphere_rk2_config() -> FlowConfig:
+    """30 RK2 steps of a 48x12 map into the round 2-sphere: the sphere
+    projection and the RK2 midpoint, which no demo runs."""
+    floor, ell_max = 0.1, 0.4
+    s_max = CollarGrid(ell_max, 4, 4).s_max
+    dt = 0.8 * stability_limit(floor, 48, 12, s_max)
+    return FlowConfig(ell0=0.2, eta=0.5, dt=dt, t_end=30 * dt, n_s=48, n_theta=12,
+                      target=TargetSpec.round_sphere(3), ell_max=ell_max,
+                      ell_floor=floor, stepper="rk2", stride=10)
+
+
+def generate(root: Path) -> dict[str, str]:
+    """Write every golden artifact under root: {path relative to root: sha256}."""
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        cfg = _sphere_rk2_config()
+        trace = run(cfg, build_initial(cfg, {"kind": "sphere-equator", "eps": 0.2}))
+        Path("sphere_rk2").mkdir()
+        cfio.map_to_csv(trace.final.u, "sphere_rk2/map.csv", "sphere_rk2/map.json",
+                        {"seed": 0})
+        with contextlib.redirect_stdout(io.StringIO()):
+            for out, argv in RUNS.items():
+                assert main([*argv, "--out", out]) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory) -> dict[str, str]:
+    return generate(tmp_path_factory.mktemp("golden"))
+
+
+def test_manifest_lists_every_artifact(written):
+    assert sorted(written) == sorted(_manifest()["digests"])
+
+
+@pytest.mark.parametrize("name", sorted(_manifest()["digests"]))
+def test_artifact_matches_its_digest(written, name):
+    manifest = _manifest()
+    assert written.get(name) == manifest["digests"][name], (
+        f"{name} moved; the manifest was written under numpy {manifest['numpy']} "
+        f"on {manifest['machine']}, this run has numpy {np.__version__} "
+        f"on {platform.machine()}")
+
+
+def _refresh_manifest(argv: list[str]) -> int:
+    """List the digests that moved; with --write, rewrite the manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        now = generate(Path(tmp))
+    old = _manifest()["digests"]
+    moved = sorted(name for name in old.keys() | now.keys() if old.get(name) != now.get(name))
+    for name in moved:
+        print(f"{name}: {old.get(name)} -> {now.get(name)}")
+    if argv == ["--write"]:
+        MANIFEST.write_text(json.dumps({"machine": platform.machine(),
+                                        "numpy": np.__version__, "digests": now},
+                                       indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return 0
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_refresh_manifest(sys.argv[1:]))
