@@ -173,9 +173,11 @@ class RoundSphere(TargetSpec):
             raise DomainError("sphere map values must be unit vectors")
 
 
-# each target kind's factory by JSON tag: the factory's keywords are the kind's keys
+# the target kinds, and each one's factory by JSON tag: the factory's keywords
+# are the kind's keys
+TARGET_KINDS = (FlatTorus, RoundSphere)
 _KINDS = {FlatTorus.kind: TargetSpec.flat_torus, RoundSphere.kind: TargetSpec.round_sphere}
-_SCHEMA = ("kind", {cls.kind: cls.keys for cls in (FlatTorus, RoundSphere)})
+_SCHEMA = ("kind", {cls.kind: cls.keys for cls in TARGET_KINDS})
 
 
 def _into(out: np.ndarray | None, a: np.ndarray) -> np.ndarray:
@@ -224,47 +226,32 @@ def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
     return MapField(grid, target.project(vals), target)
 
 
-@dataclass
 class MapJet:
-    """First and pure second derivatives of a map at the grid nodes, the
-    wrapped forward differences between s rows and between theta columns
-    (periodic), and the densities |u_s|^2 and |u_theta|^2 in the target's
-    inner product.
+    """The work buffers of one map's jet on an n_s x n_theta grid, refilled
+    for each map by jet(u, out=J).  A jet holds:
 
-    Each pair of per-direction arrays is one buffer, so that a shared
-    operation (the wrap, the density sum) runs once for both directions:
-    first (2, n_s, n_theta, dim) holds u_s then u_theta, second holds u_ss
-    then u_thth, and diffs (2 n_s - 1, n_theta, dim) holds the n_s - 1 rows
-    of d_s then the n_s rows of d_theta.  The six named arrays are views.
-
-    A jet owns its arrays, so a flow run refills one jet per state
-    (jet(u, out=J)).  node is (4, n_s, n_theta): rows 0 and 1 receive the
-    two densities, summed by densities() in one pass on its first call
-    after each fill, and rows 2 and 3 are scratch (that pass's, the Hopf
-    cross term's, the projections', the energies' and each component
-    product's), so a caller reads the densities before it writes there.
-    psi receives the Hopf coefficient (quad_diff.hopf_differential).
-    The views of these that jet and hopf_differential use are bound once.
+      * the derivatives and wrapped differences, each per-direction pair
+        one buffer so that a shared operation runs once: first (2, n_s,
+        n_theta, dim) holds u_s then u_theta, second u_ss then u_thth, and
+        diffs (2 n_s - 1, n_theta, dim) the n_s - 1 rows of d_s then the
+        n_s rows of d_theta;
+      * the densities |u_s|^2 and |u_theta|^2 (densities()), summed in work
+        rows of their own on first read, and the Hopf coefficient psi
+        (hopf()); both stay valid until the next fill;
+      * scratch, two (n_s, n_theta) rows that tension, tension_density,
+        energies, hopf and a flow step's projection write: a result there
+        stays valid until the next of those calls on the jet.
     """
 
-    target: TargetSpec
-    first: np.ndarray
-    second: np.ndarray
-    diffs: np.ndarray
-    node: np.ndarray
-    psi: np.ndarray
-
-    @staticmethod
-    def empty(target: TargetSpec, n_s: int, n_theta: int) -> "MapJet":
-        """A jet of uninitialized arrays for maps on an n_s x n_theta grid."""
-        pair = (2, n_s, n_theta, target.dim)
-        return MapJet(target=target, first=np.empty(pair), second=np.empty(pair),
-                      diffs=np.empty((2 * n_s - 1, n_theta, target.dim)),
-                      node=np.empty((4, n_s, n_theta)),
-                      psi=np.empty((n_s, n_theta), dtype=complex))
-
-    def __post_init__(self):
-        n_s, d = self.first.shape[1], self.target.dim
+    def __init__(self, target: TargetSpec, n_s: int, n_theta: int):
+        d = target.dim
+        self.target = target
+        self.first = np.empty((2, n_s, n_theta, d))
+        self.second = np.empty((2, n_s, n_theta, d))
+        self.diffs = np.empty((2 * n_s - 1, n_theta, d))
+        # rows 0-1 the densities, 2-3 their pass's and the wrap's work, 4-5 scratch
+        rows = np.empty((6, n_s, n_theta))
+        self.psi = np.empty((n_s, n_theta), dtype=complex)
         self.u_s, self.u_theta = self.first
         self.u_ss, self.u_thth = self.second
         self.d_s, self.d_theta = D, Dt = self.diffs[:n_s - 1], self.diffs[n_s - 1:]
@@ -280,16 +267,17 @@ class MapJet:
         self._theta_views = (Dtf[d:], Dtf[:-d], Dt[:, 0], Dt[:, -1],
                              self.u_theta.reshape(-1)[d:], self.u_theta[:, 0],
                              self.u_thth.reshape(-1)[d:], self.u_thth[:, 0])
-        # the wrap's scratch, one node per difference, in node rows 2 and 3
-        self._wrap_tmp = self.node[2:].reshape(2 * n_s, -1)[:-1]
-        self._density_pass = (self.node[:2], self.node[2:])
-        self._densities = (self.node[0], self.node[1])
-        self._summed = False
+        # the wrap's work, one node per difference
+        self._wrap_tmp = rows[2:4].reshape(2 * n_s, -1)[:-1]
+        self._density_pass = (rows[:2], rows[2:4])
+        self._densities = (rows[0], rows[1])
+        self.scratch = (rows[4], rows[5])
         self._psi_parts = (self.psi.real, self.psi.imag)
+        self._summed = False
 
     def densities(self) -> tuple[np.ndarray, np.ndarray]:
-        """(|u_s|^2, |u_theta|^2), node rows 0 and 1: the first call after a
-        fill sums both in one pass over first, with node rows 2 and 3 as scratch."""
+        """(|u_s|^2, |u_theta|^2): the first call after a fill sums both in
+        one pass over first."""
         if not self._summed:
             self.target.dot(self.first, self.first, *self._density_pass)
             self._summed = True
@@ -302,6 +290,21 @@ class MapJet:
     @property
     def u_theta_sq(self) -> np.ndarray:
         return self.densities()[1]
+
+    def hopf(self) -> np.ndarray:
+        """psi = |u_s|^2 - |u_theta|^2 - 2 i <u_s, u_theta>, filled and returned.
+
+        The imaginary part is 0 - 2 X with X = <u_s, u_theta>, formed in
+        the scratch rows, so a zero cross term gives +0.0 as the complex
+        form 0 - (0 + 2X i) did.
+        """
+        u_s_sq, u_theta_sq = self.densities()
+        cross = self.target.dot(self.u_s, self.u_theta, *self.scratch)
+        re, im = self._psi_parts
+        np.subtract(u_s_sq, u_theta_sq, out=re)
+        cross *= 2.0
+        np.subtract(0.0, cross, out=im)
+        return self.psi
 
 
 def _end_rows(a: np.ndarray, k: int) -> np.ndarray:
@@ -322,7 +325,7 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     Both directions' differences share one wrap.
     """
     grid, target = u.grid, u.target
-    J = MapJet.empty(target, grid.n_s, grid.n_theta) if out is None else out
+    J = MapJet(target, grid.n_s, grid.n_theta) if out is None else out
     J._summed = False
     h_s, h_t = grid.h_s, grid.theta_weight
     v, d = u.values, target.dim
@@ -377,10 +380,11 @@ def tension(u: MapField, jet_: MapJet | None = None,
     """
     J = jet_ or jet(u)
     flat = np.add(J.u_ss, J.u_thth, out=out)
-    u.target.tangential(u.values, flat, out=flat, c=J.node[2], tmp=J.node[3])
-    # rho^-2 spread over theta once, then one product per component: as a
-    # broadcast operand numpy would buffer it to the size of a map
-    rho_inv_sq = J.node[2]
+    rho_inv_sq, tmp = J.scratch
+    u.target.tangential(u.values, flat, out=flat, c=rho_inv_sq, tmp=tmp)
+    # rho^-2 spread over theta once, into the row the projection's <w, u> has
+    # left, then one product per component: as a broadcast operand numpy
+    # would buffer it to the size of a map
     rho_inv_sq[...] = u.grid.rho_inv_sq[:, None]
     for k in range(flat.shape[-1]):
         flat[..., k] *= rho_inv_sq
@@ -401,8 +405,8 @@ def tension_l2(u: MapField, tau: np.ndarray | None = None,
 
 def tension_density(u: MapField, tau: np.ndarray, jet_: MapJet | None = None) -> np.ndarray:
     """|tau_g|^2 rho^2 per node, the tension density against ds dtheta, in
-    node[2] of jet_ if given (each product, then rho^2, in node[3])."""
-    dens, rho_sq = np.empty((2,) + tau.shape[:-1]) if jet_ is None else jet_.node[2:]
+    jet_'s first scratch row if given."""
+    dens, rho_sq = np.empty((2,) + tau.shape[:-1]) if jet_ is None else jet_.scratch
     u.target.dot(tau, tau, dens, rho_sq)
     # rho^2 spread over theta: as a broadcast operand numpy would buffer it
     rho_sq[...] = u.grid.rho_sq[:, None]
@@ -428,21 +432,19 @@ class EnergyReport:
 
 
 def energies(u: MapField, jet_: MapJet | None = None) -> EnergyReport:
-    """The EnergyReport of u; the densities are formed in the jet's scratch
-    rows, e_flat and then e_weighted in node[2], each weighted product in
-    node[3]."""
+    """The EnergyReport of u, its densities formed in the jet's scratch rows."""
     grid = u.grid
     J = jet_ or jet(u)
-    # summed (into node[0] and node[1], with node[2:4] as scratch) before node[2:4] is reused
     u_s_sq, u_theta_sq = J.densities()
     w_inv = grid.rho_inv_sq[:, None]
-    e = np.add(u_s_sq, u_theta_sq, out=J.node[2])
+    e, tmp = J.scratch
+    np.add(u_s_sq, u_theta_sq, out=e)
     e *= 0.5
     E = grid.integrate_flat(e)
     e *= w_inv
     I = grid.integrate_flat(e)
-    I_theta = grid.integrate_flat(np.multiply(u_theta_sq, w_inv, out=J.node[3]))
-    I_smooth = grid.integrate_flat(np.multiply(e, grid.cutoff_sq, out=J.node[3]))
+    I_theta = grid.integrate_flat(np.multiply(u_theta_sq, w_inv, out=tmp))
+    I_smooth = grid.integrate_flat(np.multiply(e, grid.cutoff_sq, out=tmp))
     sup_density = float(np.max(e))
     return EnergyReport(E=E, I=I, I_theta=I_theta, I_smooth=I_smooth,
                         sup_density=sup_density)

@@ -35,6 +35,7 @@ import numpy as np
 
 from collarflow.geometry import ELL_MAX, CollarGrid, DomainError, check_block, half_length
 from collarflow.fields import (
+    TARGET_KINDS,
     MapField,
     MapJet,
     TargetSpec,
@@ -109,6 +110,9 @@ class FlowConfig:
     def __post_init__(self):
         check_block({k: v for k, v in vars(self).items() if k != "target"},
                     FLOW_FIELDS, "flow")
+        if not isinstance(self.target, TARGET_KINDS):
+            kinds = " or ".join(kind.kind for kind in TARGET_KINDS)
+            raise DomainError(f"flow.target: must be a {kinds} target, got {self.target!r}")
         ell_max = self.ell_max if self.ell_max is not None else self.ell0
         # name the first value out of order in the chain; a defaulted ell_max is ell0
         chain = (("ell_floor", 0.0 < self.ell_floor),
@@ -231,7 +235,7 @@ class RunArrays:
         # the value arrays first: the one a run's final state keeps then
         # sits below the others, which malloc can return from the heap top
         self.values = (np.empty(shape), np.empty(shape))
-        self.jet = MapJet.empty(config.target, config.n_s, config.n_theta)
+        self.jet = MapJet(config.target, config.n_s, config.n_theta)
         self.tau = np.empty(shape)
         self.tau_mid = np.empty(shape)
 
@@ -266,7 +270,8 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     u = state.u
     vals = np.multiply(tau, config.dt, out=work.free_values(state))
     vals += u.values
-    u.target.project(vals, out=vals, norms=work.jet.node[2], tmp=work.jet.node[3])
+    norms, tmp = work.jet.scratch
+    u.target.project(vals, out=vals, norms=norms, tmp=tmp)
     ell = state.ell + config.dt * speed
     t = state.t + config.dt
     if not np.isfinite(vals).all() or not math.isfinite(ell):

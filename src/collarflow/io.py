@@ -20,8 +20,9 @@ import numpy as np
 
 from collarflow import __version__
 from collarflow.geometry import CollarGrid, DomainError, check_block
-from collarflow.fields import TargetSpec
+from collarflow.fields import MapField, TargetSpec
 from collarflow.flow import FLOW_FIELDS, FlowConfig, FlowTrace
+from collarflow.quad_diff import QuadDiffField
 
 FLOAT_FMT = "%.17g"
 COMMENT_PREFIX = "# "
@@ -260,7 +261,6 @@ def qd_field_to_csv(field, csv_path, header_path, provenance: dict | None = None
 
 
 def qd_field_from_csv(csv_path, header_path):
-    from collarflow.quad_diff import QuadDiffField
     _, grid = _read_header(header_path, _GRID_HEADER)
     columns = _read_columns(csv_path, grid, ("re_psi", "im_psi"))
     shape = (grid.n_s, grid.n_theta)
@@ -277,7 +277,6 @@ def map_to_csv(u, csv_path, header_path, provenance: dict | None = None) -> None
 
 
 def map_from_csv(csv_path, header_path):
-    from collarflow.fields import MapField
     header, grid = _read_header(header_path, {**_GRID_HEADER, "target": dict})
     target = TargetSpec.from_dict(header["target"], f"{header_path}.target")
     names = [f"u_{d}" for d in range(target.dim)]

@@ -210,19 +210,9 @@ def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
 
     Vanishes exactly on (weakly) conformal maps, and its hyperbolic L^1
     norm never exceeds four times the coordinate energy.  psi is the
-    jet's psi, written through its bound real and imaginary views: the
-    imaginary part is 0 - 2 X with X = <u_s, u_theta>, so a zero cross
-    term gives +0.0 as the complex form 0 - (0 + 2X i) did.
+    jet's, filled by MapJet.hopf.
     """
-    J = jet_ or jet(u)
-    # the densities first: their pass, if still due, takes node[2:4] as scratch
-    u_s_sq, u_theta_sq = J.densities()
-    cross = u.target.dot(J.u_s, J.u_theta, J.node[2], J.node[3])
-    re, im = J._psi_parts
-    np.subtract(u_s_sq, u_theta_sq, out=re)
-    cross *= 2.0
-    np.subtract(0.0, cross, out=im)
-    return QuadDiffField(u.grid, J.psi)
+    return QuadDiffField(u.grid, (jet_ or jet(u)).hopf())
 
 
 def thin_thick_decay_ratio(field: QuadDiffField, delta: float,

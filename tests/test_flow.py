@@ -114,6 +114,17 @@ class TestConfig:
         with pytest.raises(DomainError, match="s_max"):
             wrap_config(s_max=s_max)
 
+    @pytest.mark.parametrize("target, shown", [("flat", "'flat'"),
+                                               (TargetSpec(1), "TargetSpec(dim=1)")],
+                             ids=["string", "bare-spec"])
+    def test_target_must_be_a_target_kind(self, target, shown):
+        # before the check a string died in run and a bare TargetSpec in
+        # io.provenance_for, each with an AttributeError
+        with pytest.raises(DomainError) as exc:
+            frozen_config(target=target)
+        assert str(exc.value) == ("flow.target: must be a flat-torus or round-sphere "
+                                  f"target, got {shown}")
+
     def test_config_builds_its_grid_outside_the_fields(self):
         cfg = wrap_config(s_max=5.0, safety=0.1)
         assert cfg.s_max == cfg.grid.s_max == 5.0

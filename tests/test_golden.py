@@ -47,15 +47,25 @@ RUNS = {
 }
 
 
-def _sphere_rk2_config() -> FlowConfig:
-    """30 RK2 steps of a 48x12 map into the round 2-sphere: the sphere
-    projection and the RK2 midpoint, which no demo runs."""
+def _flow_config(target: TargetSpec, stepper: str, steps: int) -> FlowConfig:
+    """A 48x12 flow of the given steps with eta > 0, so the length moves."""
     floor, ell_max = 0.1, 0.4
     s_max = CollarGrid(ell_max, 4, 4).s_max
     dt = 0.8 * stability_limit(floor, 48, 12, s_max)
-    return FlowConfig(ell0=0.2, eta=0.5, dt=dt, t_end=30 * dt, n_s=48, n_theta=12,
-                      target=TargetSpec.round_sphere(3), ell_max=ell_max,
-                      ell_floor=floor, stepper="rk2", stride=10)
+    return FlowConfig(ell0=0.2, eta=0.5, dt=dt, t_end=steps * dt, n_s=48, n_theta=12,
+                      target=target, ell_max=ell_max, ell_floor=floor, stepper=stepper,
+                      stride=10)
+
+
+# flows whose final map is dumped, by output directory: the sphere projection
+# and the RK2 midpoint, which no demo runs, and the wrapped two-component
+# densities and Hopf term of an Euler flow into the 2-torus
+FLOWS = {
+    "sphere_rk2": (_flow_config(TargetSpec.round_sphere(3), "rk2", 30),
+                   {"kind": "sphere-equator", "eps": 0.2}),
+    "torus_euler": (_flow_config(TargetSpec.flat_torus(2), "euler", 40),
+                    {"kind": "theta-modes", "amplitudes": [0.3, 0.15, 0.1]}),
+}
 
 
 def generate(root: Path) -> dict[str, str]:
@@ -63,11 +73,10 @@ def generate(root: Path) -> dict[str, str]:
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        cfg = _sphere_rk2_config()
-        trace = run(cfg, build_initial(cfg, {"kind": "sphere-equator", "eps": 0.2}))
-        Path("sphere_rk2").mkdir()
-        cfio.map_to_csv(trace.final.u, "sphere_rk2/map.csv", "sphere_rk2/map.json",
-                        {"seed": 0})
+        for out, (cfg, initial) in FLOWS.items():
+            trace = run(cfg, build_initial(cfg, initial))
+            Path(out).mkdir()
+            cfio.map_to_csv(trace.final.u, f"{out}/map.csv", f"{out}/map.json", {"seed": 0})
         with contextlib.redirect_stdout(io.StringIO()):
             for out, argv in RUNS.items():
                 assert main([*argv, "--out", out]) == 0, argv

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from collarflow.fields import MapField, TargetSpec, energies, jet, sample_map
+from collarflow.fields import (MapField, TargetSpec, energies, jet, sample_map, tension,
+                               tension_density)
 from collarflow.geometry import (CollarGrid, DomainError, delta_thin_half_length,
                                  dz2_norms, half_length)
 from collarflow.quad_diff import (
@@ -177,6 +178,11 @@ class TestProjection:
         assert mc.coefficient(2) == pytest.approx(0.3 - 0.2j, abs=1e-12)
 
 
+def _tension_density(u, J):
+    """u's tension density, formed in J's scratch rows."""
+    return tension_density(u, tension(u, J), J)
+
+
 class TestHopf:
     @pytest.mark.parametrize("kind", ["random", "theta-only"])
     def test_psi_matches_complex_formula_bitwise(self, kind):
@@ -198,24 +204,30 @@ class TestHopf:
         if kind == "theta-only":
             assert not np.signbit(psi.imag).any()
 
-    @pytest.mark.parametrize("target", [TargetSpec.flat_torus(2), TargetSpec.round_sphere()],
-                             ids=["flat-torus2", "round-sphere"])
-    def test_psi_of_a_fresh_jet_equals_psi_after_energies_bitwise(self, target):
+    @pytest.mark.parametrize("target, first", [
+        pytest.param(TargetSpec.flat_torus(2), energies, id="flat-torus2"),
+        pytest.param(TargetSpec.round_sphere(), energies, id="round-sphere"),
+        pytest.param(TargetSpec.flat_torus(2), _tension_density,
+                     id="flat-torus2-tension_density"),
+        pytest.param(TargetSpec.round_sphere(), _tension_density,
+                     id="round-sphere-tension_density")])
+    def test_psi_of_a_fresh_jet_equals_psi_after_energies_bitwise(self, target, first):
         # on a fresh or refilled jet hopf_differential sums the densities
-        # itself, and that pass's scratch must not take the cross term;
-        # the flow traces cannot show it, since sampled rows sum the
-        # densities before hopf_differential and other steps read Re b0 alone
+        # itself, and neither that pass nor an earlier user of the scratch
+        # rows (energies, tension_density) may change the cross term; the
+        # flow traces cannot show it, since sampled rows sum the densities
+        # before hopf_differential and other steps read Re b0 alone
         grid = CollarGrid(0.3, n_s=32, n_theta=16, s_max=2.5)
         rng = np.random.default_rng(11)
         maps = [MapField(grid, target.project(rng.uniform(-2.0, 2.0, (32, 16, target.dim))),
                          target) for _ in range(2)]
         for u in maps:
-            summed = jet(u)
-            energies(u, summed)
-            want = hopf_differential(u, summed).psi.tobytes()
+            used = jet(u)
+            first(u, used)
+            want = hopf_differential(u, used).psi.tobytes()
             assert hopf_differential(u, jet(u)).psi.tobytes() == want
         J = jet(maps[0])
-        energies(maps[0], J)
+        first(maps[0], J)
         assert hopf_differential(maps[1], jet(maps[1], out=J)).psi.tobytes() == want
 
     def test_wrap_map_constant_hopf(self):
