@@ -373,7 +373,7 @@ def angular_bound_audit(u: MapField, profile_step: float = 0.05,
 
     J = jet(u)
     theta_vals, forcing = window_integrals(
-        grid, s0, J.u_theta_sq, tension_density(u, tension(u, J)))
+        grid, s0, J.u_theta_sq, tension_density(u, tension(u, J), J))
 
     profile = ProfileFn(s0, theta_vals)
     Lth = delay_operator(profile)

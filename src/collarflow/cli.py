@@ -104,8 +104,11 @@ def cmd_qd(args) -> int:
     if args.config is not None:
         doc = check_block(cfio.read_json(args.config), _QD_FILE)
         params = doc["qd"]
-        grid = CollarGrid(params["ell"], params["n_s"], params["n_theta"],
-                          s_max=params.get("s_max"))
+        try:
+            grid = CollarGrid(params["ell"], params["n_s"], params["n_theta"],
+                              s_max=params.get("s_max"))
+        except DomainError as exc:
+            raise DomainError(f"qd.{exc}") from exc
         field = synthesize({int(key): complex(real, imag)
                             for key, (real, imag) in params["modes"].items()}, grid=grid)
     else:
@@ -333,6 +336,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array numpy could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except FlowError as exc:  # a flow step left the finite state space
         print(f"error: {exc}", file=sys.stderr)

@@ -74,10 +74,9 @@ class TargetSpec:
         return {"kind": self.kind, **{key: list(v) if isinstance(v, tuple) else v
                                       for key, v in vars(self).items()}}
 
-    def wrap_increment(self, d: np.ndarray, out: np.ndarray | None = None,
-                       tmp: np.ndarray | None = None) -> np.ndarray:
-        """d reduced to the nearest representatives, into out (may be d) or a new array."""
-        return _into(out, d)
+    def wrap_increment(self, d: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+        """d reduced in place to the nearest representatives, and returned."""
+        return d
 
     def dot(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
             tmp: np.ndarray | None = None) -> np.ndarray:
@@ -92,15 +91,15 @@ class TargetSpec:
             out += np.multiply(a[..., k], b[..., k], out=tmp)
         return out
 
-    def project(self, values: np.ndarray, out: np.ndarray | None = None,
-                norms: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-        """Closest-point projection onto the target, into out (may be values) if given."""
-        return values if out is None else _into(out, values)
+    def project(self, values: np.ndarray, norms: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
+        """values replaced in place by their closest points on the target, and returned."""
+        return values
 
-    def tangential(self, u: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
-                   c: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-        """w projected onto the tangent space at u, into out (may be w) if given."""
-        return w if out is None else _into(out, w)
+    def tangential(self, u: np.ndarray, w: np.ndarray, c: np.ndarray | None = None,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+        """w replaced in place by its part tangent to the target at u, and returned."""
+        return w
 
     def check_values(self, values: np.ndarray) -> None:
         """Raise DomainError unless the (finite) map values lie on the target."""
@@ -122,17 +121,15 @@ class FlatTorus(TargetSpec):
         if not all(0 < p < math.inf for p in self.periods):
             raise DomainError(f"periods: must be positive and finite, got {list(self.periods)}")
 
-    def wrap_increment(self, d, out=None, tmp=None):
-        # x - p round(x / p) one component at a time, p round(x / p) in tmp
-        out = _into(out, d)
-        tmp = np.empty(out.shape[:-1]) if tmp is None else tmp
+    def wrap_increment(self, d, tmp=None):
+        # x - p round(x / p) one component at a time, p round(x / p) in tmp if
+        # given (a 0-d x gives scalars, which the operators rebind)
         for k, p in enumerate(self.periods):
-            x = out[..., k]
-            np.divide(x, p, out=tmp)
-            np.rint(tmp, out=tmp)
-            tmp *= p
-            x -= tmp
-        return out
+            x = d[..., k]
+            r = np.rint(np.divide(x, p, out=tmp), out=tmp)
+            r *= p
+            x -= r
+        return d
 
 
 @dataclass(frozen=True)
@@ -146,23 +143,21 @@ class RoundSphere(TargetSpec):
         if self.dim < 2:
             raise DomainError(f"dim: must be >= 2, got {self.dim}")
 
-    def project(self, values, out=None, norms=None, tmp=None):
+    def project(self, values, norms=None, tmp=None):
         # values / |values| one component at a time, |values| in norms
         norms = np.sqrt(self.dot(values, values, norms, tmp), out=norms)
         if not norms.all():
             raise DomainError("cannot project the zero vector onto the sphere")
-        out = np.empty(values.shape) if out is None else out
         for k in range(values.shape[-1]):
-            np.divide(values[..., k], norms, out=out[..., k])
-        return out
+            np.divide(values[..., k], norms, out=values[..., k])
+        return values
 
-    def tangential(self, u, w, out=None, c=None, tmp=None):
+    def tangential(self, u, w, c=None, tmp=None):
         # w - <w, u> u one component at a time, <w, u> in c and each product in tmp
         c = self.dot(w, u, c, tmp)
-        out = np.empty_like(w) if out is None else out
         for k in range(w.shape[-1]):
-            np.subtract(w[..., k], np.multiply(c, u[..., k], out=tmp), out=out[..., k])
-        return out
+            np.subtract(w[..., k], np.multiply(c, u[..., k], out=tmp), out=w[..., k])
+        return w
 
     def check_values(self, values: np.ndarray) -> None:
         # |norm - 1| in place, so a check holds at most two node arrays
@@ -178,15 +173,6 @@ class RoundSphere(TargetSpec):
 TARGET_KINDS = (FlatTorus, RoundSphere)
 _KINDS = {FlatTorus.kind: TargetSpec.flat_torus, RoundSphere.kind: TargetSpec.round_sphere}
 _SCHEMA = ("kind", {cls.kind: cls.keys for cls in TARGET_KINDS})
-
-
-def _into(out: np.ndarray | None, a: np.ndarray) -> np.ndarray:
-    """a copied into out, or into a new float array when out is None; out may be a."""
-    if out is None:
-        return np.array(a, dtype=float)
-    if out is not a:
-        out[...] = a
-    return out
 
 
 @dataclass
@@ -223,7 +209,8 @@ def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
     vals = np.asarray(fn(S, T), dtype=float)
     if vals.shape[:2] != (grid.n_s, grid.n_theta):
         vals = np.moveaxis(vals, 0, -1)
-    return MapField(grid, target.project(vals), target)
+    # a copy, projected in place, so no array fn returned is written
+    return MapField(grid, target.project(vals.copy()), target)
 
 
 class MapJet:
@@ -340,7 +327,7 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     np.subtract(v[1:], v[:-1], out=J.d_s)
     np.subtract(vf[d:], vf[:-d], out=Dt_lo)
     np.subtract(v[:, 0], v[:, -1], out=Dt_last)
-    target.wrap_increment(J.diffs, out=J.diffs, tmp=J._wrap_tmp)
+    target.wrap_increment(J.diffs, tmp=J._wrap_tmp)
 
     # first derivatives, each then divided whole by its spacing: the s
     # interior D[i] + D[i - 1] and both end rows 3.0 D0 - D1 over 2 h_s, the
@@ -381,7 +368,7 @@ def tension(u: MapField, jet_: MapJet | None = None,
     J = jet_ or jet(u)
     flat = np.add(J.u_ss, J.u_thth, out=out)
     rho_inv_sq, tmp = J.scratch
-    u.target.tangential(u.values, flat, out=flat, c=rho_inv_sq, tmp=tmp)
+    u.target.tangential(u.values, flat, c=rho_inv_sq, tmp=tmp)
     # rho^-2 spread over theta once, into the row the projection's <w, u> has
     # left, then one product per component: as a broadcast operand numpy
     # would buffer it to the size of a map

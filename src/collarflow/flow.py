@@ -131,7 +131,7 @@ class FlowConfig:
             raise DomainError(f"flow.stepper: must be 'euler' or 'rk2', got {self.stepper!r}")
         if self.stride < 1:
             raise DomainError(f"flow.stride: must be >= 1, got {self.stride}")
-        for name in ("dt", "t_end"):
+        for name in ("dt", "t_end", "blowup_sup_density"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"flow.{name}: must be > 0, got {getattr(self, name)}")
         for name in ("n_s", "n_theta"):
@@ -271,7 +271,7 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     vals = np.multiply(tau, config.dt, out=work.free_values(state))
     vals += u.values
     norms, tmp = work.jet.scratch
-    u.target.project(vals, out=vals, norms=norms, tmp=tmp)
+    u.target.project(vals, norms=norms, tmp=tmp)
     ell = state.ell + config.dt * speed
     t = state.t + config.dt
     if not np.isfinite(vals).all() or not math.isfinite(ell):

@@ -44,10 +44,11 @@ def check_block(value, schema, where: str = ""):
     schema maps each allowed key to its type ("key?": may be absent):
     float (finite, never a bool), int (never a bool), str, dict (any
     object), T | None, list[T], tuple[T, U] (a list of exactly those),
-    dict[int, T] (integer-string keys) or a nested table.  A pair (tag,
-    {tag value: table}) lets the tag key's value pick the table.  Nothing
-    is coerced; a failure raises DomainError starting with the dotted
-    JSON path of the bad value ("top level" when where is empty).
+    dict[int, T] (canonical integer-string keys: no leading zero, no "-0")
+    or a nested table.  A pair (tag, {tag value: table}) lets the tag
+    key's value pick the table.  Nothing is coerced; a failure raises
+    DomainError starting with the dotted JSON path of the bad value ("top
+    level" when where is empty).
     """
     table = isinstance(schema, (dict, tuple))
     origin = dict if table else typing.get_origin(schema) or schema
@@ -80,8 +81,8 @@ def check_block(value, schema, where: str = ""):
                 raise DomainError(f"{here}: missing key {name!r}")
     elif origin is dict and args:  # dict[int, T]
         for key, item in value.items():
-            if not re.fullmatch(r"-?[0-9]+", key):
-                raise DomainError(f"{where}: key {key!r} is not an integer")
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+                raise DomainError(f"{where}: key {key!r} is not a canonical integer")
             check_block(item, args[1], f"{where}.{key}")
     elif origin in (list, tuple):
         for i, item in enumerate(value):
@@ -99,6 +100,14 @@ def _check_ell(ell: float, *, closed_top: bool = True) -> float:
     elif ell >= ELL_MAX:
         raise DomainError(f"core length {ell} not strictly below 2*arsinh(1) = {ELL_MAX}")
     return ell
+
+
+def _check_grid_ell(ell: float) -> float:
+    """A grid's core length, inside the open interval; an error starts with "ell: "."""
+    try:
+        return _check_ell(ell, closed_top=False)
+    except DomainError as exc:
+        raise DomainError(f"ell: {exc}") from None
 
 
 def half_length(ell: float) -> float:
@@ -267,16 +276,17 @@ class CollarGrid:
     nodes are the uniform periodic grid on [0, 2pi).  Quadrature weights
     are the cell widths (midpoint rule in s, periodic rectangle rule in
     theta), so they sum to the coordinate area 4 pi s_max.  The core
-    length must lie strictly inside (0, 2 arsinh 1).
+    length must lie strictly inside (0, 2 arsinh 1).  An error starts with
+    the bad argument's key ("n_s: ").
     """
 
     def __init__(self, ell: float, n_s: int, n_theta: int, s_max: float | None = None):
-        if n_s < 4 or n_theta < 4:
-            raise DomainError("need at least 4 nodes in each direction")
+        for key, n in (("n_s", n_s), ("n_theta", n_theta)):
+            if n < 4:
+                raise DomainError(f"{key}: need at least 4 nodes in each direction, got {n}")
         self.n_s = int(n_s)
         self.n_theta = int(n_theta)
-        self.s_max = float(half_length(_check_ell(ell, closed_top=False))
-                           if s_max is None else s_max)
+        self.s_max = float(half_length(_check_grid_ell(ell)) if s_max is None else s_max)
         xi_edge = np.linspace(-1.0, 1.0, self.n_s + 1)
         self.s_nodes = self.s_max * (0.5 * (xi_edge[:-1] + xi_edge[1:]))
         self.s_weights = np.diff(self.s_max * xi_edge)
@@ -288,10 +298,10 @@ class CollarGrid:
 
     def _set_metric(self, ell: float) -> None:
         """Check ell and s_max <= X(ell); sample the metric on _rho, not conformal_factor."""
-        self.ell = _check_ell(ell, closed_top=False)
+        self.ell = _check_grid_ell(ell)
         X = half_length(self.ell)
         if not 0.0 < self.s_max <= X:
-            raise DomainError(f"s_max = {self.s_max} must lie in (0, X] with X = {X}")
+            raise DomainError(f"s_max: must lie in (0, X] with X = {X}, got {self.s_max}")
         self.rho = _rho(self.ell, self.s_nodes)
         self.rho_sq = self.rho**2
         self.rho_inv_sq = 1.0 / self.rho_sq

@@ -154,10 +154,19 @@ def write_json(path, payload: dict, provenance: dict | None = None) -> None:
 
 
 def read_json(path):
-    """Decoded JSON file; unreadable or malformed files raise DomainError."""
+    """Decoded JSON file; unreadable or malformed files, and an object that
+    names a key twice, raise DomainError."""
+    def unique(pairs):
+        seen = {}
+        for key, value in pairs:
+            if key in seen:
+                raise DomainError(f"{path}: duplicate key {key!r}")
+            seen[key] = value
+        return seen
+
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
@@ -214,8 +223,12 @@ def trace_summary(trace: FlowTrace) -> dict:
 
 
 def _read_header(path, schema: dict) -> tuple[dict, CollarGrid]:
+    """The header's keys and grid; an error starts with the path of the bad value."""
     d = check_block(read_json(path), schema, str(path))
-    return d, CollarGrid(d["ell"], d["n_s"], d["n_theta"], s_max=d["s_max"])
+    try:
+        return d, CollarGrid(d["ell"], d["n_s"], d["n_theta"], s_max=d["s_max"])
+    except DomainError as exc:
+        raise DomainError(f"{path}.{exc}") from exc
 
 
 def _node_columns(grid) -> dict:

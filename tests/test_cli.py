@@ -622,12 +622,41 @@ class TestCliDriver:
         ("qd", "qd.stretch", "arctan", "qd: unknown key 'stretch'"),
         ("flow", "flow.target", {"kind": "round-sphere", "periods": [1.0]},
          "flow.target: unknown key 'periods'"),
+        ("flow", "flow.blowup_sup_density", 0.0,
+         "flow.blowup_sup_density: must be > 0, got 0.0"),
+        ("qd", "qd.n_s", 3, "qd.n_s: need at least 4 nodes"),
+        ("qd", "qd.s_max", 1000.0, "qd.s_max: must lie in (0, X]"),
+        ("qd", "qd.modes.01", [2, 0], "qd.modes: key '01' is not a canonical integer"),
+        ("qd", "qd.modes.-0", [2, 0], "qd.modes: key '-0' is not a canonical integer"),
     ])
     def test_malformed_config_names_json_path(self, subcommand, path, value, named):
         base = FLOW_DOC if subcommand == "flow" else QD_DOC
         code, lines = _run_config(subcommand, _with(base, path, value))
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith(f"error: {named}")
+
+    def test_duplicate_json_key_exit_2(self, tmp_path, capsys):
+        # json.loads alone would keep the last eta and run the relax demo at 0.5
+        cfg, init = demo_config("relax")
+        text = json.dumps({"flow": cfio.config_to_dict(cfg), "initial": init})
+        assert '"eta": 0.0,' in text
+        path = tmp_path / "dup.json"
+        path.write_text(text.replace('"eta": 0.0,', '"eta": 0.0, "eta": 0.5,'))
+        assert main(["flow", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: duplicate key 'eta'\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("subcommand", ["flow", "geometry"])
+    def test_refused_allocation_exit_2(self, tmp_path, capsys, subcommand):
+        # 10^15 doubles lie past any address space: numpy refuses them unwritten
+        if subcommand == "flow":
+            (tmp_path / "c.json").write_text(json.dumps(_with(FLOW_DOC, "flow.n_s", 10**15)))
+            argv = ["flow", "--config", str(tmp_path / "c.json")]
+        else:
+            argv = ["geometry", "--ell", "0.2", "--samples", str(10**15)]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -658,6 +687,9 @@ class TestCliDriver:
         ("qd", {"bogus": 1}, ": unknown key 'bogus'"),
         ("angular", {"target": 5}, ".target: must be an object"),
         ("angular", {"stretch": "arctan"}, ": unknown key 'stretch'"),
+        ("qd", {"n_s": 2}, ".n_s: need at least 4 nodes"),
+        ("angular", {"s_max": 1e6}, ".s_max: must lie in (0, X]"),
+        ("angular", {"ell": -1.0}, ".ell: core length must be finite and positive"),
     ])
     def test_field_header_names_file_and_key(self, tmp_path, capsys,
                                              subcommand, patch, named):

@@ -317,23 +317,29 @@ class TestJet:
             for name, want in slice_formula_jet(u).items():
                 assert getattr(J, name).tobytes() == want.tobytes(), name
 
-    def test_in_place_target_operations_match_allocating_ones(self):
+    @pytest.mark.parametrize("work", [False, True], ids=["no-work", "work-rows"])
+    @pytest.mark.parametrize("target", [
+        TargetSpec.flat_torus(1, periods=(1.5,)),
+        TargetSpec.flat_torus(2, periods=(1.5, 2 * math.pi)),
+        TargetSpec.round_sphere(3)], ids=["torus1", "torus2", "round-sphere"])
+    def test_target_operations_work_in_place(self, target, work):
+        # each operation writes its array argument and returns it, bit for bit
+        # the reference formula, with or without the optional work rows
         rng = np.random.default_rng(4)
-        torus = TargetSpec.flat_torus(2, periods=(1.5, 2 * math.pi))
-        d = rng.uniform(-5.0, 5.0, size=(6, 5, 2))
-        want = d - np.asarray(torus.periods) * np.round(d / np.asarray(torus.periods))
-        got = d.copy()
-        assert torus.wrap_increment(got, out=got, tmp=np.empty((6, 5))) is got
-        assert got.tobytes() == torus.wrap_increment(d).tobytes() == want.tobytes()
-        sph = TargetSpec.round_sphere()
-        v, w = rng.normal(size=(2, 6, 5, 3))
-        node = np.empty((2, 6, 5))
-        p = v.copy()
-        sph.project(p, out=p, norms=node[0], tmp=node[1])
-        assert p.tobytes() == (v / np.linalg.norm(v, axis=-1, keepdims=True)).tobytes()
-        t = w.copy()
-        sph.tangential(p, t, out=t, c=node[0], tmp=node[1])
-        assert t.tobytes() == (w - np.sum(w * p, axis=-1, keepdims=True) * p).tobytes()
+        d, v, w = rng.uniform(-5.0, 5.0, size=(3, 6, 5, target.dim))
+        if target.kind == "flat-torus":
+            periods = np.asarray(target.periods)
+            want_d, want_p = d - periods * np.round(d / periods), v.copy()
+        else:
+            want_d, want_p = d.copy(), v / np.linalg.norm(v, axis=-1, keepdims=True)
+        rows = np.empty((2, 6, 5)) if work else (None, None)
+        assert target.wrap_increment(d, tmp=rows[0]) is d
+        assert target.project(v, norms=rows[0], tmp=rows[1]) is v
+        want_t = w - np.sum(w * v, axis=-1, keepdims=True) * v \
+            if target.kind == "round-sphere" else w.copy()
+        assert target.tangential(v, w, c=rows[0], tmp=rows[1]) is w
+        for got, want in ((d, want_d), (v, want_p), (w, want_t)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTension:
