@@ -77,14 +77,15 @@ def cmd_geometry(args) -> int:
         summary["delta"] = args.delta
         summary["delta_thin_half_length"] = X_delta
         summary["thick_margin"] = summary["half_length"] - X_delta
-    cfio.write_json(out / "geometry_summary.json", summary, prov)
-
+    # the profile is built before the first write, so a rejected size leaves no file
     s = np.linspace(-0.999, 0.999, args.samples) * summary["half_length"]
-    cfio.write_csv(out / "geometry_profile.csv", {
+    profile = {
         "s": s,
         "rho": np.array([conformal_factor(args.ell, v) for v in s]),
         "injectivity": np.array([injectivity_radius(args.ell, v) for v in s]),
-    }, prov)
+    }
+    cfio.write_json(out / "geometry_summary.json", summary, prov)
+    cfio.write_csv(out / "geometry_profile.csv", profile, prov)
     return 0
 
 

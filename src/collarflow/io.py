@@ -34,12 +34,19 @@ def _format_value(x) -> str:
     return str(x)
 
 
+# rows formatted and written per block, so a dump's transient text is
+# bounded by the block, not by the file
+_BLOCK_ROWS = 1024
+
+
 def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     """Write named float columns with an exact-width float format.
 
     Column order follows the dict; all columns must share one length and
     hold floats.  Every row comes from one template.  Provenance entries
-    become sorted leading comment lines.
+    become sorted leading comment lines.  Rows are written in blocks of
+    _BLOCK_ROWS through one open file; a rejected column creates no file,
+    and a write that fails partway removes the partial file.
     """
     names = list(columns)
     if not names:
@@ -51,19 +58,34 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     for name, a in zip(names, arrays):
         if a.dtype.kind != "f":
             raise DomainError(f"csv column {name!r} must hold floats, got {a.dtype}")
-    lines = [f"{COMMENT_PREFIX}{key}: {_format_value(provenance[key])}"
-             for key in sorted(provenance or {})]
-    lines.append(",".join(names))
+    head = "".join(f"{COMMENT_PREFIX}{key}: {_format_value(provenance[key])}\n"
+                   for key in sorted(provenance or {})) + ",".join(names) + "\n"
     cells = [_repeated_cells(a) for a in arrays]
-    row = ",".join(FLOAT_FMT if c is None else "%s" for c in cells)
-    lines.extend(row % r for r in zip(*(a.tolist() if c is None else c
-                                         for a, c in zip(arrays, cells))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(FLOAT_FMT if c is None else "%s" for c in cells) + "\n"
+    f = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with f:
+            f.write(head)
+            for text in _row_blocks(row, arrays, cells):
+                f.write(text)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
-def _repeated_cells(a: np.ndarray) -> list[str] | None:
-    """The column's cells as text when it holds at most half as many distinct
-    values as rows (each distinct value formatted once), else None.
+def _row_blocks(row: str, arrays: list, cells: list):
+    """The rows' text, _BLOCK_ROWS rows at a time, each row from the template."""
+    for start in range(0, len(arrays[0]), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        yield "".join(row % r for r in zip(*(
+            a[block].tolist() if c is None else c[0][c[1][block]].tolist()
+            for a, c in zip(arrays, cells))))
+
+
+def _repeated_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The column as (its distinct values' texts, each row's index into
+    them) when it holds at most half as many distinct values as rows (each
+    distinct value formatted once), else None.
 
     Values are told apart by their bit pattern, so -0.0 and 0.0, and every
     NaN, keep the text FLOAT_FMT gives them.
@@ -73,7 +95,7 @@ def _repeated_cells(a: np.ndarray) -> list[str] | None:
     if 2 * len(keys) > len(a):
         return None
     text = np.array([FLOAT_FMT % x for x in keys.view(np.float64).tolist()], dtype=object)
-    return text[index].tolist()
+    return text, index
 
 
 def _read_text(path) -> str:
@@ -150,7 +172,7 @@ def write_json(path, payload: dict, provenance: dict | None = None) -> None:
         doc["provenance"] = {k: provenance[k] for k in sorted(provenance)}
     Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8")
+        encoding="utf-8", newline="\n")
 
 
 def read_json(path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from collarflow import io as cfio
 from collarflow.cli import main
 from collarflow.demos import DEMOS, build_initial, demo_config
 from collarflow.fields import MapField, TargetSpec, sample_map
-from collarflow.flow import TRACE_COLUMNS, run
+from collarflow.flow import TRACE_COLUMNS, FlowConfig, run, stability_limit
 from collarflow.geometry import CollarGrid, DomainError, check_block, half_length
 from collarflow.quad_diff import QuadDiffField
 from collarflow.verify import (
@@ -122,6 +124,11 @@ class TestRuntimeDependencies:
         assert out.strip() == "[]"
 
 
+# row counts either side of the CSV writer's block boundaries
+ACROSS_BLOCKS = (cfio._BLOCK_ROWS - 1, cfio._BLOCK_ROWS, cfio._BLOCK_ROWS + 1,
+                 2 * cfio._BLOCK_ROWS + 3)
+
+
 class TestCsv:
     def test_float_columns_round_trip_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -146,14 +153,16 @@ class TestCsv:
         with pytest.raises(DomainError):
             cfio.write_csv(tmp_path / "r.csv", {"a": [1.0, 2.0], "b": [3.0]})
 
-    @pytest.mark.parametrize("n_rows", [8, 0])
+    @pytest.mark.parametrize("n_rows", [8, 0, *ACROSS_BLOCKS])
     def test_rows_match_per_cell_reference_bytewise(self, tmp_path, n_rows):
+        # past 8 rows the edge column repeats, so it takes the repeated-column
+        # path, while f32 and x hold distinct values
         rng = np.random.default_rng(5)
-        cols = {"edge": np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324,
-                                  1.7976931348623157e308, 0.1, -2.5]),
-                "f32": (np.linspace(-1.0, 1.0, 8) / 3.0).astype(np.float32),
-                "x": rng.normal(size=8)}
-        cols = {name: a[:n_rows] for name, a in cols.items()}
+        edge = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324,
+                         1.7976931348623157e308, 0.1, -2.5])
+        cols = {"edge": np.resize(edge, n_rows),
+                "f32": (np.linspace(-1.0, 1.0, n_rows) / 3.0).astype(np.float32),
+                "x": rng.normal(size=n_rows)}
         path = tmp_path / "t.csv"
         cfio.write_csv(path, cols, {"tol": 0.1, "seed": 3, "label": "probe"})
         want = ["# label: probe", "# seed: 3", "# tol: 0.10000000000000001",
@@ -166,16 +175,56 @@ class TestCsv:
         # columns with few distinct values format each once; the bit pattern
         # keeps -0.0, 0.0 and NaN apart
         pool = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, 5e-324, 0.1, -2.5])
-        rng = np.random.default_rng(8)
-        cols = {"few": pool[rng.integers(0, len(pool), size=40)],
-                "half": np.repeat(rng.normal(size=20), 2),
-                "f32": np.repeat(np.float32([1 / 3, -0.0]), 20),
-                "x": rng.normal(size=40)}
-        path = tmp_path / "r.csv"
-        cfio.write_csv(path, cols)
-        want = ["few,half,f32,x"]
-        want += [",".join("%.17g" % cols[name][i] for name in cols) for i in range(40)]
-        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        for n_rows in (40, *ACROSS_BLOCKS):
+            rng = np.random.default_rng(8)
+            half = (n_rows + 1) // 2
+            cols = {"few": pool[rng.integers(0, len(pool), size=n_rows)],
+                    "half": np.repeat(rng.normal(size=half), 2)[:n_rows],
+                    "f32": np.repeat(np.float32([1 / 3, -0.0]), half)[:n_rows],
+                    "x": rng.normal(size=n_rows)}
+            path = tmp_path / f"r{n_rows}.csv"
+            cfio.write_csv(path, cols)
+            want = ["few,half,f32,x"]
+            want += [",".join("%.17g" % cols[name][i] for name in cols)
+                     for i in range(n_rows)]
+            assert path.read_bytes() == ("\n".join(want) + "\n").encode(), n_rows
+
+    def test_map_dump_peak_memory_is_bounded(self, tmp_path):
+        # the large-grid sphere start: 24576 rows, 2.45 MB of text.  Holding
+        # every row, their text and its bytes at once peaked at 12.0 MB; in row
+        # blocks the peak is 4.2 MB, most of it the input columns and the
+        # repeated columns' distinct texts and inverse indices
+        s_max = CollarGrid(0.4, 4, 4).s_max
+        dt = 0.8 * stability_limit(0.1, 384, 64, s_max)
+        cfg = FlowConfig(ell0=0.2, eta=0.5, dt=dt, t_end=dt, n_s=384, n_theta=64,
+                         target=TargetSpec.round_sphere(3), ell_max=0.4, ell_floor=0.1)
+        u = MapField(cfg.grid_at(cfg.ell0),
+                     build_initial(cfg, {"kind": "sphere-equator", "eps": 0.2}), cfg.target)
+        tracemalloc.start()
+        try:
+            cfio.map_to_csv(u, tmp_path / "m.csv", tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "m.csv").stat().st_size > 2_400_000
+        assert peak < 5_000_000
+
+    def test_failed_block_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # a file cut at a row boundary would read back as a shorter valid csv
+        path = tmp_path / "f.csv"
+        blocks = cfio._row_blocks
+
+        def disk_fills_on_second_block(*args):
+            rows = blocks(*args)
+            yield next(rows)
+            assert path.stat().st_size > 0  # the first block reached the file
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cfio, "_row_blocks", disk_fills_on_second_block)
+        x = np.random.default_rng(2).normal(size=ACROSS_BLOCKS[-1])
+        with pytest.raises(OSError, match="No space left"):
+            cfio.write_csv(path, {"x": x})
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.arange(3), [1, 2, 3],
                                      np.array(["a", "b", "c"])],
@@ -648,15 +697,18 @@ class TestCliDriver:
 
     @pytest.mark.parametrize("subcommand", ["flow", "geometry"])
     def test_refused_allocation_exit_2(self, tmp_path, capsys, subcommand):
-        # 10^15 doubles lie past any address space: numpy refuses them unwritten
+        # 10^15 doubles lie past any address space: numpy refuses them unwritten,
+        # and the command writes no file before it asks for them
         if subcommand == "flow":
             (tmp_path / "c.json").write_text(json.dumps(_with(FLOW_DOC, "flow.n_s", 10**15)))
             argv = ["flow", "--config", str(tmp_path / "c.json")]
         else:
             argv = ["geometry", "--ell", "0.2", "--samples", str(10**15)]
-        assert main([*argv, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -29,7 +29,7 @@ import pytest
 from collarflow import io as cfio
 from collarflow.cli import main
 from collarflow.demos import build_initial
-from collarflow.fields import TargetSpec
+from collarflow.fields import MapField, TargetSpec
 from collarflow.flow import FlowConfig, run, stability_limit
 from collarflow.geometry import CollarGrid
 
@@ -47,12 +47,13 @@ RUNS = {
 }
 
 
-def _flow_config(target: TargetSpec, stepper: str, steps: int) -> FlowConfig:
-    """A 48x12 flow of the given steps with eta > 0, so the length moves."""
+def _flow_config(target: TargetSpec, stepper: str, steps: int,
+                 n_s: int = 48, n_theta: int = 12) -> FlowConfig:
+    """A flow of the given steps (48x12 by default) with eta > 0, so the length moves."""
     floor, ell_max = 0.1, 0.4
     s_max = CollarGrid(ell_max, 4, 4).s_max
-    dt = 0.8 * stability_limit(floor, 48, 12, s_max)
-    return FlowConfig(ell0=0.2, eta=0.5, dt=dt, t_end=steps * dt, n_s=48, n_theta=12,
+    dt = 0.8 * stability_limit(floor, n_s, n_theta, s_max)
+    return FlowConfig(ell0=0.2, eta=0.5, dt=dt, t_end=steps * dt, n_s=n_s, n_theta=n_theta,
                       target=target, ell_max=ell_max, ell_floor=floor, stepper=stepper,
                       stride=10)
 
@@ -68,6 +69,15 @@ FLOWS = {
 }
 
 
+# initial maps dumped without a flow, by output directory: the large-grid
+# sphere start (the map the angular audit of the diagnostics workload reads),
+# whose 24576 rows span many of the CSV writer's row blocks
+INITIAL = {
+    "sphere_384x64": (_flow_config(TargetSpec.round_sphere(3), "rk2", 30, 384, 64),
+                      {"kind": "sphere-equator", "eps": 0.2}),
+}
+
+
 def generate(root: Path) -> dict[str, str]:
     """Write every golden artifact under root: {path relative to root: sha256}."""
     cwd = os.getcwd()
@@ -77,6 +87,10 @@ def generate(root: Path) -> dict[str, str]:
             trace = run(cfg, build_initial(cfg, initial))
             Path(out).mkdir()
             cfio.map_to_csv(trace.final.u, f"{out}/map.csv", f"{out}/map.json", {"seed": 0})
+        for out, (cfg, initial) in INITIAL.items():
+            u = MapField(cfg.grid_at(cfg.ell0), build_initial(cfg, initial), cfg.target)
+            Path(out).mkdir()
+            cfio.map_to_csv(u, f"{out}/map.csv", f"{out}/map.json", {"seed": 0})
         with contextlib.redirect_stdout(io.StringIO()):
             for out, argv in RUNS.items():
                 assert main([*argv, "--out", out]) == 0, argv
