@@ -49,8 +49,13 @@ from collarflow.verify import report_to_dict, run_checks
 
 
 def _out_dir(args) -> Path:
+    """The artifact directory, made on a command's first write, so a rejected
+    command leaves none behind."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"--out: {exc}") from None
     return out
 
 
@@ -59,7 +64,6 @@ def _out_dir(args) -> Path:
 def cmd_geometry(args) -> int:
     if args.samples < 0:
         raise DomainError(f"--samples must be >= 0, got {args.samples}")
-    out = _out_dir(args)
     params = {"ell": args.ell, "delta": args.delta, "samples": args.samples}
     prov = cfio.provenance_for(params, seed=args.seed, subcommand="geometry")
     norms = dz2_norms(args.ell)
@@ -84,6 +88,7 @@ def cmd_geometry(args) -> int:
         "rho": np.array([conformal_factor(args.ell, v) for v in s]),
         "injectivity": np.array([injectivity_radius(args.ell, v) for v in s]),
     }
+    out = _out_dir(args)
     cfio.write_json(out / "geometry_summary.json", summary, prov)
     cfio.write_csv(out / "geometry_profile.csv", profile, prov)
     return 0
@@ -99,7 +104,6 @@ _FLOW_FILE = {"seed?": int, "flow": dict, "initial": dict}
 
 
 def cmd_qd(args) -> int:
-    out = _out_dir(args)
     if (args.config is None) == (args.field is None):
         raise DomainError("qd needs exactly one of --config or --field")
     if args.config is not None:
@@ -124,6 +128,7 @@ def cmd_qd(args) -> int:
     if n_max is None:
         n_max = min(8, field.grid.n_theta // 2 - 1)
     dec = fourier_decompose(field, n_max=n_max)  # checks --n-max before any write
+    out = _out_dir(args)
     cfio.qd_field_to_csv(field, out / "qd_field.csv", out / "qd_field.json",
                          {"seed": seed, "subcommand": "qd"})
     summary = {
@@ -146,7 +151,6 @@ def cmd_qd(args) -> int:
 # --------------------------------------------------------------------- flow
 
 def cmd_flow(args) -> int:
-    out = _out_dir(args)
     if (args.config is None) == (args.demo is None):
         raise DomainError("flow needs exactly one of --config or --demo")
     if args.demo is not None:
@@ -161,6 +165,7 @@ def cmd_flow(args) -> int:
     seed = doc.get("seed", 0) if args.seed is None else args.seed
     prov = cfio.provenance_for(config, seed=seed, subcommand="flow",
                                status=trace.status)
+    out = _out_dir(args)
     cfio.write_csv(out / "trace.csv", {name: trace[name] for name in TRACE_COLUMNS},
                    prov)
     summary = cfio.trace_summary(trace)
@@ -176,7 +181,6 @@ def cmd_flow(args) -> int:
 # ------------------------------------------------------------------ angular
 
 def cmd_angular(args) -> int:
-    out = _out_dir(args)
     header = args.header or str(Path(args.field).with_suffix(".json"))
     u = cfio.map_from_csv(args.field, header)
     audit = angular_bound_audit(u, profile_step=args.profile_step, c1=args.c1)
@@ -189,6 +193,7 @@ def cmd_angular(args) -> int:
         "satisfied": audit.satisfied,
         "vacuous": audit.vacuous,
     })
+    out = _out_dir(args)
     cfio.write_csv(out / "angular_audit.csv", {
         "s0": audit.s0,
         "lhs": audit.theta,
@@ -237,13 +242,13 @@ def cmd_wp(args) -> int:
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    out = _out_dir(args)
     report = run_checks(seed=args.seed,
                         names=set(args.check) if args.check else None,
                         suites=set(args.suite) if args.suite else None)
     doc = report_to_dict(report, with_timing=args.with_timing)
     prov = cfio.provenance_for({"seed": args.seed}, seed=args.seed,
                                subcommand="verify")
+    out = _out_dir(args)
     cfio.write_json(out / "verify_report.json", doc, prov)
     for r in report.results:
         mark = "pass" if r.passed else "FAIL"

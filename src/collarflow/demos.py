@@ -69,8 +69,8 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
                 * np.sin(n * grid.theta_nodes)[None, :]
         return vals
     # sphere-equator
-    return target.project(sample_map(grid, target, lambda s, t: padded(
-        np.cos(t), np.sin(t), spec.get("eps", 0.0) * np.tanh(s) * np.ones_like(t))).values)
+    return sample_map(grid, target, lambda s, t: padded(
+        np.cos(t), np.sin(t), spec.get("eps", 0.0) * np.tanh(s) * np.ones_like(t))).values
 
 
 def _demo_wrap() -> tuple[FlowConfig, dict]:

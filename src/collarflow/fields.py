@@ -204,11 +204,11 @@ class MapField:
 
 
 def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
-    """Build a MapField by sampling fn(s, theta) -> dim-vector on the grid."""
+    """Build a MapField by sampling fn(s, theta) on the grid: fn takes the
+    (n_s, n_theta) node arrays and returns values of shape (n_s, n_theta,
+    dim), which are projected onto the target."""
     S, T = np.meshgrid(grid.s_nodes, grid.theta_nodes, indexing="ij")
     vals = np.asarray(fn(S, T), dtype=float)
-    if vals.shape[:2] != (grid.n_s, grid.n_theta):
-        vals = np.moveaxis(vals, 0, -1)
     # a copy, projected in place, so no array fn returned is written
     return MapField(grid, target.project(vals.copy()), target)
 

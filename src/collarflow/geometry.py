@@ -91,23 +91,17 @@ def check_block(value, schema, where: str = ""):
 
 
 def _check_ell(ell: float, *, closed_top: bool = True) -> float:
+    """ell as a float in (0, 2 arsinh 1], or the open interval for a grid; an
+    error starts with "ell: "."""
     ell = float(ell)
     if not math.isfinite(ell) or ell <= 0.0:
-        raise DomainError(f"core length must be finite and positive, got {ell!r}")
+        raise DomainError(f"ell: core length must be finite and positive, got {ell!r}")
     if closed_top:
         if ell > ELL_MAX:
-            raise DomainError(f"core length {ell} exceeds 2*arsinh(1) = {ELL_MAX}")
+            raise DomainError(f"ell: core length {ell} exceeds 2*arsinh(1) = {ELL_MAX}")
     elif ell >= ELL_MAX:
-        raise DomainError(f"core length {ell} not strictly below 2*arsinh(1) = {ELL_MAX}")
+        raise DomainError(f"ell: core length {ell} not strictly below 2*arsinh(1) = {ELL_MAX}")
     return ell
-
-
-def _check_grid_ell(ell: float) -> float:
-    """A grid's core length, inside the open interval; an error starts with "ell: "."""
-    try:
-        return _check_ell(ell, closed_top=False)
-    except DomainError as exc:
-        raise DomainError(f"ell: {exc}") from None
 
 
 def half_length(ell: float) -> float:
@@ -286,7 +280,8 @@ class CollarGrid:
                 raise DomainError(f"{key}: need at least 4 nodes in each direction, got {n}")
         self.n_s = int(n_s)
         self.n_theta = int(n_theta)
-        self.s_max = float(half_length(_check_grid_ell(ell)) if s_max is None else s_max)
+        self.s_max = float(half_length(_check_ell(ell, closed_top=False))
+                           if s_max is None else s_max)
         xi_edge = np.linspace(-1.0, 1.0, self.n_s + 1)
         self.s_nodes = self.s_max * (0.5 * (xi_edge[:-1] + xi_edge[1:]))
         self.s_weights = np.diff(self.s_max * xi_edge)
@@ -298,7 +293,7 @@ class CollarGrid:
 
     def _set_metric(self, ell: float) -> None:
         """Check ell and s_max <= X(ell); sample the metric on _rho, not conformal_factor."""
-        self.ell = _check_grid_ell(ell)
+        self.ell = _check_ell(ell, closed_top=False)
         X = half_length(self.ell)
         if not 0.0 < self.s_max <= X:
             raise DomainError(f"s_max: must lie in (0, X] with X = {X}, got {self.s_max}")

@@ -403,55 +403,32 @@ def check_csv_round_trip(rng):
     return ok, "float columns round-trip bit-exactly", None, None
 
 
-CHECKS = [
-    ("geometry", "half-length-oracle", check_half_length_oracle),
-    ("geometry", "half-length-monotone", check_half_length_monotone),
-    ("geometry", "thin-part-sandwich", check_thin_part_sandwich),
-    ("geometry", "conformal-sinh-identity", check_conformal_sinh_identity),
-    ("geometry", "dz2-quadrature", check_dz2_quadrature),
-    ("quad_diff", "mode-orthogonality", check_mode_orthogonality),
-    ("quad_diff", "fourier-round-trip", check_fourier_round_trip),
-    ("quad_diff", "principal-pythagoras", check_principal_pythagoras),
-    ("quad_diff", "projection-contraction", check_projection_contraction),
-    ("quad_diff", "thin-thick-decay", check_thin_thick_decay),
-    ("fields", "jet-linear-exact", check_jet_linear_exact),
-    ("fields", "tension-harmonic", check_tension_harmonic),
-    ("fields", "energy-conformal-invariance", check_energy_conformal_invariance),
-    ("fields", "cutoff-sandwich", check_cutoff_sandwich),
-    ("fields", "theta-window-cap", check_theta_window_cap),
-    ("flow", "wrap-length-law", check_wrap_length_law),
-    ("flow", "energy-monotone", check_energy_monotone),
-    ("flow", "energy-identity-order", check_energy_identity_order),
-    ("flow", "boundary-pinned", check_boundary_pinned),
-    ("flow", "pinch-status", check_pinch_status),
-    ("angular", "comparison-trials", check_comparison_trials),
-    ("angular", "kernel-residual-order", check_kernel_residual_order),
-    ("angular", "exp-mode-rate", check_exp_mode_rate),
-    ("wp", "distance-oracle", check_distance_oracle),
-    ("wp", "distance-bound", check_distance_bound),
-    ("wp", "correction-fit", check_correction_fit),
-    ("cli", "config-round-trip", check_config_round_trip),
-    ("cli", "csv-round-trip", check_csv_round_trip),
-]
+# each module suite's checks in registry order; a check is named by its
+# function's name without "check_" and with dashes for underscores
+SUITES = {
+    "geometry": (check_half_length_oracle, check_half_length_monotone,
+                 check_thin_part_sandwich, check_conformal_sinh_identity,
+                 check_dz2_quadrature),
+    "quad_diff": (check_mode_orthogonality, check_fourier_round_trip,
+                  check_principal_pythagoras, check_projection_contraction,
+                  check_thin_thick_decay),
+    "fields": (check_jet_linear_exact, check_tension_harmonic,
+               check_energy_conformal_invariance, check_cutoff_sandwich,
+               check_theta_window_cap),
+    "flow": (check_wrap_length_law, check_energy_monotone, check_energy_identity_order,
+             check_boundary_pinned, check_pinch_status),
+    "angular": (check_comparison_trials, check_kernel_residual_order, check_exp_mode_rate),
+    "wp": (check_distance_oracle, check_distance_bound, check_correction_fit),
+    "cli": (check_config_round_trip, check_csv_round_trip),
+}
+
+CHECKS = [(suite, fn.__name__.removeprefix("check_").replace("_", "-"), fn)
+          for suite, fns in SUITES.items() for fn in fns]
 
 # static coverage contract: every module suite owns a fixed number of
-# registered invariants; a drifting registry is a packaging bug
+# registered invariants, which the registry test holds SUITES to
 SUITE_COUNTS = {"geometry": 5, "quad_diff": 5, "fields": 5, "flow": 5,
                 "angular": 3, "wp": 3, "cli": 2}
-
-
-def _validate_registry() -> None:
-    names = [name for _, name, _ in CHECKS]
-    if len(set(names)) != len(names):
-        raise RuntimeError("duplicate check names in registry")
-    counts: dict = {}
-    for suite, _, _ in CHECKS:
-        counts[suite] = counts.get(suite, 0) + 1
-    if counts != SUITE_COUNTS:
-        raise RuntimeError(f"registry coverage drifted: {counts} != {SUITE_COUNTS}")
-
-
-_validate_registry()
 
 
 @dataclass(frozen=True)

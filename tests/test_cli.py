@@ -31,6 +31,7 @@ from collarflow.quad_diff import QuadDiffField
 from collarflow.verify import (
     CHECKS,
     SUITE_COUNTS,
+    SUITES,
     report_to_dict,
     run_checks,
 )
@@ -421,11 +422,27 @@ class TestVerifyRegistry:
         assert report.n_passed == len(CHECKS)
 
     def test_static_coverage_counts(self):
-        names = [name for _, name, _ in CHECKS]
-        assert len(set(names)) == len(names)
-        assert sum(SUITE_COUNTS.values()) == len(CHECKS)
-        suites = {suite for suite, _, _ in CHECKS}
-        assert suites == set(SUITE_COUNTS)
+        assert {suite: len(fns) for suite, fns in SUITES.items()} == SUITE_COUNTS
+        # the registry's names and order key each check's Philox stream, so
+        # a rename or reorder moves the verify report's bytes
+        assert [(suite, name) for suite, name, _ in CHECKS] == [
+            ("geometry", "half-length-oracle"), ("geometry", "half-length-monotone"),
+            ("geometry", "thin-part-sandwich"), ("geometry", "conformal-sinh-identity"),
+            ("geometry", "dz2-quadrature"),
+            ("quad_diff", "mode-orthogonality"), ("quad_diff", "fourier-round-trip"),
+            ("quad_diff", "principal-pythagoras"), ("quad_diff", "projection-contraction"),
+            ("quad_diff", "thin-thick-decay"),
+            ("fields", "jet-linear-exact"), ("fields", "tension-harmonic"),
+            ("fields", "energy-conformal-invariance"), ("fields", "cutoff-sandwich"),
+            ("fields", "theta-window-cap"),
+            ("flow", "wrap-length-law"), ("flow", "energy-monotone"),
+            ("flow", "energy-identity-order"), ("flow", "boundary-pinned"),
+            ("flow", "pinch-status"),
+            ("angular", "comparison-trials"), ("angular", "kernel-residual-order"),
+            ("angular", "exp-mode-rate"),
+            ("wp", "distance-oracle"), ("wp", "distance-bound"), ("wp", "correction-fit"),
+            ("cli", "config-round-trip"), ("cli", "csv-round-trip"),
+        ]
 
     def test_reports_byte_identical_across_runs(self):
         assert _report_bytes(seed=5) == _report_bytes(seed=5)
@@ -585,7 +602,7 @@ class TestCliDriver:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: n_max must be >= 0, got -1\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_flow_config_file(self, tmp_path):
         from collarflow.demos import demo_config
@@ -706,7 +723,7 @@ class TestCliDriver:
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -823,7 +840,7 @@ class TestCliDriver:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: column {column!r}")
         assert err.count("\n") == 1 and err.count("error:") == 1
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--c1", "inf", "c1"), ("--c1", "nan", "c1"), ("--c1", "-3", "c1"),
@@ -837,11 +854,14 @@ class TestCliDriver:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} must be finite and >")
         assert err.count("\n") == 1 and err.count("error:") == 1
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["geometry", "--ell", "0.2", "--samples", "-1"], "--samples"),
         (["wp", "--sweep", "a,b"], "--sweep"),
+        (["geometry", "--ell", "5"], "ell: "),
+        (["geometry", "--ell", "-1"], "ell: "),
+        (["geometry", "--ell", "nan"], "ell: "),
     ])
     def test_bad_numeric_flag_named(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"
@@ -850,6 +870,22 @@ class TestCliDriver:
         assert err.startswith(f"error: {flag}")
         assert err.count("\n") == 1 and err.count("error:") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["geometry", "qd", "flow", "angular", "wp",
+                                            "verify"])
+    def test_out_under_a_regular_file_exit_2(self, tmp_path, capsys, subcommand):
+        (tmp_path / "qd.json").write_text(json.dumps(QD_DOC))
+        argv = {"geometry": ["geometry", "--ell", "0.2"],
+                "qd": ["qd", "--config", str(tmp_path / "qd.json")],
+                "flow": ["flow", "--demo", "wrap"],
+                "angular": ["angular", "--field", str(_map_csv(tmp_path))],
+                "wp": ["wp"],
+                "verify": ["verify", "--check", "half-length-oracle"]}[subcommand]
+        (tmp_path / "file").write_text("")
+        assert main([*argv, "--out", str(tmp_path / "file" / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ")
+        assert err.count("\n") == 1 and err.count("error:") == 1
 
     @pytest.mark.parametrize("argv, named", [
         (["--tol", "inf"], "tol"), (["--tol", "nan"], "tol"), (["--tol", "-1"], "tol"),

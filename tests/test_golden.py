@@ -58,24 +58,32 @@ def _flow_config(target: TargetSpec, stepper: str, steps: int,
                       stride=10)
 
 
+# the large-grid benchmark workload's 384x64 sphere flow at seed 0
+SPHERE_384X64 = (_flow_config(TargetSpec.round_sphere(3), "rk2", 30, 384, 64),
+                 {"kind": "sphere-equator", "eps": 0.2})
+
 # flows whose final map is dumped, by output directory: the sphere projection
 # and the RK2 midpoint, which no demo runs, and the wrapped two-component
-# densities and Hopf term of an Euler flow into the 2-torus
+# densities and Hopf term of an Euler flow into the 2-torus, each at 48x12
+# and as the large-grid workload runs them at seed 0 (its torus amplitudes
+# are [0.3, 0.15, 0.1] times uniform(0.5, 1) draws of default_rng([0, 2]))
 FLOWS = {
     "sphere_rk2": (_flow_config(TargetSpec.round_sphere(3), "rk2", 30),
                    {"kind": "sphere-equator", "eps": 0.2}),
     "torus_euler": (_flow_config(TargetSpec.flat_torus(2), "euler", 40),
                     {"kind": "theta-modes", "amplitudes": [0.3, 0.15, 0.1]}),
+    "sphere_rk2_384x64": SPHERE_384X64,
+    "torus_euler_384x64": (
+        _flow_config(TargetSpec.flat_torus(2), "euler", 100, 384, 64),
+        {"kind": "theta-modes",
+         "amplitudes": [0.16212360587597813, 0.10518283439951903, 0.0800644603118883]}),
 }
 
 
 # initial maps dumped without a flow, by output directory: the large-grid
 # sphere start (the map the angular audit of the diagnostics workload reads),
 # whose 24576 rows span many of the CSV writer's row blocks
-INITIAL = {
-    "sphere_384x64": (_flow_config(TargetSpec.round_sphere(3), "rk2", 30, 384, 64),
-                      {"kind": "sphere-equator", "eps": 0.2}),
-}
+INITIAL = {"sphere_384x64": SPHERE_384X64}
 
 
 def generate(root: Path) -> dict[str, str]:
