@@ -59,6 +59,18 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any work and without making anything, an --out whose
+    nearest existing ancestor is not a directory."""
+    path = Path(out).absolute()
+    try:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:
+        raise DomainError(f"--out: {exc}") from None
+    if not existing.is_dir():
+        raise DomainError(f"--out: {existing} is not a directory")
+
+
 # ----------------------------------------------------------------- geometry
 
 def cmd_geometry(args) -> int:
@@ -339,6 +351,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.handler(args)
     except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)

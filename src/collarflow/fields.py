@@ -367,14 +367,8 @@ def tension(u: MapField, jet_: MapJet | None = None,
     """
     J = jet_ or jet(u)
     flat = np.add(J.u_ss, J.u_thth, out=out)
-    rho_inv_sq, tmp = J.scratch
-    u.target.tangential(u.values, flat, c=rho_inv_sq, tmp=tmp)
-    # rho^-2 spread over theta once, into the row the projection's <w, u> has
-    # left, then one product per component: as a broadcast operand numpy
-    # would buffer it to the size of a map
-    rho_inv_sq[...] = u.grid.rho_inv_sq[:, None]
-    for k in range(flat.shape[-1]):
-        flat[..., k] *= rho_inv_sq
+    u.target.tangential(u.values, flat, *J.scratch)
+    flat *= u.grid.rho_inv_sq[:, None, None]
     return flat
 
 
@@ -393,11 +387,9 @@ def tension_l2(u: MapField, tau: np.ndarray | None = None,
 def tension_density(u: MapField, tau: np.ndarray, jet_: MapJet | None = None) -> np.ndarray:
     """|tau_g|^2 rho^2 per node, the tension density against ds dtheta, in
     jet_'s first scratch row if given."""
-    dens, rho_sq = np.empty((2,) + tau.shape[:-1]) if jet_ is None else jet_.scratch
-    u.target.dot(tau, tau, dens, rho_sq)
-    # rho^2 spread over theta: as a broadcast operand numpy would buffer it
-    rho_sq[...] = u.grid.rho_sq[:, None]
-    return np.multiply(dens, rho_sq, out=dens)
+    dens, tmp = np.empty((2,) + tau.shape[:-1]) if jet_ is None else jet_.scratch
+    u.target.dot(tau, tau, dens, tmp)
+    return np.multiply(dens, u.grid.rho_sq[:, None], out=dens)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from collarflow.geometry import ELL_MAX, CollarGrid, DomainError, check_block, half_length
+from collarflow.geometry import ELL_MAX, CollarGrid, DomainError, check_block
 from collarflow.fields import (
     TARGET_KINDS,
     MapField,
@@ -134,15 +134,12 @@ class FlowConfig:
         for name in ("dt", "t_end", "blowup_sup_density"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"flow.{name}: must be > 0, got {getattr(self, name)}")
-        for name in ("n_s", "n_theta"):
-            if getattr(self, name) < 4:
-                raise DomainError(f"flow.{name}: must be >= 4, got {getattr(self, name)}")
-        X = half_length(self.ell_max)
-        if self.s_max is not None and not 0.0 < self.s_max <= X:
-            raise DomainError(f"flow.s_max: must lie in (0, X] with X = X(ell_max) = {X}, "
-                              f"got {self.s_max}")
-        # the run's one grid; not a field, so asdict and config_sha256 skip it
-        grid = CollarGrid(self.ell_max, self.n_s, self.n_theta, s_max=self.s_max)
+        # the run's one grid, which checks n_s, n_theta and s_max; not a field,
+        # so asdict and config_sha256 skip it
+        try:
+            grid = CollarGrid(self.ell_max, self.n_s, self.n_theta, s_max=self.s_max)
+        except DomainError as exc:
+            raise DomainError(f"flow.{exc}") from exc
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "s_max", grid.s_max)
         cap = stability_limit(self.ell_floor, self.n_s, self.n_theta, self.s_max)

@@ -548,9 +548,9 @@ class TestCliDriver:
     def test_flow_window_outside_collar_exit_2(self, s_max):
         code, lines = _run_config("flow", _with(FLOW_DOC, "flow.s_max", s_max))
         assert code == 2
-        assert len(lines) == 1 and lines[0].startswith(
-            "error: flow.s_max: must lie in (0, X] with X = X(ell_max) = ")
-        assert lines[0].endswith(f", got {s_max}")
+        head, tail = "error: flow.s_max: must lie in (0, X] with X = ", f", got {s_max}"
+        assert len(lines) == 1 and lines[0].startswith(head) and lines[0].endswith(tail)
+        assert float(lines[0][len(head):-len(tail)]) == half_length(WRAP_CONFIG.ell_max)
 
     @pytest.mark.parametrize("path, value, named", [
         ("flow.ell_floor", 0.0, "flow.ell_floor: need 0 < ell_floor < ell0"),
@@ -563,7 +563,8 @@ class TestCliDriver:
         ("flow.stride", 0, "flow.stride: must be >= 1, got 0"),
         ("flow.dt", 0.0, "flow.dt: must be > 0, got 0.0"),
         ("flow.t_end", -1.0, "flow.t_end: must be > 0, got -1.0"),
-        ("flow.n_theta", 2, "flow.n_theta: must be >= 4, got 2"),
+        ("flow.n_s", 3, "flow.n_s: need at least 4 nodes in each direction, got 3"),
+        ("flow.n_theta", 2, "flow.n_theta: need at least 4 nodes in each direction, got 2"),
         ("flow.dt", 1.0, "flow.dt: must be at most the parabolic stability bound"),
     ])
     def test_flow_range_error_names_its_field(self, path, value, named):
@@ -886,6 +887,42 @@ class TestCliDriver:
         err = capsys.readouterr().err
         assert err.startswith("error: --out: ")
         assert err.count("\n") == 1 and err.count("error:") == 1
+
+    @pytest.mark.parametrize("argv", [["flow", "--demo", "pinch"], ["verify"]])
+    def test_out_under_a_regular_file_refused_before_the_work(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(cli, "run_checks", refuse)
+        (tmp_path / "file").write_text("")
+        assert main([*argv, "--out", str(tmp_path / "file" / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out: {tmp_path / 'file'} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("extra", [[], ["--demo", "wrap"]], ids=["neither", "both"])
+    def test_flow_needs_exactly_one_source(self, tmp_path, capsys, extra):
+        (tmp_path / "c.json").write_text(json.dumps(FLOW_DOC))
+        config = ["--config", str(tmp_path / "c.json")] if extra else []
+        out = tmp_path / "out"
+        assert main(["flow", *config, *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: flow needs exactly one of --config or --demo\n"
+        assert not out.exists()
+
+    def test_vacuous_angular_audit_writes_header_only(self, tmp_path):
+        # a window of s_max 1.4 holds no station of the bound's domain
+        grid = CollarGrid(0.2, 200, 8, s_max=1.4)
+        u = sample_map(grid, TargetSpec.flat_torus(dim=1),
+                       lambda s, t: (0.1 * np.sin(t) * np.ones_like(s))[..., None])
+        cfio.map_to_csv(u, tmp_path / "f.csv", tmp_path / "f.json")
+        out = tmp_path / "out"
+        assert main(["angular", "--field", str(tmp_path / "f.csv"), "--out", str(out)]) == 0
+        columns, prov = cfio.read_csv(out / "angular_audit.csv")
+        assert list(columns) == ["s0", "lhs", "rhs", "slack"]
+        assert all(len(col) == 0 for col in columns.values())
+        assert prov["vacuous"] == "True"
 
     @pytest.mark.parametrize("argv, named", [
         (["--tol", "inf"], "tol"), (["--tol", "nan"], "tol"), (["--tol", "-1"], "tol"),
