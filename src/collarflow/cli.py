@@ -140,22 +140,24 @@ def cmd_qd(args) -> int:
     if n_max is None:
         n_max = min(8, field.grid.n_theta // 2 - 1)
     dec = fourier_decompose(field, n_max=n_max)  # checks --n-max before any write
+    with np.errstate(over="ignore"):  # an overflowing norm is refused by its key
+        summary = {
+            "ell": field.grid.ell,
+            "n_s": field.grid.n_s,
+            "n_theta": field.grid.n_theta,
+            "s_max": field.grid.s_max,
+            "b0": [split.b0.real, split.b0.imag],
+            "l1": lp_norm(field, 1),
+            "l2": lp_norm(field, 2),
+            "linf": lp_norm(field, math.inf),
+            "remainder_l2": lp_norm(split.remainder, 2),
+            "modes": {str(n): [dec.coefficient(n).real, dec.coefficient(n).imag]
+                      for n in range(-n_max, n_max + 1)},
+        }
+    cfio.check_finite(summary)  # before any write, so a refused value leaves no file
     out = _out_dir(args)
     cfio.qd_field_to_csv(field, out / "qd_field.csv", out / "qd_field.json",
                          {"seed": seed, "subcommand": "qd"})
-    summary = {
-        "ell": field.grid.ell,
-        "n_s": field.grid.n_s,
-        "n_theta": field.grid.n_theta,
-        "s_max": field.grid.s_max,
-        "b0": [split.b0.real, split.b0.imag],
-        "l1": lp_norm(field, 1),
-        "l2": lp_norm(field, 2),
-        "linf": lp_norm(field, math.inf),
-        "remainder_l2": lp_norm(split.remainder, 2),
-        "modes": {str(n): [dec.coefficient(n).real, dec.coefficient(n).imag]
-                  for n in range(-n_max, n_max + 1)},
-    }
     cfio.write_json(out / "qd_summary.json", summary, prov)
     return 0
 

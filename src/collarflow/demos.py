@@ -59,8 +59,10 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
     if kind == "radial":
         return sample_map(grid, target, lambda s, t: padded(spec.get("b", 1.0) * s)).values
     if kind == "theta-modes":
-        amps = spec.get("amplitudes", [0.3])
-        width = spec.get("width", 0.5) * grid.s_max
+        amps, width = spec.get("amplitudes", [0.3]), spec.get("width", 0.5)
+        if not width > 0:
+            raise DomainError(f"initial.width: must be > 0, got {width}")
+        width *= grid.s_max
         vals = np.zeros((grid.n_s, grid.n_theta, target.dim))
         env = np.exp(-0.5 * (grid.s_nodes / width) ** 2)
         for n, a_n in enumerate(amps, start=1):

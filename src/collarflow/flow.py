@@ -242,15 +242,25 @@ class RunArrays:
         return b if state.u.values is a else a
 
 
-def _velocity(state: FlowState, config: FlowConfig, work: RunArrays,
-              out: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pinned tension (into out) and length speed of a state, from one
-    derivative pass (into work's jet)."""
-    J = jet(state.u, work.jet)
-    tau = pinned_tension(state.u, J, out)
-    if config.eta == 0.0:
-        return tau, 0.0
-    return tau, metric_speed(state, config.eta, jet_=J)[0]
+def _evaluate(state: FlowState, config: FlowConfig, work: RunArrays,
+              out: np.ndarray, sample: bool = False) -> tuple[np.ndarray, float, dict | None]:
+    """Pinned tension (into out) and length speed of a state from one jet
+    (work's), skipping b0 only at eta = 0 without sample; with sample also
+    the state's trace row (all but dE_residual), else None."""
+    u = state.u
+    J = jet(u, work.jet)
+    tau = pinned_tension(u, J, out)
+    if config.eta == 0.0 and not sample:
+        return tau, 0.0, None
+    speed, b0 = metric_speed(state, config.eta, jet_=J)
+    if not sample:
+        return tau, speed, None
+    rep = energies(u, jet_=J)
+    # tau_mid is free between steps: the next step overwrites it first
+    return tau, speed, dict(t=state.t, ell=state.ell, E=face_energy(u, J, work.tau_mid),
+                            I=rep.I, I_theta=rep.I_theta, I_smooth=rep.I_smooth,
+                            tension_l2=tension_l2(u, tau, J), re_b0=b0.real, im_b0=b0.imag,
+                            sup_density=rep.sup_density)
 
 
 def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
@@ -290,10 +300,10 @@ def step(state: FlowState, config: FlowConfig,
     arrays of its own.
     """
     work = work or RunArrays(config)
-    tau, speed = velocity or _velocity(state, config, work, work.tau)
+    tau, speed = velocity or _evaluate(state, config, work, work.tau)[:2]
     if config.stepper == "rk2":
         mid = _advance(state, config, tau, speed, work)
-        tau2, speed2 = _velocity(mid, config, work, work.tau_mid)
+        tau2, speed2, _ = _evaluate(mid, config, work, work.tau_mid)
         tau2 += tau  # Heun's average in place, bit for bit 0.5 * (tau + tau2)
         tau2 *= 0.5
         tau, speed = tau2, 0.5 * (speed + speed2)
@@ -317,25 +327,6 @@ class FlowTrace:
         return len(self.columns["t"])
 
 
-def _sample_row(state: FlowState, config: FlowConfig, work: RunArrays | None = None
-                ) -> tuple[dict, tuple[np.ndarray, float]]:
-    """A trace row of the state (all but dE_residual) and its velocity, from
-    one derivative pass; the jet and the tension go into work, a run's
-    arrays, or into new ones."""
-    work = work or RunArrays(config)
-    u = state.u
-    J = jet(u, work.jet)
-    rep = energies(u, jet_=J)
-    tau = pinned_tension(u, J, work.tau)
-    speed, b0 = metric_speed(state, config.eta, jet_=J)
-    # tau_mid is free between steps: the next step overwrites it first
-    E = face_energy(u, J, work.tau_mid)
-    return dict(t=state.t, ell=state.ell, E=E, I=rep.I,
-                I_theta=rep.I_theta, I_smooth=rep.I_smooth,
-                tension_l2=tension_l2(u, tau, J), re_b0=b0.real, im_b0=b0.imag,
-                sup_density=rep.sup_density), (tau, speed)
-
-
 def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
     """Run the flow from the given initial node values until t_end or an exit.
 
@@ -344,29 +335,28 @@ def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
     ell_max -> "capped"; energy density above the configured threshold
     -> "blow-up-detected"; otherwise "completed" at t_end.
 
-    The steps write into one RunArrays; the final state's values are
-    one of its value arrays, never initial_values.
+    One derivative pass per state gives its row, when sampled, and its
+    step's velocity.  The steps write into one RunArrays; the final
+    state's values are one of its value arrays, never initial_values.
     """
     work = RunArrays(config)
     state = initial_state(config, initial_values)
-    row, velocity = _sample_row(state, config, work)
-    rows = [row]
-    status = STATUS_COMPLETED
-    n_steps = config.n_steps
-    for k in range(1, n_steps + 1):
-        state = step(state, config, velocity, work)
-        velocity = None
+    rows, status, n_steps = [], STATUS_COMPLETED, config.n_steps
+    for k in range(n_steps + 1):
+        sample = k % config.stride == 0 or k == n_steps or status != STATUS_COMPLETED
+        tau, speed, row = _evaluate(state, config, work, work.tau, sample)
+        if sample:
+            rows.append(row)
+            if k and status == STATUS_COMPLETED \
+                    and row["sup_density"] > config.blowup_sup_density:
+                status = STATUS_BLOWUP
+        if k == n_steps or status != STATUS_COMPLETED:
+            break
+        state = step(state, config, (tau, speed), work)
         if state.ell <= config.ell_floor:
             status = STATUS_PINCHED
         elif state.ell > config.ell_max:
             status = STATUS_CAPPED
-        if k % config.stride == 0 or k == n_steps or status != STATUS_COMPLETED:
-            row, velocity = _sample_row(state, config, work)
-            rows.append(row)
-            if status == STATUS_COMPLETED and row["sup_density"] > config.blowup_sup_density:
-                status = STATUS_BLOWUP
-        if status != STATUS_COMPLETED:
-            break
     columns = {name: np.array([r[name] for r in rows])
                for name in TRACE_COLUMNS if name != "dE_residual"}
     trace = FlowTrace(columns=columns, status=status, config=config, final=state)

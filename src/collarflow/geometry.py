@@ -202,10 +202,15 @@ def dz2_norms(ell: float) -> Dz2Norms:
     ell = _check_ell(ell)
     X = half_length(ell)
     l1 = 8.0 * math.pi * X
-    linf = 8.0 * math.pi**2 / ell**2
     sh = math.sinh(0.5 * ell)
     ch = math.cosh(0.5 * ell)
-    l2_sq = 32.0 * math.pi**3 * X / ell**2 + 64.0 * math.pi**4 * sh / (ell**3 * ch * ch)
+    try:
+        l2_sq = 32.0 * math.pi**3 * X / ell**2 + 64.0 * math.pi**4 * sh / (ell**3 * ch * ch)
+    except ZeroDivisionError:  # ell**2 or ell**3 underflowed to zero
+        l2_sq = math.inf
+    if not math.isfinite(l2_sq):  # the largest of the three, so l1 and linf are finite
+        raise DomainError(f"ell: the norms of dz^2 overflow a float at core length {ell!r}")
+    linf = 8.0 * math.pi**2 / ell**2
     return Dz2Norms(l1=l1, l2_sq=l2_sq, linf=linf)
 
 

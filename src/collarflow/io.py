@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -165,8 +166,23 @@ def _raise_at_bad_line(path, lines: list[str], first: int, width: int) -> None:
         raise DomainError(f"{path}: np.loadtxt rejects the data lines")
 
 
+def check_finite(value, where: str = "") -> None:
+    """Refuse, by its key path, the first float of a JSON-ready value (nested
+    dicts, lists and tuples) that JSON cannot hold: nan or an infinity."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            check_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            check_finite(item, f"{where}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{where}: must be a finite number, got {value}")
+
+
 def write_json(path, payload: dict, provenance: dict | None = None) -> None:
-    """Deterministic JSON: sorted keys, '\\n' ending, provenance object."""
+    """Deterministic JSON: sorted keys, '\\n' ending, provenance object; a
+    non-finite value is refused by check_finite before the file is opened."""
+    check_finite(payload)
     doc = dict(payload)
     if provenance is not None:
         doc["provenance"] = {k: provenance[k] for k in sorted(provenance)}
@@ -317,4 +333,7 @@ def map_from_csv(csv_path, header_path):
     names = [f"u_{d}" for d in range(target.dim)]
     columns = _read_columns(csv_path, grid, names)
     values = np.stack([columns[name] for name in names], axis=-1)
-    return MapField(grid, values.reshape(grid.n_s, grid.n_theta, target.dim), target)
+    try:
+        return MapField(grid, values.reshape(grid.n_s, grid.n_theta, target.dim), target)
+    except DomainError as exc:  # a sphere map's off-sphere row
+        raise DomainError(f"{csv_path}: {exc}") from exc

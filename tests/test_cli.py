@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -239,6 +240,17 @@ class TestCsv:
         cfio.write_csv(path, {"a": [1.0]})
         raw = path.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"a": 1.0, "b": math.inf}, "b"),
+        ({"modes": {"3": [0.5, math.nan]}}, "modes.3[1]"),
+        ({"checks": [{"name": "x", "value": -math.inf}]}, "checks[0].value"),
+    ])
+    def test_write_json_refuses_non_finite_by_key_path(self, tmp_path, payload, key):
+        path = tmp_path / "s.json"
+        with pytest.raises(DomainError, match=rf"^{re.escape(key)}: must be a finite number"):
+            cfio.write_json(path, payload)
+        assert not path.exists()
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +498,25 @@ class TestCliDriver:
         assert set(cols) == {"s", "rho", "injectivity"}
         assert "config_sha256" in prov
 
+    @pytest.mark.parametrize("ell", ["1e-300", "1e-103"], ids=["underflow", "overflow"])
+    def test_geometry_tiny_ell_names_ell(self, tmp_path, capsys, ell):
+        # ell**2 underflows to zero at 1e-300; at 1e-103 l2_sq overflows
+        out = tmp_path / "out"
+        assert main(["geometry", "--ell", ell, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ell: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert main(["geometry", "--ell", "1e-100", "--out", str(out)]) == 0
+
+    def test_qd_overflowing_summary_names_key_and_writes_nothing(self, tmp_path, capsys):
+        # the field is finite, but its l2 norm overflows
+        config, out = tmp_path / "q.json", tmp_path / "out"
+        config.write_text(json.dumps(_with(QD_DOC, "qd.modes", {"0": [1e200, 0]})))
+        assert main(["qd", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: l2: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_qd_synthesis_and_reanalysis(self, tmp_path):
         cfg = {"qd": {"ell": 0.2, "n_s": 120, "n_theta": 12, "s_max": 3.0,
                       "modes": {"0": [0.5, -0.25], "1": [0.1, 0.0]}},
@@ -651,15 +682,18 @@ class TestCliDriver:
         ({"kind": "radial", "a": 1.0}, "'a'"),
         ({"kind": ["wrap"]}, "kind"),
         (3, "initial"),
+        ({"kind": "theta-modes", "width": 0}, "initial.width: must be > 0, got 0"),
+        ({"kind": "theta-modes", "width": -0.5}, "initial.width: must be > 0, got -0.5"),
     ])
     def test_flow_bad_initial_exit_2(self, tmp_path, capsys, initial, named):
         from collarflow.demos import demo_config
         cfg, _ = demo_config("wrap")
         doc = {"flow": cfio.config_to_dict(cfg), "initial": initial}
         (tmp_path / "i.json").write_text(json.dumps(doc))
-        assert main(["flow", "--config", str(tmp_path / "i.json"),
-                     "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(tmp_path / "i.json"), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, path, value, named", [
         ("flow", "flow", [1, 2], "flow"),
@@ -841,6 +875,20 @@ class TestCliDriver:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: column {column!r}")
         assert err.count("\n") == 1 and err.count("error:") == 1
+        assert not out.exists()
+
+    def test_off_sphere_field_row_names_csv(self, tmp_path, capsys):
+        grid = CollarGrid(0.15, 24, 8, s_max=2.5)
+        field = tmp_path / "f.csv"
+        cfio.map_to_csv(sample_map(grid, TargetSpec.round_sphere(), lambda s, t: np.stack(
+            [np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)), field, tmp_path / "f.json")
+        lines = field.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",0.5"
+        field.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["angular", "--field", str(field), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {field}: sphere map values must be unit vectors\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, named", [

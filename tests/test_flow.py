@@ -512,7 +512,8 @@ class TestStepInternals:
         monkeypatch.setattr(TargetSpec, "dot", counted)
         cfg = wrap_config()
         st = initial_state(cfg, wrap_values(cfg.grid_at(cfg.ell0)))
-        flow._sample_row(st, cfg)
+        work = flow.RunArrays(cfg)
+        flow._evaluate(st, cfg, work, work.tau, sample=True)
         assert calls == [(2, cfg.n_s, cfg.n_theta, cfg.target.dim)]
         calls.clear()
         frozen = wrap_config(eta=0.0)
@@ -583,17 +584,17 @@ class TestRunArrays:
         cfg, vals = moving_config(kind, stepper)
         trace = run(cfg, vals)
         assert trace.status == STATUS_COMPLETED
-        # the same run through the allocating public step and _sample_row
+        # the same run through the allocating public step, each row sampled
+        # into arrays of its own
         state = initial_state(cfg, vals)
-        row, velocity = flow._sample_row(state, cfg)
-        rows = [row]
+        rows = []
         n_steps = round(cfg.t_end / cfg.dt)
-        for k in range(1, n_steps + 1):
-            state = step(state, cfg, velocity)
-            velocity = None
+        for k in range(n_steps + 1):
             if k % cfg.stride == 0 or k == n_steps:
-                row, velocity = flow._sample_row(state, cfg)
-                rows.append(row)
+                work = flow.RunArrays(cfg)
+                rows.append(flow._evaluate(state, cfg, work, work.tau, sample=True)[2])
+            if k < n_steps:
+                state = step(state, cfg)
         assert trace.n_rows == len(rows) == 4
         for name in trace.columns:
             if name != "dE_residual":
