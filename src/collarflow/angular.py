@@ -37,6 +37,7 @@ DELAY = 0.5
 EXP_MODE_RATE = math.cosh(0.5) / 4.0 - 0.5
 CONSTANT_MODE_RATE = -1.25  # L(c) = -(5/4) c
 DEFAULT_C1 = 16.0
+MAX_STATIONS = 2**16  # audit stations allowed; the kernel bound costs O(k^2)
 
 
 _SHAPE_ERROR = "profile needs matching 1-d arrays, >= 5 nodes"
@@ -266,10 +267,11 @@ def _candidate_block(rng: np.random.Generator, s: np.ndarray, m: int,
 # arrays stay small (a 4096-row cap raised the peak RSS of a verify run
 # by about 3 MB and was no faster)
 _BLOCK_MIN, _BLOCK_PER_PAIR, _BLOCK_MAX = 16, 8, 256
+_MAX_TRIES = 500  # candidates allowed per requested pair
 
 
 def comparison_pairs(rng: np.random.Generator, n_pairs: int,
-                     s: np.ndarray | None = None, max_tries: int = 500
+                     s: np.ndarray | None = None
                      ) -> tuple[list[tuple[ProfileFn, ProfileFn]], int]:
     """Rejection-sample n_pairs profile pairs satisfying both comparison premises.
 
@@ -282,16 +284,15 @@ def comparison_pairs(rng: np.random.Generator, n_pairs: int,
     Returns (pairs, n_candidates): the list of (lower, upper) pairs and
     the number of candidates drawn up to and including the last
     returned pair, so n_pairs / n_candidates is the acceptance rate.
-    Raises DomainError for an n_pairs or max_tries that is not a
-    nonnegative integer, and RuntimeError when n_pairs acceptances need
-    more than max_tries * n_pairs candidates.
+    Raises DomainError for an n_pairs that is not a nonnegative integer,
+    and RuntimeError when n_pairs acceptances need more than
+    _MAX_TRIES * n_pairs candidates.
     """
-    for name, value in (("n_pairs", n_pairs), ("max_tries", max_tries)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                or value < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, (int, np.integer)) \
+            or n_pairs < 0:
+        raise DomainError(f"n_pairs must be a nonnegative integer, got {n_pairs!r}")
     s, h, m = _checked_grid(default_comparison_grid() if s is None else s)
-    budget = max_tries * n_pairs
+    budget = _MAX_TRIES * n_pairs
     pairs: list = []
     drawn = 0
     while len(pairs) < n_pairs:
@@ -312,13 +313,12 @@ def comparison_pairs(rng: np.random.Generator, n_pairs: int,
 
 
 def random_comparison_pair(rng: np.random.Generator,
-                           s: np.ndarray | None = None,
-                           max_tries: int = 500) -> tuple[ProfileFn, ProfileFn]:
+                           s: np.ndarray | None = None) -> tuple[ProfileFn, ProfileFn]:
     """One profile pair satisfying both comparison premises.
 
-    Thin wrapper over comparison_pairs(rng, 1, s, max_tries).
+    Thin wrapper over comparison_pairs(rng, 1, s).
     """
-    return comparison_pairs(rng, 1, s, max_tries)[0][0]
+    return comparison_pairs(rng, 1, s)[0][0]
 
 
 @dataclass(frozen=True)
@@ -362,10 +362,14 @@ def angular_bound_audit(u: MapField, profile_step: float = 0.05,
     if c1 is not None and not (math.isfinite(c1) and c1 >= 0):
         raise DomainError(f"c1 must be finite and >= 0, got {c1}")
     grid = u.grid
+    half = grid.s_max - 1.0
+    # 2 floor(half / step) + 1 stations, capped before any rounding (the ratio may be inf)
+    if max(half, DELAY) / profile_step >= MAX_STATIONS // 2:
+        raise DomainError(f"profile_step: {profile_step} asks for more than "
+                          f"{MAX_STATIONS} stations on a grid with s_max = {grid.s_max}")
     steps = DELAY / profile_step
     if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
         raise DomainError("profile_step must divide the half-unit delay")
-    half = grid.s_max - 1.0
     n_half = math.floor(half / profile_step)
     if n_half * profile_step < DELAY + 2 * profile_step:
         return _empty_audit()

@@ -177,7 +177,8 @@ def cmd_flow(args) -> int:
     values = build_initial(config, init_spec)
     trace = run(config, values)
     seed = doc.get("seed", 0) if args.seed is None else args.seed
-    prov = cfio.provenance_for(config, seed=seed, subcommand="flow",
+    params = {"flow": cfio.config_to_dict(config), "initial": init_spec}
+    prov = cfio.provenance_for(params, seed=seed, subcommand="flow",
                                status=trace.status)
     out = _out_dir(args)
     cfio.write_csv(out / "trace.csv", {name: trace[name] for name in TRACE_COLUMNS},

@@ -224,16 +224,14 @@ def config_from_dict(d: dict) -> FlowConfig:
     return FlowConfig(**{**d, "target": TargetSpec.from_dict(d["target"], "flow.target")})
 
 
-def config_digest(config: FlowConfig | dict) -> str:
-    """sha256 of the canonical (sorted, compact) JSON form of a flow config
-    or of a subcommand's parameters, for provenance lines."""
-    if isinstance(config, FlowConfig):
-        config = config_to_dict(config)
+def config_digest(config: dict) -> str:
+    """sha256 of the canonical (sorted, compact) JSON form of a subcommand's
+    parameters, for provenance lines."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def provenance_for(config: FlowConfig | dict | None = None,
+def provenance_for(config: dict | None = None,
                    seed: int | None = None, **extra) -> dict:
     prov = {"version": __version__}
     if config is not None:

@@ -51,7 +51,7 @@ def lp_norm(field: QuadDiffField, p) -> float:
     size = 2.0 * np.abs(psi)  # |Psi|_g = size * rho^-2
     if p == 1:  # |Psi|_g dv = 2 rho^-2 |psi| rho^2 ds dtheta: weights cancel
         return grid.integrate_flat(size)
-    if p in (math.inf, "inf"):
+    if p == math.inf:
         return float(np.max(size * grid.rho_inv_sq[:, None]))
     raise DomainError(f"unsupported p = {p!r}")
 
@@ -154,23 +154,16 @@ def fourier_decompose(field: QuadDiffField, n_max: int = 16) -> FourierQD:
     return FourierQD(grid=grid, n_max=n_max, coeffs=coeffs)
 
 
-def synthesize(modes: FourierQD | dict, grid: CollarGrid | None = None) -> QuadDiffField:
-    """Sum b_n e^{n s} e^{i n theta} dz^2 over the given modes.
+def synthesize(modes: dict, grid: CollarGrid) -> QuadDiffField:
+    """Sum b_n e^{n s} e^{i n theta} dz^2 over the {n: b_n} modes on grid.
 
-    Accepts a FourierQD or a plain {n: b_n} mapping (the latter needs an
-    explicit grid).  The caller is responsible for keeping b_n e^{n s_max}
-    within float range; see scaled_mode_field for unit-sup single modes
-    on long collars.
+    Modes are added in ascending n and zero coefficients are skipped.
+    The caller is responsible for keeping b_n e^{n s_max} within float
+    range; see scaled_mode_field for unit-sup single modes on long
+    collars.
     """
-    if isinstance(modes, FourierQD):
-        grid = modes.grid
-        pairs = [(n - modes.n_max, c) for n, c in enumerate(modes.coeffs) if c != 0]
-    else:
-        if grid is None:
-            raise DomainError("synthesize from a dict needs a grid")
-        pairs = sorted(modes.items())
     psi = np.zeros((grid.n_s, grid.n_theta), dtype=complex)
-    for n, b in pairs:
+    for n, b in sorted(modes.items()):
         if b == 0:
             continue
         with np.errstate(over="ignore"):
@@ -202,7 +195,7 @@ def project_holomorphic(field: QuadDiffField, n_max: int = 16) -> tuple[QuadDiff
     projection is a contraction: ||P Psi||_2 <= ||Psi||_2.
     """
     mc = fourier_decompose(field, n_max=n_max)
-    return synthesize(mc), mc
+    return synthesize({n - n_max: c for n, c in enumerate(mc.coeffs)}, field.grid), mc
 
 
 def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
@@ -215,9 +208,11 @@ def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:
     return QuadDiffField(u.grid, (jet_ or jet(u)).hopf())
 
 
-def thin_thick_decay_ratio(field: QuadDiffField, delta: float,
-                           delta0: float = 0.2) -> float:
-    """sup of |Psi|_g over the delta-thin part / L^2 norm over the delta0-thick part.
+THICK_DELTA = 0.2  # thin_thick_decay_ratio's thick part is the 0.2-thick part
+
+
+def thin_thick_decay_ratio(field: QuadDiffField, delta: float) -> float:
+    """sup of |Psi|_g over the delta-thin part / L^2 norm over the THICK_DELTA-thick part.
 
     For differentials with vanishing principal part this ratio decays
     like delta^-2 e^{-pi/delta} (faster for higher modes).  Requires the
@@ -226,7 +221,7 @@ def thin_thick_decay_ratio(field: QuadDiffField, delta: float,
     grid = field.grid
     ell = grid.ell
     x_thin = delta_thin_half_length(ell, delta)
-    x_thick = delta_thin_half_length(ell, delta0)
+    x_thick = delta_thin_half_length(ell, THICK_DELTA)
     if x_thin <= 0.0:
         raise DomainError(f"delta-thin part empty for ell = {ell}, delta = {delta}")
     thin = np.abs(grid.s_nodes) <= x_thin

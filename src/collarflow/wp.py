@@ -30,6 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from collarflow.geometry import ELL_MAX, DomainError
 
 G_AT_PINCH = 32.0 * math.pi**5
+PATH_SAMPLES = 200  # core lengths in the sampled path of integrate_to_pinch
 
 
 def _check_lengths(ell, name: str = "ell", closed: bool = False) -> np.ndarray:
@@ -37,7 +38,9 @@ def _check_lengths(ell, name: str = "ell", closed: bool = False) -> np.ndarray:
     ell = np.asarray(ell, dtype=float)
     inside = (ell >= 0) & (ell <= ELL_MAX) if closed else (ell > 0) & (ell < ELL_MAX)
     if not np.all(inside):
-        raise DomainError(f"need {name} in {'[0, 2 arsinh 1]' if closed else '(0, 2 arsinh 1)'}")
+        bad = float(ell.flat[np.argmin(inside)])
+        raise DomainError(f"{name}: need a core length in "
+                          f"{'[0, 2 arsinh 1]' if closed else '(0, 2 arsinh 1)'}, got {bad}")
     return ell
 
 
@@ -75,34 +78,19 @@ class WPPath:
     distance: np.ndarray   # remaining distance to the pinch at each ell
     total: float           # distance[0]
 
-    def __post_init__(self):
-        e = np.asarray(self.ell, dtype=float)
-        d = np.asarray(self.distance, dtype=float)
-        object.__setattr__(self, "ell", e)
-        object.__setattr__(self, "distance", d)
-        if e.shape != d.shape or e.ndim != 1 or e.size < 2:
-            raise DomainError("path needs matching 1-d samples")
-        if not np.all(np.diff(e) < 0):
-            raise DomainError("core length samples must strictly decrease")
-        if not np.all(np.diff(d) < 0) or d[-1] < 0:
-            raise DomainError("distance samples must strictly decrease to 0")
 
-
-def integrate_to_pinch(ell0: float, tol: float = 1e-10,
-                       n_samples: int = 200) -> WPPath:
+def integrate_to_pinch(ell0: float, tol: float = 1e-10) -> WPPath:
     """Distance from core length ell0 to the pinch, with a sampled path.
 
     Integrates d s / d m = sqrt(g(m^2)) / (4 pi^2) from the pinch m = 0
-    up to m = sqrt(ell0) (Gauss-Legendre per path interval, nodes doubled
-    until two totals agree to tol relative); the integrand is smooth on
-    the closed interval, so the pinch end needs no special treatment.
+    up to m = sqrt(ell0) on PATH_SAMPLES - 1 equal intervals, each by
+    Gauss-Legendre with nodes doubled until two totals agree to tol
+    relative; the integrand is smooth on the closed interval.
     """
     _check_lengths(ell0, "ell0")
     if not (math.isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
-    if n_samples < 2:
-        raise DomainError("need at least 2 path samples")
-    m, h = np.linspace(0.0, math.sqrt(ell0), n_samples, retstep=True)
+    m, h = np.linspace(0.0, math.sqrt(ell0), PATH_SAMPLES, retstep=True)
     total = math.inf
     for n in (1, 2, 4, 8, 16, 32, 64):
         x, w = leggauss(n)
@@ -125,11 +113,11 @@ class CorrectionFit:
     condition: float
 
 
-def correction_coefficient(ell_list, dists=None, tol: float = 1e-11) -> CorrectionFit:
+def correction_coefficient(ell_list, tol: float = 1e-11) -> CorrectionFit:
     """Fit 1 - dist / sqrt(2 pi ell) = c3 ell^3 + c5 ell^5 over sample lengths.
 
-    Needs at least three well-separated lengths; the distances are
-    integrated on demand when not supplied.  An ill-conditioned design
+    Needs at least three well-separated lengths; each distance comes from
+    integrate_to_pinch at tol.  An ill-conditioned design
     matrix (clustered or out-of-range lengths) is rejected rather than
     silently fitted.
     """
@@ -140,12 +128,7 @@ def correction_coefficient(ell_list, dists=None, tol: float = 1e-11) -> Correcti
     spread = np.max(ells) - np.min(ells)
     if spread <= 0 or np.min(np.diff(np.sort(ells))) < 0.05 * spread:
         raise DomainError("sample lengths must be well separated")
-    if dists is None:
-        dists = np.array([integrate_to_pinch(l, tol=tol).total for l in ells])
-    else:
-        dists = np.asarray(dists, dtype=float)
-        if dists.shape != ells.shape:
-            raise DomainError("distances must match the sample lengths")
+    dists = np.array([integrate_to_pinch(l, tol=tol).total for l in ells])
     shortfall = 1.0 - dists / np.sqrt(2.0 * math.pi * ells)
     design = np.stack([ells**3, ells**5], axis=1)
     scale = np.max(design, axis=0)

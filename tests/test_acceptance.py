@@ -177,14 +177,13 @@ def test_06_thin_part_decay_slope():
     # {0.05, 0.1}: log(thin sup / thick L2) regressed on -pi/delta
     # gives slope/|n| within 10% of 1; runtime < 2 s
     t0 = time.perf_counter()
-    delta0 = 0.2
     for ell in (0.05, 0.1):
         deltas = [d for d in (0.05, 0.1, 0.2) if d > ell / 2]
         grid = CollarGrid(ell, n_s=6000, n_theta=16)
         for n in (1, 2, 3, 4):
             field = scaled_mode_field(grid, n)
             xs = np.array([-math.pi / d for d in deltas])
-            ys = np.array([math.log(thin_thick_decay_ratio(field, d, delta0))
+            ys = np.array([math.log(thin_thick_decay_ratio(field, d))
                            for d in deltas])
             slope = np.polyfit(xs, ys, 1)[0]
             assert slope / n == pytest.approx(1.0, abs=0.1)

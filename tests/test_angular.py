@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from collarflow import angular
 from collarflow.geometry import CollarGrid, DomainError
 from collarflow.fields import (MapField, TargetSpec, sample_map, theta_profile,
                                window_integrals)
@@ -16,6 +17,7 @@ from collarflow.angular import (
     CONSTANT_MODE_RATE,
     DEFAULT_C1,
     EXP_MODE_RATE,
+    MAX_STATIONS,
     ProfileFn,
     _candidate_block,
     _grid_steps,
@@ -235,13 +237,15 @@ class TestComparisonPairs:
             rep = comparison_check(lower, upper)
             assert rep.premise_operator and rep.premise_boundary
 
-    def test_exhausted_tries_raise(self):
-        # max_tries = 0 leaves no candidate to draw
+    def test_exhausted_tries_raise(self, monkeypatch):
+        # no tries per pair leaves no candidate to draw
+        monkeypatch.setattr(angular, "_MAX_TRIES", 0)
         with pytest.raises(RuntimeError):
-            comparison_pairs(np.random.default_rng(0), 3, max_tries=0)
+            comparison_pairs(np.random.default_rng(0), 3)
         # a single try per pair cannot supply 50 pairs at ~20 % acceptance
+        monkeypatch.setattr(angular, "_MAX_TRIES", 1)
         with pytest.raises(RuntimeError):
-            comparison_pairs(np.random.default_rng(0), 50, max_tries=1)
+            comparison_pairs(np.random.default_rng(0), 50)
 
     @staticmethod
     def stream_digest(pairs) -> str:
@@ -271,10 +275,6 @@ class TestComparisonPairs:
         (dict(n_pairs=2.5), "n_pairs must be a nonnegative integer, got 2.5"),
         (dict(n_pairs=-1), "n_pairs must be a nonnegative integer, got -1"),
         (dict(n_pairs=True), "n_pairs must be a nonnegative integer, got True"),
-        (dict(n_pairs=3, max_tries=-1),
-         "max_tries must be a nonnegative integer, got -1"),
-        (dict(n_pairs=3, max_tries=1.5),
-         "max_tries must be a nonnegative integer, got 1.5"),
     ])
     def test_bad_counts_rejected(self, kwargs, named):
         with pytest.raises(DomainError) as err:
@@ -282,8 +282,7 @@ class TestComparisonPairs:
         assert str(err.value) == named
 
     def test_numpy_integer_counts_accepted(self):
-        pairs, _ = comparison_pairs(np.random.default_rng(2), np.int64(2),
-                                    max_tries=np.int32(500))
+        pairs, _ = comparison_pairs(np.random.default_rng(2), np.int64(2))
         assert len(pairs) == 2
 
     def test_single_pair_wrapper_matches_block_sampler(self):
@@ -448,11 +447,25 @@ class TestAngularAudit:
         (0.0, "profile_step must be finite and > 0"),
         (math.nan, "profile_step must be finite and > 0"),
         (-0.05, "profile_step must be finite and > 0"),
-    ], ids=["0.3", "0", "nan", "-0.05"])
+        # 2 floor(5 / step) + 1 stations: ten million at 1e-6, and past
+        # the floats at 5e-324, where the ratio is inf
+        (1e-6, rf"^profile_step: 1e-06 asks for more than {MAX_STATIONS} "),
+        (1e-300, "^profile_step: 1e-300 asks for more than"),
+        (5e-324, "^profile_step: 5e-324 asks for more than"),
+    ], ids=["0.3", "0", "nan", "-0.05", "1e-6", "1e-300", "5e-324"])
     def test_bad_profile_step_rejected(self, step, named):
         u = self.near_harmonic_map(n_s=400)
         with pytest.raises(DomainError, match=named):
             angular_bound_audit(u, profile_step=step)
+
+    def test_short_window_station_cap(self):
+        # a window too short to audit is still held to the cap, by the delay
+        grid = CollarGrid(0.2, 200, 8, s_max=1.4)
+        u = sample_map(grid, TargetSpec.flat_torus(dim=1), lambda s, t: np.stack(
+            [0.1 * np.sin(t) * np.ones_like(s)], axis=-1))
+        with pytest.raises(DomainError, match="^profile_step: "):
+            angular_bound_audit(u, profile_step=5e-324)
+        assert angular_bound_audit(u, profile_step=1e-4).vacuous
 
     @pytest.mark.parametrize("c1", [math.inf, math.nan, -3.0])
     def test_bad_c1_rejected(self, c1):

@@ -353,11 +353,11 @@ class TestConfigSerialization:
     def test_digest_stable_and_field_sensitive(self):
         from collarflow.demos import demo_config
         cfg, _ = demo_config("wrap")
-        d1 = cfio.config_digest(cfg)
-        d2 = cfio.config_digest(cfio.config_from_dict(cfio.config_to_dict(cfg)))
+        d1 = cfio.config_digest(cfio.config_to_dict(cfg))
+        d2 = cfio.config_digest(cfio.config_to_dict(
+            cfio.config_from_dict(cfio.config_to_dict(cfg))))
         assert d1 == d2 and len(d1) == 64
-        bumped = cfio.config_from_dict(
-            {**cfio.config_to_dict(cfg), "eta": cfg.eta + 0.125})
+        bumped = {**cfio.config_to_dict(cfg), "eta": cfg.eta + 0.125}
         assert cfio.config_digest(bumped) != d1
 
     def test_target_dict_strict(self):
@@ -625,7 +625,8 @@ class TestCliDriver:
         ("relax", "9475f3276f2d0a3dd20749c4ca05b44f23aaa02f7ed32cebfdf0f4ae408ac9f4"),
     ])
     def test_demo_config_digest_pinned(self, name, digest):
-        assert cfio.config_digest(demo_config(name)[0]) == digest
+        # the digest of the flow block alone; artifacts digest it with the initial block
+        assert cfio.config_digest(cfio.config_to_dict(demo_config(name)[0])) == digest
 
     def test_qd_negative_n_max_writes_nothing(self, tmp_path, capsys):
         (tmp_path / "qd.json").write_text(json.dumps(QD_DOC))
@@ -645,9 +646,26 @@ class TestCliDriver:
                      "--out", str(tmp_path)]) == 0
         cols, prov = cfio.read_csv(tmp_path / "trace.csv")
         assert prov["status"] == "completed"
-        assert prov["config_sha256"] == cfio.config_digest(cfg)
+        assert prov["config_sha256"] == cfio.config_digest(
+            {"flow": cfio.config_to_dict(cfg), "initial": init})
         assert len(cols["t"]) == json.loads(
             (tmp_path / "summary.json").read_text())["n_rows"]
+
+    def test_flow_digest_covers_initial_block(self, tmp_path):
+        # two configs that differ only in the initial amplitude run apart,
+        # so their provenance must tell them apart
+        digests, energies = [], []
+        for a in (1.0, 0.5):
+            out = tmp_path / str(a)
+            doc = _with(FLOW_DOC, "initial", {"kind": "wrap", "a": a})
+            (tmp_path / "flow.json").write_text(json.dumps(doc))
+            assert main(["flow", "--config", str(tmp_path / "flow.json"),
+                         "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            digests.append(summary["provenance"]["config_sha256"])
+            energies.append(summary["energy_final"])
+        assert energies[0] != energies[1]
+        assert digests[0] != digests[1]
 
     def test_flow_malformed_config_diagnostic(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"flow": {oops}')
@@ -975,6 +993,10 @@ class TestCliDriver:
     @pytest.mark.parametrize("argv, named", [
         (["--tol", "inf"], "tol"), (["--tol", "nan"], "tol"), (["--tol", "-1"], "tol"),
         (["--sweep", "0.02,0.05,nan"], "--sweep"),
+        (["--ell0", "5"], "ell0: need a core length in (0, 2 arsinh 1), got 5.0"),
+        (["--ell0", "nan"], "ell0: need a core length in (0, 2 arsinh 1), got nan"),
+        (["--sweep", "0.02,0.05,3"],
+         "--sweep: sample lengths: need a core length in (0, 2 arsinh 1), got 3.0"),
     ])
     def test_wp_bad_input_writes_nothing(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
@@ -982,6 +1004,17 @@ class TestCliDriver:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}")
         assert err.count("\n") == 1 and err.count("error:") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["1e-300", "1e-6"])
+    def test_angular_station_cap_exit_2(self, tmp_path, capsys, step):
+        # s_max 2.5 asks for 2 floor(1.5 / step) + 1 stations
+        out = tmp_path / "out"
+        assert main(["angular", "--field", str(_map_csv(tmp_path)), "--out", str(out),
+                     "--profile-step", step]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: profile_step: {float(step)} asks for more than 65536 "
+                       "stations on a grid with s_max = 2.5\n")
         assert not out.exists()
 
     def test_zero_dim_torus_names_dim(self, tmp_path, capsys):

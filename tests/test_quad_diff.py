@@ -10,7 +10,7 @@ from collarflow.fields import (MapField, TargetSpec, energies, jet, sample_map, 
 from collarflow.geometry import (CollarGrid, DomainError, delta_thin_half_length,
                                  dz2_norms, half_length)
 from collarflow.quad_diff import (
-    FourierQD,
+    THICK_DELTA,
     QuadDiffField,
     coordinate_differential,
     fourier_decompose,
@@ -76,7 +76,7 @@ class TestFourier:
         for n in range(-5, 6):
             expect = modes.get(n, 0.0)
             assert mc.coefficient(n) == pytest.approx(expect, abs=1e-10)
-        back = synthesize(mc)
+        back = synthesize({n: mc.coefficient(n) for n in range(-5, 6)}, short_grid)
         assert np.allclose(back.psi, f.psi, atol=1e-9)
 
     def test_mode_orthogonality_on_subcylinders(self):
@@ -270,10 +270,9 @@ class TestHopf:
 
 class TestDecay:
     def test_ratio_scaling_single_modes(self):
-        # sup over the delta-thin part relative to the delta0-thick L^2 norm
+        # sup over the delta-thin part relative to the 0.2-thick L^2 norm
         # decays like delta^-2 e^{-|n| pi / delta}; slope per unit rate
         # within 10% of 1, and one constant covers all modes
-        delta0 = 0.2
         consts = []
         for ell in (0.05, 0.1):
             deltas = [d for d in (0.05, 0.1, 0.2) if d > ell / 2]
@@ -282,7 +281,7 @@ class TestDecay:
                 f = scaled_mode_field(grid, n)
                 xs, ys = [], []
                 for d in deltas:
-                    r = thin_thick_decay_ratio(f, d, delta0)
+                    r = thin_thick_decay_ratio(f, d)
                     xs.append(-math.pi / d)
                     ys.append(math.log(r))
                     consts.append(r / (d**-2 * math.exp(-math.pi / d)))
@@ -293,17 +292,18 @@ class TestDecay:
 
     def test_ratio_matches_inline_formula_bitwise(self):
         # thin-part sup and thick-part L^2 written out on the masked rows
-        ell, delta, delta0 = 0.1, 0.1, 0.2
+        ell, delta = 0.1, 0.1
         grid = CollarGrid(ell, n_s=2000, n_theta=8)
         f = scaled_mode_field(grid, 2)
         thin = np.abs(grid.s_nodes) <= delta_thin_half_length(ell, delta)
-        thick = np.abs(grid.s_nodes) >= delta_thin_half_length(ell, delta0)
+        thick = np.abs(grid.s_nodes) >= delta_thin_half_length(ell, THICK_DELTA)
         size = 2.0 * np.abs(f.psi) * grid.rho_inv_sq[:, None]
         dens = 4.0 * np.abs(f.psi) ** 2 * grid.rho_inv_sq[:, None]
         l2_thick = math.sqrt(float(np.einsum("s,st->", grid.s_weights * thick, dens))
                              * grid.theta_weight)
         expected = float(np.max(size[thin])) / l2_thick
-        assert thin_thick_decay_ratio(f, delta, delta0) == expected
+        assert THICK_DELTA == 0.2
+        assert thin_thick_decay_ratio(f, delta) == expected
 
     def test_zero_principal_part_required(self):
         grid = CollarGrid(0.1, n_s=2000, n_theta=8)

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from collarflow import wp
 from collarflow.geometry import ELL_MAX, DomainError, dz2_norms
 from collarflow.wp import (
     CorrectionFit,
     G_AT_PINCH,
+    PATH_SAMPLES,
     WPPath,
     correction_coefficient,
     integrate_to_pinch,
@@ -94,9 +96,9 @@ class TestDistance:
         assert deficit == pytest.approx(CUBIC_COEFF * ell0**3, rel=0.05)
 
     def test_path_shape(self):
-        path = integrate_to_pinch(0.1, n_samples=80)
+        path = integrate_to_pinch(0.1)
         assert isinstance(path, WPPath)
-        assert path.ell.shape == (80,)
+        assert path.ell.shape == (PATH_SAMPLES,)
         assert path.ell[0] == pytest.approx(0.1)
         assert path.ell[-1] == 0.0
         assert path.distance[-1] == 0.0
@@ -105,20 +107,21 @@ class TestDistance:
         assert np.all(np.diff(path.distance) < 0)
 
     def test_path_validation(self):
-        with pytest.raises(DomainError):
-            WPPath(ell=np.array([0.1, 0.2]), distance=np.array([1.0, 0.0]),
-                   total=1.0)
-        with pytest.raises(DomainError):
+        # the path starts inside the open range; the error names ell0 and its value
+        with pytest.raises(DomainError, match=r"^ell0: need .* \(0, 2 arsinh 1\), got 0\.0$"):
             integrate_to_pinch(0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^ell0: .*, got 1\.76"):
             integrate_to_pinch(ELL_MAX)
 
     @pytest.mark.parametrize("n_samples", [2, 200])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-    def test_tolerance_met(self, tol, n_samples):
+    def test_tolerance_met(self, monkeypatch, tol, n_samples):
+        # one path interval (2 samples) must meet tol as well as 199 do
+        monkeypatch.setattr(wp, "PATH_SAMPLES", n_samples)
         dist = DIST_ORACLES[0.1]
-        total = integrate_to_pinch(0.1, tol=tol, n_samples=n_samples).total
-        assert abs(total - dist) <= tol * dist
+        path = integrate_to_pinch(0.1, tol=tol)
+        assert path.ell.shape == (n_samples,)
+        assert abs(path.total - dist) <= tol * dist
 
     def test_unreachable_tolerance_rejected(self):
         with pytest.raises(DomainError, match="tol must be finite and >= 0"):
@@ -131,7 +134,7 @@ class TestLengthCheck:
         lambda: speed_normalizer(np.array([0.1, math.nan])),
         lambda: pinch_speed(math.nan),
         lambda: integrate_to_pinch(math.nan),
-        lambda: correction_coefficient([math.nan, 0.05, 0.1, 0.2], dists=np.ones(4)),
+        lambda: correction_coefficient([math.nan, 0.05, 0.1, 0.2]),
     ], ids=["speed_normalizer", "speed_normalizer-array", "pinch_speed",
             "integrate_to_pinch", "correction_coefficient"])
     def test_nan_length_rejected(self, call):
@@ -162,11 +165,15 @@ class TestCorrectionFit:
         err_narrow = abs(narrow.c3 - CUBIC_COEFF)
         assert err_narrow < err_wide
 
-    def test_synthetic_injection_round_trip(self):
+    def test_synthetic_injection_round_trip(self, monkeypatch):
+        # the fit reads each distance through wp.integrate_to_pinch
         c3_true = 0.004
         ells = np.array([0.03, 0.07, 0.12, 0.18])
-        dists = np.sqrt(2.0 * math.pi * ells) * (1.0 - c3_true * ells**3)
-        fit = correction_coefficient(ells, dists=dists)
+        dists = dict(zip(ells, np.sqrt(2.0 * math.pi * ells) * (1.0 - c3_true * ells**3)))
+        monkeypatch.setattr(wp, "integrate_to_pinch",
+                            lambda ell0, tol: WPPath(ell=None, distance=None,
+                                                     total=dists[ell0]))
+        fit = correction_coefficient(ells)
         assert fit.c3 == pytest.approx(c3_true, rel=1e-8)
         assert abs(fit.c5) < 1e-8
 
@@ -175,8 +182,5 @@ class TestCorrectionFit:
             correction_coefficient([0.05, 0.1])
         with pytest.raises(DomainError):
             correction_coefficient([0.1, 0.1001, 0.10005, 0.2])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^sample lengths: .*, got 1\.9$"):
             correction_coefficient([0.05, 0.1, 1.9])
-        with pytest.raises(DomainError):
-            correction_coefficient([0.05, 0.1, 0.15],
-                                   dists=np.array([1.0, 2.0]))
