@@ -32,7 +32,7 @@ from collarflow.geometry import (
     CollarGrid,
     DomainError,
     check_block,
-    conformal_factor,
+    _rho,
     delta_thin_half_length,
     dz2_norms,
     half_length,
@@ -73,9 +73,12 @@ def _check_out(out: str) -> None:
 
 # ----------------------------------------------------------------- geometry
 
+MAX_SAMPLES = 10**6  # geometry profile rows allowed; each is one CSV line
+
+
 def cmd_geometry(args) -> int:
-    if args.samples < 0:
-        raise DomainError(f"--samples must be >= 0, got {args.samples}")
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise DomainError(f"--samples: must be in [0, {MAX_SAMPLES}], got {args.samples}")
     params = {"ell": args.ell, "delta": args.delta, "samples": args.samples}
     prov = cfio.provenance_for(params, seed=args.seed, subcommand="geometry")
     norms = dz2_norms(args.ell)
@@ -93,12 +96,15 @@ def cmd_geometry(args) -> int:
         summary["delta"] = args.delta
         summary["delta_thin_half_length"] = X_delta
         summary["thick_margin"] = summary["half_length"] - X_delta
-    # the profile is built before the first write, so a rejected size leaves no file
+    # the profile is built before the first write; its stations lie inside the
+    # open collar, where conformal_factor and injectivity_radius take the same
+    # formulas one point at a time
     s = np.linspace(-0.999, 0.999, args.samples) * summary["half_length"]
     profile = {
         "s": s,
-        "rho": np.array([conformal_factor(args.ell, v) for v in s]),
-        "injectivity": np.array([injectivity_radius(args.ell, v) for v in s]),
+        "rho": _rho(args.ell, s),
+        "injectivity": np.arcsinh(math.sinh(0.5 * args.ell)
+                                  / np.cos(args.ell * s / (2.0 * math.pi))),
     }
     out = _out_dir(args)
     cfio.write_json(out / "geometry_summary.json", summary, prov)

@@ -50,9 +50,9 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
         raise DomainError(f"initial.kind: {kind!r} needs a {need.kind} target with "
                           f"dim >= {least}, got {target.kind} with dim = {target.dim}")
 
-    def padded(*components):  # the components, then zeros up to target.dim
+    def padded(*components):  # the component planes, then zero planes up to target.dim
         zeros = [np.zeros_like(components[0])] * (target.dim - len(components))
-        return np.stack([*components, *zeros], axis=-1)
+        return np.stack([*components, *zeros])
 
     if kind == "wrap":
         return sample_map(grid, target, lambda s, t: padded(spec.get("a", 1.0) * t)).values
@@ -63,11 +63,11 @@ def build_initial(config: FlowConfig, spec: dict) -> np.ndarray:
         if not width > 0:
             raise DomainError(f"initial.width: must be > 0, got {width}")
         width *= grid.s_max
-        vals = np.zeros((grid.n_s, grid.n_theta, target.dim))
+        vals = np.zeros((target.dim, grid.n_s, grid.n_theta))
         env = np.exp(-0.5 * (grid.s_nodes / width) ** 2)
         for n, a_n in enumerate(amps, start=1):
             comp = (n - 1) % target.dim
-            vals[:, :, comp] += a_n * env[:, None] \
+            vals[comp] += a_n * env[:, None] \
                 * np.sin(n * grid.theta_nodes)[None, :]
         return vals
     # sphere-equator

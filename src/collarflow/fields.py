@@ -12,16 +12,23 @@ model maps used throughout the tests:
     order on the two boundary rows, hence u_s is exact on fields
     quadratic in s and u_ss on fields cubic in s.
 
+Map values are component-major: a map's values are a (dim, n_s, n_theta)
+array, and a jet stacks its per-direction pairs as (2, dim, n_s, n_theta)
+buffers, so each component is one contiguous (n_s, n_theta) plane.  Every
+target operation indexes the component axis at -3, so the same code serves
+plain values and stacked buffers.
+
 One pass (jet) builds the wrapped s and theta differences once and
 returns them with the first and pure second derivatives.  The tension
 field is rho^-2 P_tan(u_ss + u_thth): the target's second fundamental
 form is zero on the torus and radial on the sphere, so the tangential
 projection removes it.
 
-Every sum over the target-component axis (the densities |u_s|^2 and
-|u_theta|^2, the Hopf cross term, the tension density, the tangential
-and sphere projections and the unit-norm check) goes through
-TargetSpec.dot, which adds the component products in component order.
+Every sum over the target-component axis (axis -3: the densities
+|u_s|^2 and |u_theta|^2, the Hopf cross term, the tension density, the
+tangential and sphere projections and the unit-norm check) goes through
+TargetSpec.dot, which adds the component planes' products in component
+order.
 
 Energies are reported in the conformal picture: the coordinate energy
 E = 1/2 int |du|^2 ds dtheta is invariant under the conformal factor,
@@ -80,15 +87,15 @@ class TargetSpec:
 
     def dot(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
             tmp: np.ndarray | None = None) -> np.ndarray:
-        """<a, b> summed over the last (component) axis in component order.
+        """<a, b> summed over the component axis (-3) in component order.
 
-        The in-order sum is bit-identical to np.sum(a * b, axis=-1) for
+        The in-order sum is bit-identical to np.sum(a * b, axis=-3) for
         the short component axes used here and runs several times faster.
         The sum goes into out, and each later product into tmp, when given.
         """
-        out = np.multiply(a[..., 0], b[..., 0], out=out)
-        for k in range(1, a.shape[-1]):
-            out += np.multiply(a[..., k], b[..., k], out=tmp)
+        out = np.multiply(a[..., 0, :, :], b[..., 0, :, :], out=out)
+        for k in range(1, a.shape[-3]):
+            out += np.multiply(a[..., k, :, :], b[..., k, :, :], out=tmp)
         return out
 
     def project(self, values: np.ndarray, norms: np.ndarray | None = None,
@@ -122,10 +129,16 @@ class FlatTorus(TargetSpec):
             raise DomainError(f"periods: must be positive and finite, got {list(self.periods)}")
 
     def wrap_increment(self, d, tmp=None):
-        # x - p round(x / p) one component at a time, p round(x / p) in tmp if
-        # given (a 0-d x gives scalars, which the operators rebind)
+        # x - p rint(x / p) one component at a time, p rint(x / p) in tmp if
+        # given.  With every x strictly inside +-min(periods) / 2, rint gives
+        # +-0 everywhere and the formula only turns -0.0 into +0.0, as adding
+        # +0.0 does in one pass; winding maps take the full formula.
+        half = 0.5 * min(self.periods)
+        if -half < d.min() and d.max() < half:
+            d += 0.0
+            return d
         for k, p in enumerate(self.periods):
-            x = d[..., k]
+            x = d[..., k, :, :]
             r = np.rint(np.divide(x, p, out=tmp), out=tmp)
             r *= p
             x -= r
@@ -144,19 +157,18 @@ class RoundSphere(TargetSpec):
             raise DomainError(f"dim: must be >= 2, got {self.dim}")
 
     def project(self, values, norms=None, tmp=None):
-        # values / |values| one component at a time, |values| in norms
+        # values / |values|, |values| in norms broadcast over the component axis
         norms = np.sqrt(self.dot(values, values, norms, tmp), out=norms)
         if not norms.all():
             raise DomainError("cannot project the zero vector onto the sphere")
-        for k in range(values.shape[-1]):
-            np.divide(values[..., k], norms, out=values[..., k])
-        return values
+        return np.divide(values, norms[..., None, :, :], out=values)
 
     def tangential(self, u, w, c=None, tmp=None):
         # w - <w, u> u one component at a time, <w, u> in c and each product in tmp
         c = self.dot(w, u, c, tmp)
-        for k in range(w.shape[-1]):
-            np.subtract(w[..., k], np.multiply(c, u[..., k], out=tmp), out=w[..., k])
+        for k in range(w.shape[-3]):
+            x = w[..., k, :, :]
+            np.subtract(x, np.multiply(c, u[..., k, :, :], out=tmp), out=x)
         return w
 
     def check_values(self, values: np.ndarray) -> None:
@@ -177,7 +189,7 @@ _SCHEMA = ("kind", {cls.kind: cls.keys for cls in TARGET_KINDS})
 
 @dataclass
 class MapField:
-    """Node-sampled map u: grid -> target, values of shape (n_s, n_theta, dim)."""
+    """Node-sampled map u: grid -> target, values of shape (dim, n_s, n_theta)."""
 
     grid: CollarGrid
     values: np.ndarray
@@ -185,9 +197,10 @@ class MapField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.n_s, self.grid.n_theta, self.target.dim)
+        expected = (self.target.dim, self.grid.n_s, self.grid.n_theta)
         if self.values.shape != expected:
-            raise DomainError(f"values shape {self.values.shape} != {expected}")
+            raise DomainError(f"values: shape {self.values.shape} is not "
+                              f"(dim, n_s, n_theta) = {expected}")
         if not np.isfinite(self.values).all():
             raise DomainError("map values must be finite")
         self.target.check_values(self.values)
@@ -205,8 +218,9 @@ class MapField:
 
 def sample_map(grid: CollarGrid, target: TargetSpec, fn) -> MapField:
     """Build a MapField by sampling fn(s, theta) on the grid: fn takes the
-    (n_s, n_theta) node arrays and returns values of shape (n_s, n_theta,
-    dim), which are projected onto the target."""
+    (n_s, n_theta) node arrays and returns values of shape (dim, n_s,
+    n_theta), component-major (np.stack of the component planes), which
+    are projected onto the target."""
     S, T = np.meshgrid(grid.s_nodes, grid.theta_nodes, indexing="ij")
     vals = np.asarray(fn(S, T), dtype=float)
     # a copy, projected in place, so no array fn returned is written
@@ -218,10 +232,10 @@ class MapJet:
     for each map by jet(u, out=J).  A jet holds:
 
       * the derivatives and wrapped differences, each per-direction pair
-        one buffer so that a shared operation runs once: first (2, n_s,
-        n_theta, dim) holds u_s then u_theta, second u_ss then u_thth, and
-        diffs (2 n_s - 1, n_theta, dim) the n_s - 1 rows of d_s then the
-        n_s rows of d_theta;
+        one component-major (2, dim, n_s, n_theta) buffer so that a shared
+        operation runs once: first holds u_s then u_theta, second u_ss then
+        u_thth, and diffs the n_s - 1 rows of d_s (its s plane's last row
+        is never written and stays zero) then the n_s rows of d_theta;
       * the densities |u_s|^2 and |u_theta|^2 (densities()), summed in work
         rows of their own on first read, and the Hopf coefficient psi
         (hopf()); both stay valid until the next fill;
@@ -233,29 +247,30 @@ class MapJet:
     def __init__(self, target: TargetSpec, n_s: int, n_theta: int):
         d = target.dim
         self.target = target
-        self.first = np.empty((2, n_s, n_theta, d))
-        self.second = np.empty((2, n_s, n_theta, d))
-        self.diffs = np.empty((2 * n_s - 1, n_theta, d))
+        self.first = np.empty((2, d, n_s, n_theta))
+        self.second = np.empty((2, d, n_s, n_theta))
+        self.diffs = np.zeros((2, d, n_s, n_theta))
         # rows 0-1 the densities, 2-3 their pass's and the wrap's work, 4-5 scratch
         rows = np.empty((6, n_s, n_theta))
         self.psi = np.empty((n_s, n_theta), dtype=complex)
         self.u_s, self.u_theta = self.first
         self.u_ss, self.u_thth = self.second
-        self.d_s, self.d_theta = D, Dt = self.diffs[:n_s - 1], self.diffs[n_s - 1:]
+        self.d_s, self.d_theta = D, Dt = self.diffs[0, :, :-1], self.diffs[1]
         # s: D's interior pairs, the interior and end rows of u_s and u_ss, the
         # end rows' operands (D rows 0, 1, 2 with -1, -2, -3), a scratch pair
         # and u_ss's last row, whose one-sided differences point inward
-        self._s_views = (D[1:], D[:-1], self.u_s[1:-1], self.u_ss[1:-1],
-                         self.u_s[::n_s - 1], self.u_ss[::n_s - 1],
+        self._s_views = (D[:, 1:], D[:, :-1], self.u_s[:, 1:-1], self.u_ss[:, 1:-1],
+                         self.u_s[:, ::n_s - 1], self.u_ss[:, ::n_s - 1],
                          _end_rows(D, 0), _end_rows(D, 1), _end_rows(D, 2),
-                         np.empty((2,) + D.shape[1:]), self.u_ss[-1])
-        # theta: the flattened arrays shifted by one column (d entries), and the seam columns
-        Dtf = Dt.reshape(-1)
-        self._theta_views = (Dtf[d:], Dtf[:-d], Dt[:, 0], Dt[:, -1],
-                             self.u_theta.reshape(-1)[d:], self.u_theta[:, 0],
-                             self.u_thth.reshape(-1)[d:], self.u_thth[:, 0])
-        # the wrap's work, one node per difference
-        self._wrap_tmp = rows[2:4].reshape(2 * n_s, -1)[:-1]
+                         np.empty((d, 2, n_theta)), self.u_ss[:, -1])
+        # theta: the flattened arrays shifted by one entry, and the seam columns
+        # (the first and last entry of each row) as strided flat views
+        Dtf, utf, uttf = Dt.reshape(-1), self.u_theta.reshape(-1), self.u_thth.reshape(-1)
+        first, last = slice(None, None, n_theta), slice(n_theta - 1, None, n_theta)
+        self._theta_views = (Dtf[1:], Dtf[:-1], Dtf[first], Dtf[last],
+                             utf[1:], utf[first], uttf[1:], uttf[first])
+        # the wrap's work, one node of one component plane per direction
+        self._wrap_tmp = rows[2:4]
         self._density_pass = (rows[:2], rows[2:4])
         self._densities = (rows[0], rows[1])
         self.scratch = (rows[4], rows[5])
@@ -295,10 +310,13 @@ class MapJet:
 
 
 def _end_rows(a: np.ndarray, k: int) -> np.ndarray:
-    """Rows k and -1 - k of a as one read-only view, by a stride that may be
-    negative or zero; a slice a[k::len(a) - 1 - 2k] can take a third row."""
-    step = ((len(a) - 1 - 2 * k) * a.strides[0],) + a.strides[1:]
-    return np.lib.stride_tricks.as_strided(a[k], (2,) + a.shape[1:], step, writeable=False)
+    """s rows k and -1 - k of a (dim, rows, n_theta) array as one read-only
+    (dim, 2, n_theta) view, by a row stride that may be negative or zero; a
+    slice a[:, k::rows - 1 - 2k] can take a third row."""
+    dim, rows, n_theta = a.shape
+    strides = (a.strides[0], (rows - 1 - 2 * k) * a.strides[1], a.strides[2])
+    return np.lib.stride_tricks.as_strided(a[:, k], (dim, 2, n_theta), strides,
+                                           writeable=False)
 
 
 def jet(u: MapField, out: MapJet | None = None) -> MapJet:
@@ -315,23 +333,23 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     J = MapJet(target, grid.n_s, grid.n_theta) if out is None else out
     J._summed = False
     h_s, h_t = grid.h_s, grid.theta_weight
-    v, d = u.values, target.dim
+    v, n_t = u.values, grid.n_theta
     D_hi, D_lo, us_in, uss_in, us_end, uss_end, D0, D1, D2, scratch, uss_last = J._s_views
     Dt_hi, Dt_lo, Dt_first, Dt_last, ut_tail, ut_first, utt_tail, utt_first = J._theta_views
 
-    # D[i] = v[i + 1] - v[i] between s rows, and Dt[:, j] = v[:, j + 1] - v[:, j]
-    # (periodic) as one pass over the flattened values shifted by one theta
-    # column (d entries), whose wrong seam column is then redone; strided
-    # 2-d slices would make numpy buffer whole maps.  One wrap takes both.
+    # D[:, i] = v[:, i + 1] - v[:, i] between s rows, and Dt[:, :, j] =
+    # v[:, :, j + 1] - v[:, :, j] (periodic) as one pass over the flattened
+    # values shifted by one entry, whose wrong seam column is then redone;
+    # strided slices would make numpy buffer whole maps.  One wrap takes both.
     vf = v.reshape(-1)
-    np.subtract(v[1:], v[:-1], out=J.d_s)
-    np.subtract(vf[d:], vf[:-d], out=Dt_lo)
-    np.subtract(v[:, 0], v[:, -1], out=Dt_last)
+    np.subtract(v[:, 1:], v[:, :-1], out=J.d_s)
+    np.subtract(vf[1:], vf[:-1], out=Dt_lo)
+    np.subtract(vf[::n_t], vf[n_t - 1::n_t], out=Dt_last)
     target.wrap_increment(J.diffs, tmp=J._wrap_tmp)
 
     # first derivatives, each then divided whole by its spacing: the s
     # interior D[i] + D[i - 1] and both end rows 3.0 D0 - D1 over 2 h_s, the
-    # theta central sums Dt[:, j] + Dt[:, j - 1] over 2 h_t
+    # theta central sums Dt[:, :, j] + Dt[:, :, j - 1] over 2 h_t
     np.add(D_hi, D_lo, out=us_in)
     np.multiply(3.0, D0, out=us_end)
     us_end -= D1
@@ -342,7 +360,7 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
 
     # second derivatives, each divided whole: the s interior D[i] - D[i - 1]
     # and end rows (-2.0 D0 + 3.0 D1) - D2 over h_s^2, the last row negated
-    # (its differences run the other way), Dt[:, j] - Dt[:, j - 1] over h_t^2
+    # (its differences run the other way), Dt[:, :, j] - Dt[:, :, j - 1] over h_t^2
     np.subtract(D_hi, D_lo, out=uss_in)
     np.multiply(-2.0, D0, out=uss_end)
     uss_end += np.multiply(3.0, D1, out=scratch)
@@ -362,13 +380,13 @@ def tension(u: MapField, jet_: MapJet | None = None,
     The tangential projection makes the result tangent to the target at
     u by construction, and it removes the second fundamental form terms
     of the full operator: they vanish on the torus and are radial on the
-    sphere.  Returns an array of shape (n_s, n_theta, dim), out when
+    sphere.  Returns an array of shape (dim, n_s, n_theta), out when
     given; the projection works in the jet's scratch rows.
     """
     J = jet_ or jet(u)
     flat = np.add(J.u_ss, J.u_thth, out=out)
     u.target.tangential(u.values, flat, *J.scratch)
-    flat *= u.grid.rho_inv_sq[:, None, None]
+    flat *= u.grid.rho_inv_sq[:, None]
     return flat
 
 
@@ -387,7 +405,7 @@ def tension_l2(u: MapField, tau: np.ndarray | None = None,
 def tension_density(u: MapField, tau: np.ndarray, jet_: MapJet | None = None) -> np.ndarray:
     """|tau_g|^2 rho^2 per node, the tension density against ds dtheta, in
     jet_'s first scratch row if given."""
-    dens, tmp = np.empty((2,) + tau.shape[:-1]) if jet_ is None else jet_.scratch
+    dens, tmp = np.empty((2,) + tau.shape[-2:]) if jet_ is None else jet_.scratch
     u.target.dot(tau, tau, dens, tmp)
     return np.multiply(dens, u.grid.rho_sq[:, None], out=dens)
 

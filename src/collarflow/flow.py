@@ -191,7 +191,7 @@ def pinned_tension(u: MapField, jet_: MapJet | None = None,
     """Tension field with the two Dirichlet rows zeroed (the flow's vector
     field), into out when given."""
     tau = tension(u, jet_, out)
-    tau[::len(tau) - 1] = 0.0
+    tau[:, ::tau.shape[1] - 1] = 0.0
     return tau
 
 
@@ -202,17 +202,31 @@ def face_energy(u: MapField, jet_: MapJet | None = None,
     Second-order accurate for E and exactly paired with the five-point
     tension stencil: its gradient at an interior node is minus the flat
     Laplacian times the cell area, which makes the semi-discrete energy
-    identity along the flow exact.  The face differences are the jet's;
-    their squares go into scratch, a spare array of the map's shape,
-    when given.
+    identity along the flow exact.  The face differences are the jet's.
+    Their squares are summed laid out node-major, (n_s, n_theta, dim): np.sum
+    adds pairwise in memory order, and the trace's E column is pinned to
+    this order.  They go into scratch, a spare contiguous array of the map's
+    size, when given.
     """
     J = jet_ or jet(u)
     h_s, h_t = u.grid.h_s, u.grid.theta_weight
     Ds, Dt = J.d_s, J.d_theta
-    sq_s = np.multiply(Ds, Ds, out=None if scratch is None else scratch[:len(Ds)])
-    e_s = float(np.sum(sq_s)) / h_s**2
-    e_t = float(np.sum(np.multiply(Dt, Dt, out=scratch))) / h_t**2
+    dim, n_s, n_t = Dt.shape
+    buf = np.empty(Dt.size) if scratch is None else scratch.reshape(-1)
+    sq = buf.reshape(n_s, n_t, dim)
+    e_s = _node_major_sum_of_squares(Ds, sq[:n_s - 1]) / h_s**2
+    e_t = _node_major_sum_of_squares(Dt, sq) / h_t**2
     return 0.5 * (e_s + e_t) * h_s * h_t
+
+
+def _node_major_sum_of_squares(d: np.ndarray, sq: np.ndarray) -> float:
+    """np.sum of the squares of d, a (dim, rows, n_theta) array, written into
+    sq, its (rows, n_theta, dim) layout, through sq's component planes one at
+    a time (a whole transposed write makes numpy buffer small maps)."""
+    planes = sq.transpose(2, 0, 1)
+    for k in range(len(d)):
+        np.multiply(d[k], d[k], out=planes[k])
+    return float(np.sum(sq))
 
 
 class RunArrays:
@@ -228,7 +242,7 @@ class RunArrays:
     """
 
     def __init__(self, config: FlowConfig):
-        shape = (config.n_s, config.n_theta, config.target.dim)
+        shape = (config.target.dim, config.n_s, config.n_theta)
         # the value arrays first: the one a run's final state keeps then
         # sits below the others, which malloc can return from the heap top
         self.values = (np.empty(shape), np.empty(shape))

@@ -319,7 +319,7 @@ def qd_field_from_csv(csv_path, header_path):
 
 def map_to_csv(u, csv_path, header_path, provenance: dict | None = None) -> None:
     """Columnar dump of a map into its target, plus a JSON grid header."""
-    _write_field(u.grid, {f"u_{d}": u.values[:, :, d].ravel()
+    _write_field(u.grid, {f"u_{d}": u.values[d].ravel()
                           for d in range(u.target.dim)},
                  csv_path, header_path, provenance,
                  target=u.target.to_dict())
@@ -330,8 +330,8 @@ def map_from_csv(csv_path, header_path):
     target = TargetSpec.from_dict(header["target"], f"{header_path}.target")
     names = [f"u_{d}" for d in range(target.dim)]
     columns = _read_columns(csv_path, grid, names)
-    values = np.stack([columns[name] for name in names], axis=-1)
+    values = np.stack([columns[name] for name in names])
     try:
-        return MapField(grid, values.reshape(grid.n_s, grid.n_theta, target.dim), target)
+        return MapField(grid, values.reshape(target.dim, grid.n_s, grid.n_theta), target)
     except DomainError as exc:  # a sphere map's off-sphere row
         raise DomainError(f"{csv_path}: {exc}") from exc

@@ -75,11 +75,11 @@ def _torus_field(rng: np.random.Generator, grid: CollarGrid,
                  dim: int = 2, amp: float = 0.3) -> MapField:
     t = grid.theta_nodes[None, :]
     x = grid.s_nodes[:, None] / grid.s_max
-    vals = np.zeros((grid.n_s, grid.n_theta, dim))
+    vals = np.zeros((dim, grid.n_s, grid.n_theta))
     for d in range(dim):
         for _ in range(3):
             n = int(rng.integers(1, 4))
-            vals[:, :, d] += amp * rng.normal() * np.cos(n * t + rng.normal()) \
+            vals[d] += amp * rng.normal() * np.cos(n * t + rng.normal()) \
                 * np.cos(0.5 * math.pi * x * int(rng.integers(1, 3)))
     return MapField(grid, vals, TargetSpec.flat_torus(dim=dim))
 
@@ -202,7 +202,7 @@ def check_jet_linear_exact(rng):
     a = float(rng.normal())
     w = int(rng.integers(1, 5))  # winding; w h_theta < pi keeps wrapped diffs exact
     torus = TargetSpec.flat_torus(dim=1)
-    u = sample_map(grid, torus, lambda s, t: np.stack([a * s + w * t], axis=-1))
+    u = sample_map(grid, torus, lambda s, t: np.stack([a * s + w * t]))
     J = jet(u)
     err = max(float(np.max(np.abs(J.u_s - a))), float(np.max(np.abs(J.u_theta - w))))
     return err < 1e-10, f"max derivative err {err:.3g}", err, 1e-10
@@ -211,7 +211,7 @@ def check_jet_linear_exact(rng):
 def check_tension_harmonic(rng):
     grid = CollarGrid(0.2, 80, 16)
     torus = TargetSpec.flat_torus(dim=1)
-    u = sample_map(grid, torus, lambda s, t: np.stack([t], axis=-1))
+    u = sample_map(grid, torus, lambda s, t: np.stack([t]))
     sup = float(np.max(np.abs(tension(u))))
     return sup < 1e-10, f"wrap tension sup {sup:.3g}", sup, 1e-10
 
@@ -301,9 +301,9 @@ def check_boundary_pinned(rng):
     cfg = _small_frozen_config()
     vals = _torus_field(rng, cfg.grid_at(cfg.ell0)).values
     trace = run(cfg, vals)
-    same = np.array_equal(trace.final.u.values[0], vals[0]) and \
-        np.array_equal(trace.final.u.values[-1], vals[-1])
-    sup = float(np.max(np.abs(pinned_tension(trace.final.u)[0])))
+    same = np.array_equal(trace.final.u.values[:, 0], vals[:, 0]) and \
+        np.array_equal(trace.final.u.values[:, -1], vals[:, -1])
+    sup = float(np.max(np.abs(pinned_tension(trace.final.u)[:, 0])))
     return same and sup == 0.0, "end rows conserved", sup, 0.0
 
 

@@ -41,11 +41,11 @@ from collarflow.quad_diff import (
 def _random_torus_values(rng, grid, dim=2, amp=0.3):
     t = grid.theta_nodes[None, :]
     x = grid.s_nodes[:, None] / grid.s_max
-    vals = np.zeros((grid.n_s, grid.n_theta, dim))
+    vals = np.zeros((dim, grid.n_s, grid.n_theta))
     for d in range(dim):
         for _ in range(3):
             n = int(rng.integers(1, 4))
-            vals[:, :, d] += amp * rng.normal() * np.cos(n * t + rng.normal()) \
+            vals[d] += amp * rng.normal() * np.cos(n * t + rng.normal()) \
                 * np.cos(0.5 * math.pi * x * int(rng.integers(1, 3)))
     return vals
 
@@ -134,7 +134,7 @@ def test_04_speed_route_coefficient_gap():
         via_b0, _ = metric_speed(state, eta)
         from collarflow.fields import jet
         J = jet(state.u)
-        density = np.sum(J.u_s**2 - J.u_theta**2, axis=-1)
+        density = np.sum(J.u_s**2 - J.u_theta**2, axis=0)
         integral = grid.integrate_flat(density * grid.rho_inv_sq[:, None])
         direct = -(eta**2 * ell**2 / (16.0 * math.pi**3)) * integral
         gaps.append(abs(via_b0 - direct) / abs(direct))

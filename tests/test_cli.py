@@ -27,7 +27,14 @@ from collarflow.cli import main
 from collarflow.demos import DEMOS, build_initial, demo_config
 from collarflow.fields import MapField, TargetSpec, sample_map
 from collarflow.flow import TRACE_COLUMNS, FlowConfig, run
-from collarflow.geometry import CollarGrid, DomainError, check_block, half_length
+from collarflow.geometry import (
+    CollarGrid,
+    DomainError,
+    check_block,
+    conformal_factor,
+    half_length,
+    injectivity_radius,
+)
 from collarflow.quad_diff import QuadDiffField
 from collarflow.verify import (
     CHECKS,
@@ -101,7 +108,7 @@ def _map_csv(tmp_path):
     grid = CollarGrid(0.15, 24, 8, s_max=2.5)
     field = tmp_path / "f.csv"
     cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=1),
-                               lambda s, t: t[..., None]), field, tmp_path / "f.json")
+                               lambda s, t: t[None]), field, tmp_path / "f.json")
     return field
 
 
@@ -260,7 +267,7 @@ def cli_csvs(tmp_path_factory):
     grid = CollarGrid(0.2, 300, 16, s_max=6.0)
     def f(s, t):
         env = np.exp(s - grid.s_max) + np.exp(-s - grid.s_max)
-        return np.stack([0.4 * env * np.sin(t), 0.4 * env * np.cos(t)], axis=-1)
+        return np.stack([0.4 * env * np.sin(t), 0.4 * env * np.cos(t)])
     cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=2), f),
                     d / "map.csv", d / "map.json", {"seed": 4})
     (d / "qd.json").write_text(json.dumps(QD_DOC))
@@ -373,7 +380,7 @@ class TestConfigSerialization:
         check_block(doc, cli._FLOW_FILE)
         cfg = cfio.config_from_dict(doc["flow"])
         values = build_initial(cfg, doc["initial"])
-        assert values.shape == (cfg.n_s, cfg.n_theta, cfg.target.dim)
+        assert values.shape == (cfg.target.dim, cfg.n_s, cfg.n_theta)
 
 
 class TestFieldSerialization:
@@ -390,7 +397,7 @@ class TestFieldSerialization:
     def test_map_round_trip(self, tmp_path):
         grid = CollarGrid(0.2, 16, 8, s_max=1.5)
         rng = np.random.default_rng(4)
-        u = MapField(grid, rng.normal(size=(16, 8, 2)),
+        u = MapField(grid, rng.normal(size=(2, 16, 8)),
                      TargetSpec.flat_torus(dim=2, periods=(5.0, 7.0)))
         cfio.map_to_csv(u, tmp_path / "u.csv", tmp_path / "u.json")
         u2 = cfio.map_from_csv(tmp_path / "u.csv", tmp_path / "u.json")
@@ -497,6 +504,35 @@ class TestCliDriver:
         cols, prov = cfio.read_csv(tmp_path / "geometry_profile.csv")
         assert set(cols) == {"s", "rho", "injectivity"}
         assert "config_sha256" in prov
+
+    def test_geometry_profile_matches_the_point_functions(self, tmp_path):
+        # the profile is built as arrays: rho keeps every bit of the scalar
+        # conformal_factor, while np.arcsinh may differ from math.asinh in
+        # the last place
+        assert main(["geometry", "--ell", "0.3", "--samples", "501",
+                     "--out", str(tmp_path)]) == 0
+        cols, _ = cfio.read_csv(tmp_path / "geometry_profile.csv")
+        rho = np.array([conformal_factor(0.3, s) for s in cols["s"]])
+        inj = np.array([injectivity_radius(0.3, s) for s in cols["s"]])
+        assert len(rho) == 501 and cols["rho"].tobytes() == rho.tobytes()
+        np.testing.assert_allclose(cols["injectivity"], inj, rtol=4 * np.finfo(float).eps,
+                                   atol=0)
+
+    @pytest.mark.parametrize("samples", [6, 10**15], ids=["above-cap", "unallocatable"])
+    def test_geometry_samples_capped(self, tmp_path, capsys, monkeypatch, samples):
+        # a count above MAX_SAMPLES exits 2 before any array is asked for
+        # and writes nothing; the cap itself is allowed
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
+        assert main(["geometry", "--ell", "0.2", "--samples", "5",
+                     "--out", str(tmp_path / "ok")]) == 0
+        def refused(*args, **kwargs):
+            raise AssertionError("the profile was built")
+        monkeypatch.setattr(cli.np, "linspace", refused)
+        out = tmp_path / "out"
+        assert main(["geometry", "--ell", "0.2", "--samples", str(samples),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --samples: must be in [0, 5], got {samples}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("ell", ["1e-300", "1e-103"], ids=["underflow", "overflow"])
     def test_geometry_tiny_ell_names_ell(self, tmp_path, capsys, ell):
@@ -763,15 +799,13 @@ class TestCliDriver:
         assert capsys.readouterr().err == f"error: {path}: duplicate key 'eta'\n"
         assert not (tmp_path / "trace.csv").exists()
 
-    @pytest.mark.parametrize("subcommand", ["flow", "geometry"])
+    @pytest.mark.parametrize("subcommand", ["flow"])
     def test_refused_allocation_exit_2(self, tmp_path, capsys, subcommand):
         # 10^15 doubles lie past any address space: numpy refuses them unwritten,
-        # and the command writes no file before it asks for them
-        if subcommand == "flow":
-            (tmp_path / "c.json").write_text(json.dumps(_with(FLOW_DOC, "flow.n_s", 10**15)))
-            argv = ["flow", "--config", str(tmp_path / "c.json")]
-        else:
-            argv = ["geometry", "--ell", "0.2", "--samples", str(10**15)]
+        # and the command writes no file before it asks for them (geometry
+        # --samples is capped first: test_geometry_samples_capped)
+        (tmp_path / "c.json").write_text(json.dumps(_with(FLOW_DOC, "flow.n_s", 10**15)))
+        argv = ["flow", "--config", str(tmp_path / "c.json")]
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -819,7 +853,7 @@ class TestCliDriver:
             f = QuadDiffField(grid, np.ones((24, 8), dtype=complex))
             cfio.qd_field_to_csv(f, field, header)
         else:
-            u = sample_map(grid, TargetSpec.flat_torus(dim=1), lambda s, t: t[..., None])
+            u = sample_map(grid, TargetSpec.flat_torus(dim=1), lambda s, t: t[None])
             cfio.map_to_csv(u, field, header)
         header.write_text(json.dumps({**json.loads(header.read_text()), **patch}))
         assert main([subcommand, "--field", str(field), "--out", str(tmp_path)]) == 2
@@ -835,7 +869,7 @@ class TestCliDriver:
                                  field, header)
         else:
             cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=1),
-                                       lambda s, t: t[..., None]), field, header)
+                                       lambda s, t: t[None]), field, header)
         field.unlink()
         assert main([subcommand, "--field", str(field), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -899,7 +933,7 @@ class TestCliDriver:
         grid = CollarGrid(0.15, 24, 8, s_max=2.5)
         field = tmp_path / "f.csv"
         cfio.map_to_csv(sample_map(grid, TargetSpec.round_sphere(), lambda s, t: np.stack(
-            [np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)), field, tmp_path / "f.json")
+            [np.cos(t), np.sin(t), np.zeros_like(t)])), field, tmp_path / "f.json")
         lines = field.read_text().splitlines()
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ",0.5"
         field.write_text("\n".join(lines) + "\n")
@@ -981,7 +1015,7 @@ class TestCliDriver:
         # a window of s_max 1.4 holds no station of the bound's domain
         grid = CollarGrid(0.2, 200, 8, s_max=1.4)
         u = sample_map(grid, TargetSpec.flat_torus(dim=1),
-                       lambda s, t: (0.1 * np.sin(t) * np.ones_like(s))[..., None])
+                       lambda s, t: (0.1 * np.sin(t) * np.ones_like(s))[None])
         cfio.map_to_csv(u, tmp_path / "f.csv", tmp_path / "f.json")
         out = tmp_path / "out"
         assert main(["angular", "--field", str(tmp_path / "f.csv"), "--out", str(out)]) == 0
@@ -1025,7 +1059,7 @@ class TestCliDriver:
         grid = CollarGrid(0.15, 24, 8, s_max=2.5)
         field, header = tmp_path / "f.csv", tmp_path / "f.json"
         cfio.map_to_csv(sample_map(grid, TargetSpec.flat_torus(dim=1),
-                                   lambda s, t: t[..., None]), field, header)
+                                   lambda s, t: t[None]), field, header)
         header.write_text(json.dumps({**json.loads(header.read_text()), "target": zero}))
         assert main(["angular", "--field", str(field), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -1068,8 +1102,8 @@ class TestCliDriver:
         cfg4 = cfio.config_from_dict({**FLOW_DOC["flow"],
                                       "target": {"kind": "round-sphere", "dim": 4}})
         v3, v4 = build_initial(cfg3, eps), build_initial(cfg4, eps)
-        assert v4.shape == v3.shape[:2] + (4,)
-        assert np.array_equal(v4[..., :3], v3) and not v4[..., 3].any()
+        assert v4.shape == (4,) + v3.shape[1:]
+        assert np.array_equal(v4[:3], v3) and not v4[3].any()
         code, _ = _run_config("flow", _with(_with(FLOW_DOC, "flow.target",
                                                   cfg4.target.to_dict()), "initial", eps))
         assert code == 0
@@ -1107,8 +1141,7 @@ class TestCliDriver:
         grid = CollarGrid(0.2, 300, 16, s_max=6.0)
         def f(s, t):
             env = np.exp(s - grid.s_max) + np.exp(-s - grid.s_max)
-            return np.stack([0.4 * env * np.sin(t), 0.4 * env * np.cos(t)],
-                            axis=-1)
+            return np.stack([0.4 * env * np.sin(t), 0.4 * env * np.cos(t)])
         u = sample_map(grid, TargetSpec.flat_torus(dim=2), f)
         cfio.map_to_csv(u, tmp_path / "u.csv", tmp_path / "u.json")
         assert main(["angular", "--field", str(tmp_path / "u.csv"),

@@ -44,7 +44,7 @@ TORUS2 = TargetSpec.flat_torus(dim=2)
 
 def wrap_values(grid: CollarGrid, a: float = 1.0) -> np.ndarray:
     u = sample_map(grid, TargetSpec.flat_torus(dim=1, periods=(2.0 * math.pi * a,)),
-                   lambda s, t: np.stack([a * t], axis=-1))
+                   lambda s, t: np.stack([a * t]))
     return u.values
 
 
@@ -64,11 +64,11 @@ def random_torus_values(grid: CollarGrid, rng: np.random.Generator,
                         dim: int = 2, amp: float = 0.3) -> np.ndarray:
     s = grid.s_nodes[:, None] / grid.s_max
     t = grid.theta_nodes[None, :]
-    vals = np.zeros((grid.n_s, grid.n_theta, dim))
+    vals = np.zeros((dim, grid.n_s, grid.n_theta))
     for d in range(dim):
         for _ in range(3):
             n = rng.integers(1, 4)
-            vals[:, :, d] += amp * rng.normal() * np.cos(n * t + rng.normal()) \
+            vals[d] += amp * rng.normal() * np.cos(n * t + rng.normal()) \
                 * np.cos(0.5 * math.pi * s * rng.integers(1, 3))
     return vals
 
@@ -201,7 +201,7 @@ class TestMetricSpeed:
         phi = hopf_differential(u)
         route_a = inner_product(phi, coordinate_differential(grid)).real
         J = jet(u)
-        dens = (np.sum(J.u_s**2, axis=-1) - np.sum(J.u_theta**2, axis=-1))
+        dens = (np.sum(J.u_s**2, axis=0) - np.sum(J.u_theta**2, axis=0))
         route_b = 4.0 * grid.integrate_flat(dens * grid.rho_inv_sq[:, None])
         assert route_a == pytest.approx(route_b, rel=1e-10)
 
@@ -266,7 +266,7 @@ class TestWrapRuns:
         cfg = FlowConfig(ell0=ell0, eta=eta, dt=dt, t_end=3.0 * t_hit, n_s=40,
                          n_theta=8, target=TORUS1, ell_floor=floor)
         grid = cfg.grid_at(ell0)
-        vals = (b * grid.s_nodes)[:, None, None] * np.ones((1, grid.n_theta, 1))
+        vals = (b * grid.s_nodes)[None, :, None] * np.ones((1, 1, grid.n_theta))
         trace = run(cfg, vals)
         assert trace.status == STATUS_PINCHED
         assert trace["ell"][-1] <= floor
@@ -295,7 +295,7 @@ class TestEnergyIdentity:
                          TORUS2)
         else:
             u = sample_map(grid, TargetSpec.round_sphere(), lambda s, t: np.stack(
-                [np.cos(t), np.sin(t), 0.3 * np.sin(s + 2 * t)], axis=-1))
+                [np.cos(t), np.sin(t), 0.3 * np.sin(s + 2 * t)]))
         assert face_energy(u, jet(u)) == face_energy(u)
 
     def test_face_energy_squares_into_scratch(self):
@@ -314,6 +314,49 @@ class TestEnergyIdentity:
             tracemalloc.stop()
         assert E == expected
         assert peak < u.values.nbytes / 10
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_face_energy_sums_node_major_squares(self, dim):
+        # np.sum adds pairwise in memory order, and the pinned traces were
+        # made summing the squares laid out (n_s, n_theta, dim); the
+        # component-major order gives other bits for a sum on this map
+        grid = CollarGrid(0.2, 96, 32)
+        u = MapField(grid, random_torus_values(grid, np.random.default_rng(6), dim=dim),
+                     TargetSpec.flat_torus(dim))
+        J = jet(u)
+        h_s, h_t = grid.h_s, grid.theta_weight
+
+        def sums(layout):
+            return [float(np.sum(np.square(layout(d)))) for d in (J.d_s, J.d_theta)]
+
+        node_major = sums(lambda d: np.ascontiguousarray(np.moveaxis(d, 0, -1)))
+        want = 0.5 * (node_major[0] / h_s**2 + node_major[1] / h_t**2) * h_s * h_t
+        assert face_energy(u, J) == want
+        assert face_energy(u, J, np.empty_like(u.values)) == want
+        assert sums(np.ascontiguousarray) != node_major
+
+    def test_sampled_row_allocates_no_map_sized_array(self):
+        # a 384 x 64 sphere row: face_energy squares into tau_mid, and the
+        # largest temporary left is principal_coefficient's einsum buffer
+        import tracemalloc
+        import collarflow.flow as flow
+        from collarflow.demos import build_initial
+        s_max = CollarGrid(0.4, 4, 4).s_max
+        dt = 0.8 * stability_limit(0.1, 384, 64, s_max)
+        cfg = FlowConfig(ell0=0.2, eta=0.5, dt=dt, t_end=10 * dt, n_s=384, n_theta=64,
+                         ell_max=0.4, ell_floor=0.1, stepper="rk2",
+                         target=TargetSpec.round_sphere(3))
+        work = flow.RunArrays(cfg)
+        state = initial_state(cfg, build_initial(cfg, {"kind": "sphere-equator", "eps": 0.2}))
+        flow._evaluate(state, cfg, work, work.tau, sample=True)
+        tracemalloc.start()
+        try:
+            row = flow._evaluate(state, cfg, work, work.tau, sample=True)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row["E"] == face_energy(state.u)
+        assert peak < cfg.n_s * cfg.n_theta * 8  # below one component plane
 
     def test_energy_monotone_and_residual_first_order(self):
         rng = np.random.default_rng(3)
@@ -344,9 +387,9 @@ class TestEnergyIdentity:
         cfg = frozen_config(steps=30)
         vals = random_torus_values(cfg.grid_at(cfg.ell0), np.random.default_rng(9))
         trace = run(cfg, vals)
-        np.testing.assert_array_equal(trace.final.u.values[0], vals[0])
-        np.testing.assert_array_equal(trace.final.u.values[-1], vals[-1])
-        assert np.all(pinned_tension(trace.final.u)[0] == 0.0)
+        np.testing.assert_array_equal(trace.final.u.values[:, 0], vals[:, 0])
+        np.testing.assert_array_equal(trace.final.u.values[:, -1], vals[:, -1])
+        assert np.all(pinned_tension(trace.final.u)[:, 0] == 0.0)
 
 
 class TestModeReduction:
@@ -358,7 +401,7 @@ class TestModeReduction:
                             target=TORUS1)
         grid = cfg.grid_at(cfg.ell0)
         f0 = 0.2 * np.exp(-0.5 * (grid.s_nodes / grid.s_max) ** 2)
-        vals = (f0[:, None] * np.sin(grid.theta_nodes)[None, :])[:, :, None]
+        vals = (f0[:, None] * np.sin(grid.theta_nodes)[None, :])[None]
         trace = run(cfg, vals)
 
         h_s, h_t = grid.h_s, grid.theta_weight
@@ -371,7 +414,7 @@ class TestModeReduction:
             rate = grid.rho_inv_sq * (fss - mu * f)
             rate[0] = rate[-1] = 0.0
             f = f + cfg.dt * rate
-        expected = (f[:, None] * np.sin(grid.theta_nodes)[None, :])[:, :, None]
+        expected = (f[:, None] * np.sin(grid.theta_nodes)[None, :])[None]
         np.testing.assert_allclose(trace.final.u.values, expected,
                                    rtol=0, atol=1e-11)
 
@@ -386,7 +429,7 @@ class TestSphereRuns:
                          n_theta=16, target=sphere, ell_floor=0.15)
         grid = cfg.grid_at(ell)
         u0 = sample_map(grid, sphere, lambda s, t: np.stack(
-            [np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1))
+            [np.cos(t), np.sin(t), np.zeros_like(t)]))
         trace = run(cfg, u0.values)
         assert trace.status == STATUS_COMPLETED
         np.testing.assert_allclose(trace.final.u.values, u0.values, atol=1e-9)
@@ -401,12 +444,12 @@ class TestSphereRuns:
                          n_theta=16, target=sphere, ell_floor=0.15)
         grid = cfg.grid_at(ell)
         base = sample_map(grid, sphere, lambda s, t: np.stack(
-            [np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)).values
+            [np.cos(t), np.sin(t), np.zeros_like(t)])).values
         noise = 0.05 * rng.normal(size=base.shape)
-        noise[0] = noise[-1] = 0.0
+        noise[:, 0] = noise[:, -1] = 0.0
         vals = sphere.project(base + noise)
         trace = run(cfg, vals)
-        norms = np.linalg.norm(trace.final.u.values, axis=-1)
+        norms = np.linalg.norm(trace.final.u.values, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert trace["tension_l2"][-1] < trace["tension_l2"][0]
 
@@ -432,7 +475,7 @@ class TestBlowupAndBounds:
 
     def test_bound_fit_undefined_on_a_zero_energy_trace(self):
         cfg = frozen_config(steps=4, stride=1)
-        trace = run(cfg, np.zeros((cfg.n_s, cfg.n_theta, 2)))
+        trace = run(cfg, np.zeros((2, cfg.n_s, cfg.n_theta)))
         with pytest.raises(DomainError, match="I \\+ E0"):
             dlogell_bound_check(trace)
 
@@ -447,7 +490,7 @@ class TestBlowupAndBounds:
 class TestStepInternals:
     def test_initial_state_grid_covers_configured_window(self):
         cfg = frozen_config()
-        st = initial_state(cfg, np.zeros((cfg.n_s, cfg.n_theta, 2)))
+        st = initial_state(cfg, np.zeros((2, cfg.n_s, cfg.n_theta)))
         assert st.u.grid.s_max == pytest.approx(cfg.s_max)
         assert st.t == 0.0 and st.ell == cfg.ell0
 
@@ -500,7 +543,7 @@ class TestStepInternals:
 
     def test_jet_densities_formed_once_per_row_and_never_at_eta_zero(self, monkeypatch):
         # count the jet's one density pass: the dot over its stacked
-        # (2, n_s, n_theta, dim) first derivatives, which no other dot takes
+        # (2, dim, n_s, n_theta) first derivatives, which no other dot takes
         import collarflow.flow as flow
         dot, calls = TargetSpec.dot, []
 
@@ -514,7 +557,7 @@ class TestStepInternals:
         st = initial_state(cfg, wrap_values(cfg.grid_at(cfg.ell0)))
         work = flow.RunArrays(cfg)
         flow._evaluate(st, cfg, work, work.tau, sample=True)
-        assert calls == [(2, cfg.n_s, cfg.n_theta, cfg.target.dim)]
+        assert calls == [(2, cfg.target.dim, cfg.n_s, cfg.n_theta)]
         calls.clear()
         frozen = wrap_config(eta=0.0)
         step(initial_state(frozen, wrap_values(frozen.grid_at(frozen.ell0))), frozen)
@@ -533,7 +576,7 @@ class TestStepInternals:
         else:
             target = TargetSpec.round_sphere()
             base = sample_map(grid, target, lambda s, t: np.stack(
-                [np.cos(t), np.sin(t), 0.3 * np.ones_like(t)], axis=-1)).values
+                [np.cos(t), np.sin(t), 0.3 * np.ones_like(t)])).values
             vals = target.project(base + 0.05 * rng.normal(size=base.shape))
         finals = []
         for stride in (1, 10**6):
@@ -566,7 +609,7 @@ def moving_config(kind: str, stepper: str, n_s: int = 40, n_theta: int = 16,
     else:
         target = TargetSpec.round_sphere()
         base = sample_map(grid, target, lambda s, t: np.stack(
-            [np.cos(t), np.sin(t), 0.3 * np.ones_like(t)], axis=-1)).values
+            [np.cos(t), np.sin(t), 0.3 * np.ones_like(t)])).values
         vals = target.project(base + 0.05 * rng.normal(size=base.shape))
     cfg = FlowConfig(ell0=ell0, eta=0.8, dt=dt, t_end=steps * dt, n_s=n_s,
                      n_theta=n_theta, ell_max=0.3, ell_floor=floor, s_max=s_max,
@@ -642,7 +685,7 @@ class TestRunArrays:
         cfg = FlowConfig(ell0=ell0, eta=eta, dt=0.8 * cap, t_end=1.0, n_s=40,
                          n_theta=8, target=TORUS1, ell_floor=floor)
         grid = cfg.grid_at(ell0)
-        vals = (b * grid.s_nodes)[:, None, None] * np.ones((1, grid.n_theta, 1))
+        vals = (b * grid.s_nodes)[None, :, None] * np.ones((1, 1, grid.n_theta))
         trace = run(cfg, vals)
         assert trace.status == STATUS_PINCHED
         assert 0.0 < trace.final.ell < floor
@@ -654,7 +697,7 @@ class TestRunArrays:
         cfg = FlowConfig(ell0=0.15, eta=0.6, dt=2e-6, t_end=1e-4, n_s=40, n_theta=8,
                          ell_floor=0.05, target=TargetSpec.flat_torus(1, periods=(1e9,)))
         grid = cfg.grid_at(cfg.ell0)
-        vals = (40.0 * grid.s_nodes)[:, None, None] * np.ones((1, grid.n_theta, 1))
+        vals = (40.0 * grid.s_nodes)[None, :, None] * np.ones((1, 1, grid.n_theta))
         with pytest.raises(FlowError, match="step 3: core length ell = -0.0312") as err:
             run(cfg, vals)
         assert err.value.step_index == 3
@@ -672,7 +715,7 @@ class TestRunArrays:
             tau = pinned_tension(*args, **kw)
             calls.append(None)
             if len(calls) == 3:
-                tau[4, 2, 0] = math.nan
+                tau[0, 4, 2] = math.nan
             return tau
         monkeypatch.setattr(flow, "pinned_tension", poisoned)
         cfg, vals = moving_config(kind, stepper, stride=1)

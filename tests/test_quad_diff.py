@@ -191,11 +191,11 @@ class TestHopf:
         grid = CollarGrid(0.3, n_s=32, n_theta=16, s_max=2.5)
         target = TargetSpec.flat_torus(2)
         if kind == "random":
-            vals = np.random.default_rng(3).uniform(-2.0, 2.0, size=(32, 16, 2))
+            vals = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, 32, 16))
         else:
             vals = np.stack(np.broadcast_arrays(
-                0.3 * np.cos(grid.theta_nodes), -0.2 * np.sin(2 * grid.theta_nodes)),
-                axis=-1)[None].repeat(32, axis=0)
+                0.3 * np.cos(grid.theta_nodes), -0.2 * np.sin(2 * grid.theta_nodes)))[:, None]
+            vals = vals.repeat(32, axis=1)
         u = MapField(grid, vals, target)
         J = jet(u)
         want = J.u_s_sq - J.u_theta_sq - 2j * target.dot(J.u_s, J.u_theta)
@@ -219,7 +219,7 @@ class TestHopf:
         # before hopf_differential and other steps read Re b0 alone
         grid = CollarGrid(0.3, n_s=32, n_theta=16, s_max=2.5)
         rng = np.random.default_rng(11)
-        maps = [MapField(grid, target.project(rng.uniform(-2.0, 2.0, (32, 16, target.dim))),
+        maps = [MapField(grid, target.project(rng.uniform(-2.0, 2.0, (target.dim, 32, 16))),
                          target) for _ in range(2)]
         for u in maps:
             used = jet(u)
@@ -233,7 +233,7 @@ class TestHopf:
     def test_wrap_map_constant_hopf(self):
         grid = CollarGrid(0.3, n_s=48, n_theta=16)
         torus = TargetSpec.flat_torus(2)
-        u = sample_map(grid, torus, lambda s, t: np.stack([t, 0 * s], axis=-1))
+        u = sample_map(grid, torus, lambda s, t: np.stack([t, 0 * s]))
         h = hopf_differential(u)
         # |u_s|^2 - |u_theta|^2 - 2i<u_s, u_theta> = -1 everywhere
         assert np.allclose(h.psi, -1.0, atol=1e-12)
@@ -245,7 +245,7 @@ class TestHopf:
         # map u = (s, theta) which is an isometry of the flat cylinder.
         grid = CollarGrid(0.8, n_s=48, n_theta=16, s_max=2.0)
         torus = TargetSpec.flat_torus(2, periods=(1000.0, 2 * math.pi))
-        u = sample_map(grid, torus, lambda s, t: np.stack([s, t], axis=-1))
+        u = sample_map(grid, torus, lambda s, t: np.stack([s, t]))
         h = hopf_differential(u)
         assert np.max(np.abs(h.psi)) < 1e-10
 
@@ -260,7 +260,7 @@ class TestHopf:
             for k in range(3):
                 for m in range(4):
                     out += coeffs[k, m] * np.sin((m + 1) * t + k) * np.cos(0.5 * k * s)
-            return out[..., None]
+            return out[None]
 
         u = sample_map(grid, torus, fn)
         from collarflow.fields import energies
