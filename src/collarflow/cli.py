@@ -263,9 +263,12 @@ def cmd_wp(args) -> int:
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    report = run_checks(seed=args.seed,
-                        names=set(args.check) if args.check else None,
-                        suites=set(args.suite) if args.suite else None)
+    try:
+        report = run_checks(seed=args.seed,
+                            names=set(args.check) if args.check else None,
+                            suites=set(args.suite) if args.suite else None)
+    except DomainError as exc:  # the seed, refused before any check ran
+        raise DomainError(f"--{exc}") from None
     doc = report_to_dict(report, with_timing=args.with_timing)
     prov = cfio.provenance_for({"seed": args.seed}, seed=args.seed,
                                subcommand="verify")

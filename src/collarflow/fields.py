@@ -242,13 +242,18 @@ class MapJet:
       * scratch, two (n_s, n_theta) rows that tension, tension_density,
         energies, hopf and a flow step's projection write: a result there
         stays valid until the next of those calls on the jet.
+
+    A pinned jet, the flow's, never writes the two end rows of u_ss: they
+    stay zero, and only the tension reads them, whose end rows the flow's
+    pinned_tension zeroes.  Everything else it fills as a plain jet does.
     """
 
-    def __init__(self, target: TargetSpec, n_s: int, n_theta: int):
+    def __init__(self, target: TargetSpec, n_s: int, n_theta: int, pinned: bool = False):
         d = target.dim
         self.target = target
+        self.pinned = pinned
         self.first = np.empty((2, d, n_s, n_theta))
-        self.second = np.empty((2, d, n_s, n_theta))
+        self.second = (np.zeros if pinned else np.empty)((2, d, n_s, n_theta))
         self.diffs = np.zeros((2, d, n_s, n_theta))
         # rows 0-1 the densities, 2-3 their pass's and the wrap's work, 4-5 scratch
         rows = np.empty((6, n_s, n_theta))
@@ -359,13 +364,15 @@ def jet(u: MapField, out: MapJet | None = None) -> MapJet:
     J.u_theta /= 2.0 * h_t
 
     # second derivatives, each divided whole: the s interior D[i] - D[i - 1]
-    # and end rows (-2.0 D0 + 3.0 D1) - D2 over h_s^2, the last row negated
-    # (its differences run the other way), Dt[:, :, j] - Dt[:, :, j - 1] over h_t^2
+    # and, unless pinned, end rows (-2.0 D0 + 3.0 D1) - D2 over h_s^2, the
+    # last row negated (its differences run the other way), Dt[:, :, j] -
+    # Dt[:, :, j - 1] over h_t^2
     np.subtract(D_hi, D_lo, out=uss_in)
-    np.multiply(-2.0, D0, out=uss_end)
-    uss_end += np.multiply(3.0, D1, out=scratch)
-    uss_end -= D2
-    np.negative(uss_last, out=uss_last)
+    if not J.pinned:
+        np.multiply(-2.0, D0, out=uss_end)
+        uss_end += np.multiply(3.0, D1, out=scratch)
+        uss_end -= D2
+        np.negative(uss_last, out=uss_last)
     np.subtract(Dt_hi, Dt_lo, out=utt_tail)
     np.subtract(Dt_first, Dt_last, out=utt_first)
     J.u_ss /= h_s**2

@@ -9,10 +9,12 @@ rate dictated by the principal part of the map's Hopf differential:
 with b0 the L^2 projection coefficient of the Hopf differential onto
 dz^2 on the run's own coordinate grid.  The coordinate domain
 [-s_max, s_max] x S^1 is fixed once, in FlowConfig's one CollarGrid
-(s_max = X(ell_max) by default); grid_at(ell) refreshes only the
-conformal factor.  As the coordinate energy E = 1/2 int |du|^2 ds dtheta
-is conformally invariant, the length motion does no work on E and the
-discrete energy identity dE/dt = -||tau||^2 is carried by the map alone.
+(s_max = X(ell_max) by default); grid_at(ell) gives its nodes under the
+metric of length ell, and a run rewrites only the metric of two grids of
+its own, which its states take in turn.  As the coordinate energy
+E = 1/2 int |du|^2 ds dtheta is conformally invariant, the length motion
+does no work on E and the discrete energy identity dE/dt = -||tau||^2 is
+carried by the map alone.
 
 Discrete energy bookkeeping: the trace's E column is the staggered
 (face-difference) energy, whose gradient is exactly the five-point
@@ -44,7 +46,7 @@ from collarflow.fields import (
     tension,
     tension_l2,
 )
-from collarflow.quad_diff import hopf_differential, principal_coefficient
+from collarflow.quad_diff import _principal_coefficient
 
 TRACE_COLUMNS = ("t", "ell", "E", "I", "I_theta", "I_smooth",
                  "tension_l2", "re_b0", "im_b0", "dE_residual")
@@ -181,7 +183,8 @@ def metric_speed(state: FlowState, eta: float, jet_=None) -> tuple[float, comple
     dz^2; for holomorphic Hopf differentials it equals the zero-mode
     coefficient regardless of how much of the collar the grid covers.
     """
-    b0 = principal_coefficient(hopf_differential(state.u, jet_=jet_))
+    u = state.u
+    b0 = _principal_coefficient(u.grid, (jet_ or jet(u)).hopf())
     speed = -(2.0 * math.pi**2 / state.ell) * (eta * eta / 4.0) * b0.real
     return speed, b0
 
@@ -231,14 +234,16 @@ def _node_major_sum_of_squares(d: np.ndarray, sq: np.ndarray) -> float:
 
 class RunArrays:
     """The work arrays of one flow run, allocated once and overwritten by
-    every step: one jet (refilled for each state), the pinned tension of
+    every step: one jet (refilled for each state, its u_ss end rows never
+    written, as the pinned tension ignores them), the pinned tension of
     the state (tau) and of the RK2 midpoint (tau_mid, between steps also
-    the scratch of a sampled row's face energy), and two value arrays
-    that consecutive states take in turn.
+    the scratch of a sampled row's face energy), two value arrays and two
+    grids (config.grid's nodes, their metric rewritten in place) that
+    consecutive states take in turn.
 
-    Neither value array is ever the caller's initial values.  A state's
-    values stay intact until the step after next, so a run's final
-    state may keep its array.
+    Neither value array is ever the caller's initial values, nor either
+    grid the caller's.  A state's values and grid stay intact until the
+    step after next, so a run's final state may keep them.
     """
 
     def __init__(self, config: FlowConfig):
@@ -246,7 +251,8 @@ class RunArrays:
         # the value arrays first: the one a run's final state keeps then
         # sits below the others, which malloc can return from the heap top
         self.values = (np.empty(shape), np.empty(shape))
-        self.jet = MapJet(config.target, config.n_s, config.n_theta)
+        self.grids = (config.grid_at(config.ell_max), config.grid_at(config.ell_max))
+        self.jet = MapJet(config.target, config.n_s, config.n_theta, pinned=True)
         self.tau = np.empty(shape)
         self.tau_mid = np.empty(shape)
 
@@ -254,6 +260,11 @@ class RunArrays:
         """The value array the state's map does not hold."""
         a, b = self.values
         return b if state.u.values is a else a
+
+    def free_grid(self, state: FlowState) -> CollarGrid:
+        """The grid the state's map does not hold."""
+        a, b = self.grids
+        return b if state.u.grid is a else a
 
 
 def _evaluate(state: FlowState, config: FlowConfig, work: RunArrays,
@@ -285,8 +296,9 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     Raises FlowError on a non-finite result or a length at or below zero.
     The values are projected and checked finite here, so the new map skips
     MapField's own checks.  Its grid takes the length clamped to
-    [ell_floor, ell_max], the state's own grid if that has not moved (eta
-    = 0, or held at the floor or cap); the state keeps it unclamped.
+    [ell_floor, ell_max]: the state's own grid if that has not moved (eta
+    = 0, or held at the floor or cap), else work's free grid, its metric
+    rewritten in place.  The state keeps the length unclamped.
     """
     u = state.u
     vals = np.multiply(tau, config.dt, out=work.free_values(state))
@@ -300,7 +312,10 @@ def _advance(state: FlowState, config: FlowConfig, tau: np.ndarray,
     if ell <= 0.0:
         raise FlowError(f"core length ell = {ell!r} at or below zero", round(t / config.dt))
     ell_grid = min(max(ell, config.ell_floor), config.ell_max)
-    grid = u.grid if ell_grid == u.grid.ell else config.grid_at(ell_grid)
+    grid = u.grid
+    if ell_grid != grid.ell:
+        grid = work.free_grid(state)
+        grid.refresh(ell_grid)
     return FlowState(u=MapField._of_projected(grid, vals, u.target), ell=ell, t=t)
 
 
@@ -310,8 +325,9 @@ def step(state: FlowState, config: FlowConfig,
     """One explicit step of the coupled system (Euler or Heun RK2); velocity
     is the state's (pinned tension, length speed) if the caller has it.
 
-    It writes only into work, a run's arrays, or without work into new
-    arrays of its own.
+    It writes only into work, a run's arrays and grids, or without work
+    into new arrays and grids of its own.  The state's values and grid stay
+    intact; the new state's stay intact until the step after next on work.
     """
     work = work or RunArrays(config)
     tau, speed = velocity or _evaluate(state, config, work, work.tau)[:2]

@@ -140,10 +140,12 @@ def _check_point(ell: float, s: float, *, closed: bool = False) -> tuple[float, 
     return ell, s
 
 
-def _rho(ell: float, s) :
-    """Unscaled conformal-factor core; accepts scalars or arrays for s."""
+def _rho(ell: float, s, out: np.ndarray | None = None):
+    """Unscaled conformal-factor core; accepts scalars or arrays for s, and
+    writes into out when given."""
     a = ell / (2.0 * math.pi)
-    return a / np.cos(a * np.asarray(s, dtype=float))
+    x = np.multiply(a, np.asarray(s, dtype=float), out=out)
+    return np.divide(a, np.cos(x, out=out), out=out)
 
 
 def conformal_factor(ell: float, s: float) -> float:
@@ -294,20 +296,31 @@ class CollarGrid:
         self.theta_weight = 2.0 * math.pi / self.n_theta
         for layout in (self.s_nodes, self.s_weights, self.theta_nodes):
             layout.flags.writeable = False
-        self._set_metric(ell)
+        self._own_metric()
+        self.refresh(ell)
 
-    def _set_metric(self, ell: float) -> None:
-        """Check ell and s_max <= X(ell); sample the metric on _rho, not conformal_factor."""
-        self.ell = _check_ell(ell, closed_top=False)
-        X = half_length(self.ell)
+    def _own_metric(self) -> None:
+        """Fresh arrays for the metric rows that refresh writes."""
+        self.rho, self.rho_sq, self.rho_inv_sq, self.pairing_weights = np.empty((4, self.n_s))
+
+    def refresh(self, ell: float) -> None:
+        """Rewrite the metric in place for core length ell.
+
+        Checks ell and s_max <= X(ell) before writing, then samples the
+        metric on _rho, not conformal_factor, into the grid's own arrays and
+        drops the cached cutoff.  Whoever holds this grid sees the new metric.
+        """
+        ell = _check_ell(ell, closed_top=False)
+        X = half_length(ell)
         if not 0.0 < self.s_max <= X:
             raise DomainError(f"s_max: must lie in (0, X] with X = {X}, got {self.s_max}")
-        self.rho = _rho(self.ell, self.s_nodes)
-        self.rho_sq = self.rho**2
-        self.rho_inv_sq = 1.0 / self.rho_sq
-        self.pairing_weights = self.s_weights * self.rho_inv_sq
-        self.pairing_norm = self.n_theta * float(np.sum(self.pairing_weights))
-        self.__dict__.pop("cutoff_sq", None)  # at() copies the old metric's
+        self.ell = ell
+        _rho(ell, self.s_nodes, out=self.rho)
+        np.multiply(self.rho, self.rho, out=self.rho_sq)
+        np.divide(1.0, self.rho_sq, out=self.rho_inv_sq)
+        np.multiply(self.s_weights, self.rho_inv_sq, out=self.pairing_weights)
+        self.pairing_norm = self.n_theta * float(self.pairing_weights.sum())
+        self.__dict__.pop("cutoff_sq", None)  # the old metric's, here or copied by at()
 
     @cached_property
     def cutoff_sq(self) -> np.ndarray:
@@ -315,10 +328,12 @@ class CollarGrid:
         return smooth_cutoff(self.rho)[:, None]**2
 
     def at(self, ell: float) -> "CollarGrid":
-        """The same read-only nodes and weights, shared, under the metric of length ell."""
+        """The same read-only nodes and weights, shared, under the metric of
+        length ell, in arrays of its own."""
         grid = object.__new__(type(self))
         grid.__dict__.update(self.__dict__)
-        grid._set_metric(ell)
+        grid._own_metric()
+        grid.refresh(ell)
         return grid
 
     @property

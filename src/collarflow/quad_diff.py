@@ -87,8 +87,13 @@ def principal_coefficient(field: QuadDiffField) -> complex:
     Both pairings are quadratured on the field's own grid, so the
     constant factor 4 and the theta weight cancel.
     """
-    grid = field.grid
-    return complex(np.einsum("s,st->", grid.pairing_weights, field.psi)) / grid.pairing_norm
+    return _principal_coefficient(field.grid, field.psi)
+
+
+def _principal_coefficient(grid: CollarGrid, psi: np.ndarray) -> complex:
+    """principal_coefficient of the (n_s, n_theta) samples psi on grid, with
+    no QuadDiffField built (a flow step passes its jet's psi)."""
+    return complex(np.einsum("s,st->", grid.pairing_weights, psi)) / grid.pairing_norm
 
 
 def principal_split(field: QuadDiffField) -> PrincipalSplit:

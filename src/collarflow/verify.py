@@ -24,7 +24,7 @@ import numpy as np
 
 from collarflow import __version__, angular, geometry, wp
 from collarflow import io as cfio
-from collarflow.geometry import ELL_MAX, CollarGrid
+from collarflow.geometry import ELL_MAX, CollarGrid, DomainError
 from collarflow.fields import (
     MapField,
     TargetSpec,
@@ -472,7 +472,10 @@ def _run_one(seed, index, suite, name, fn) -> CheckResult:
 
 def run_checks(seed: int = 0, names=None, suites=None) -> VerifyReport:
     """Run the registered checks (all by default), in name order, and
-    collect a report."""
+    collect a report.  A seed outside the Philox key range [0, 2**128) is
+    refused before any check runs."""
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed: must be in [0, 2**128), the Philox key range, got {seed}")
     results = []
     for index, (suite, name, fn) in enumerate(sorted(CHECKS, key=lambda c: c[1])):
         if (names is None or name in names) and (suites is None or suite in suites):

@@ -1188,6 +1188,27 @@ class TestCliDriver:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_verify_seed_outside_the_key_range_refused(self, tmp_path, capsys,
+                                                      monkeypatch, seed):
+        import collarflow.verify as verify
+
+        def refuse(*args):
+            raise AssertionError("a check ran with a refused seed")
+
+        monkeypatch.setattr(verify, "_run_one", refuse)
+        out = tmp_path / "out"
+        assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --seed: must be in [0, 2**128), "
+                                           f"the Philox key range, got {seed}\n")
+        assert not out.exists()
+
+    def test_verify_seed_at_the_top_of_the_key_range_runs(self, tmp_path):
+        assert main(["verify", "--seed", str(2**128 - 1), "--check", "half-length-oracle",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["seed"] == 2**128 - 1 and report["passed"] is True
+
     def test_verify_with_timing_flag(self, tmp_path):
         assert main(["verify", "--check", "half-length-oracle",
                      "--with-timing", "--out", str(tmp_path)]) == 0

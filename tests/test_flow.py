@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from collarflow.geometry import CollarGrid, DomainError
-from collarflow.fields import MapField, TargetSpec, jet, sample_map
+from collarflow.fields import MapField, MapJet, TargetSpec, jet, sample_map
 from collarflow.quad_diff import coordinate_differential, hopf_differential, inner_product
 from collarflow.flow import (
     BoundFit,
@@ -40,6 +40,8 @@ from collarflow.flow import (
 
 TORUS1 = TargetSpec.flat_torus(dim=1)
 TORUS2 = TargetSpec.flat_torus(dim=2)
+# the metric arrays a grid refresh rewrites, with the cutoff it drops
+GRID_METRIC = ("rho", "rho_sq", "rho_inv_sq", "pairing_weights", "cutoff_sq")
 
 
 def wrap_values(grid: CollarGrid, a: float = 1.0) -> np.ndarray:
@@ -155,8 +157,9 @@ class TestGridRefresh:
     def test_step_keeps_its_grid_while_the_length_is_frozen(
             self, monkeypatch, tmp_path, name, frozen):
         # eta = 0 keeps the initial grid, and so its one cutoff, for the
-        # whole run; a moving length builds a grid per step and a cutoff
-        # per sampled row
+        # whole run; after the initial state a moving length takes the run's
+        # two grids in turn, and its refresh drops the cutoff, so a cutoff is
+        # computed per sampled row
         import collarflow.flow as flow
         import collarflow.geometry as geometry
         from collarflow.cli import main
@@ -177,7 +180,54 @@ class TestGridRefresh:
             assert all(new is old for old, new in grids) and len(cutoffs) == 1
         else:
             assert all(new is not old for old, new in grids) and len(cutoffs) == n_rows
-            assert len({id(new) for _, new in grids}) == len(grids)
+            owned = {id(new) for _, new in grids}
+            assert len(owned) == 2 and id(grids[0][0]) not in owned
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    def test_run_makes_no_grid_per_step(self, monkeypatch, stepper):
+        # after the run's set-up (its initial grid and its two own grids) a
+        # moving-length run neither builds a grid nor calls at()
+        cfg = wrap_config(n_s=24, n_theta=8, n_steps=12, stride=5, stepper=stepper)
+        values = wrap_values(cfg.grid_at(cfg.ell0))
+        calls, at = [], CollarGrid.at
+        monkeypatch.setattr(CollarGrid, "at", lambda g, ell: calls.append(ell) or at(g, ell))
+        trace = run(cfg, values)
+        assert trace["ell"][-1] > trace["ell"][0]
+        assert sorted(calls) == [cfg.ell0, cfg.ell_max, cfg.ell_max]
+
+    def test_refreshed_run_grids_equal_at_bitwise(self):
+        # a sweep of ell over [ell_floor, ell_max], the run's two grids taken
+        # in turn with a cutoff cached before each refresh
+        import collarflow.flow as flow
+        cfg = wrap_config(n_s=24, n_theta=8)
+        grids = flow.RunArrays(cfg).grids
+        assert grids[0] is not grids[1] and cfg.grid not in grids
+        sweep = np.linspace(cfg.ell_floor, cfg.ell_max, 41)
+        for k, ell in enumerate([*sweep, *sweep[::-1]]):
+            grid = grids[k % 2]
+            grid.cutoff_sq  # cached at the old length
+            grid.refresh(ell)
+            want = cfg.grid.at(ell)
+            assert grid.ell == want.ell and grid.pairing_norm == want.pairing_norm
+            for name in GRID_METRIC:
+                assert getattr(grid, name).tobytes() == getattr(want, name).tobytes(), name
+            assert grid.s_nodes is cfg.grid.s_nodes
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    def test_state_grid_intact_until_the_step_after_next(self, stepper):
+        import collarflow.flow as flow
+        cfg, vals = moving_config("flat-torus", stepper)
+        work = flow.RunArrays(cfg)
+        states = [initial_state(cfg, vals)]
+        for _ in range(6):
+            states.append(step(states[-1], cfg, work=work))
+            *_, prev, new = states
+            assert new.u.grid is work.free_grid(prev) and new.u.values is work.free_values(prev)
+            for state in (prev, new):
+                want = cfg.grid.at(min(max(state.ell, cfg.ell_floor), cfg.ell_max))
+                for name in GRID_METRIC:
+                    assert getattr(state.u.grid, name).tobytes() == \
+                        getattr(want, name).tobytes(), name
 
 
 class TestMetricSpeed:
@@ -615,6 +665,66 @@ def moving_config(kind: str, stepper: str, n_s: int = 40, n_theta: int = 16,
                      n_theta=n_theta, ell_max=0.3, ell_floor=floor, s_max=s_max,
                      target=target, stepper=stepper, stride=stride)
     return cfg, vals
+
+
+def pinned_case(kind: str) -> MapField:
+    """A map into a flat torus (dim 1, the winding wrap map, dim 2) or the sphere."""
+    grid = CollarGrid(0.3, 24, 12, s_max=3.0)
+    rng = np.random.default_rng(21)
+    if kind == "wrap":
+        return MapField(grid, wrap_values(grid), TORUS1)
+    if kind.startswith("torus"):
+        dim = int(kind[-1])
+        return MapField(grid, random_torus_values(grid, rng, dim=dim),
+                        TargetSpec.flat_torus(dim))
+    sphere = TargetSpec.round_sphere()
+    base = sample_map(grid, sphere, lambda s, t: np.stack(
+        [np.cos(t), np.sin(t), 0.3 * np.ones_like(t)])).values
+    return MapField(grid, sphere.project(base + 0.05 * rng.normal(size=base.shape)), sphere)
+
+
+class TestPinnedJet:
+    """The flow's jet leaves u_ss's two end rows unwritten (zero)."""
+
+    KINDS = ["torus1", "wrap", "torus2", "sphere"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pinned_fill_equals_full_fill_off_the_end_rows(self, kind):
+        u = pinned_case(kind)
+        n_s = u.grid.n_s
+        full = jet(u)
+        pinned = jet(u, out=MapJet(u.target, n_s, u.grid.n_theta, pinned=True))
+        for name in ("first", "diffs", "u_thth"):
+            assert getattr(pinned, name).tobytes() == getattr(full, name).tobytes(), name
+        assert pinned.u_ss[:, 1:-1].tobytes() == full.u_ss[:, 1:-1].tobytes()
+        ends = pinned.u_ss[:, ::n_s - 1]
+        assert ends.tobytes() == np.zeros_like(ends).tobytes()
+        assert kind == "wrap" or full.u_ss[:, ::n_s - 1].any()  # wrap is constant in s
+        assert pinned_tension(u, pinned).tobytes() == pinned_tension(u, full).tobytes()
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk2"])
+    @pytest.mark.parametrize("kind", ["flat-torus", "round-sphere"])
+    def test_flow_steps_never_write_the_pinned_rows(self, kind, stepper):
+        import collarflow.flow as flow
+        cfg, vals = moving_config(kind, stepper)
+        work = flow.RunArrays(cfg)
+        assert work.jet.pinned
+        state = initial_state(cfg, vals)
+        for _ in range(4):
+            state = step(state, cfg, work=work)
+        ends = work.jet.u_ss[:, ::cfg.n_s - 1]
+        assert ends.tobytes() == np.zeros_like(ends).tobytes()
+
+    def test_plain_jet_and_angular_audit_fill_every_row(self, monkeypatch):
+        import collarflow.angular as angular
+        u = pinned_case("torus2")
+        seen = []
+        monkeypatch.setattr(angular, "jet", lambda u, out=None: seen.append(jet(u, out)) or seen[-1])
+        angular.angular_bound_audit(u)
+        plain = jet(u)
+        assert not plain.pinned and [J.pinned for J in seen] == [False]
+        assert seen[0].u_ss.tobytes() == plain.u_ss.tobytes()
+        assert plain.u_ss[:, 0].all() and plain.u_ss[:, -1].all()
 
 
 class TestRunArrays:

@@ -366,6 +366,20 @@ class TestGridRefresh:
         assert str(refreshed.value) == str(built.value)
         assert g.at(0.05).s_max == g.s_max  # a shorter core has a longer collar
 
+    @pytest.mark.parametrize("ell", [0.0, math.nan, ELL_MAX, 0.4])
+    def test_refresh_refuses_with_constructor_message_before_writing(self, ell):
+        g = CollarGrid(0.1, 16, 8)  # s_max = X(0.1) > X(0.4)
+        g.cutoff_sq
+        before = {name: getattr(g, name).tobytes()
+                  for name in (*self.ARRAYS, "cutoff_sq")}
+        with pytest.raises(DomainError) as built:
+            CollarGrid(ell, 16, 8, s_max=g.s_max)
+        with pytest.raises(DomainError) as refreshed:
+            g.refresh(ell)
+        assert str(refreshed.value) == str(built.value)
+        assert g.ell == 0.1 and g.pairing_norm == g.n_theta * float(np.sum(g.pairing_weights))
+        assert before == {name: getattr(g, name).tobytes() for name in before}
+
 
 class TestFaultInjection:
     def test_fault_hits_scalar_api_not_grids(self, monkeypatch):
