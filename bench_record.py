@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Record this checkout's end-to-end benchmark numbers in BENCH_1.json.
+
+    python3 bench_record.py
+
+Runs every perfbench workload RUNS times, each run its own process of
+``perfbench/run.py --seconds SECONDS --seed SEED --trace 0``, and writes the
+machine line, the git HEAD and whether the tree was clean, and per
+workload the median and quartiles of each end-to-end metric with the
+summed correct and failed counts.  Two BENCH files compare only when
+their machine lines are the same.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent
+OUT = ROOT / "BENCH_1.json"
+RUNS = 5
+SECONDS = 5
+SEED = 0
+WORKLOADS = ("demos", "large-grid", "diagnostics")
+METRICS = ("setup_s", "wall_s", "work_per_s", "peak_rss_mb")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def run_once(workload: str) -> tuple[dict, dict]:
+    """The machine facts and the last-line result of one run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", str(SECONDS), "--seed", str(SEED), "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    machine = next(line for line in lines if line.startswith("machine "))
+    return json.loads(machine.removeprefix("machine ")), json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def main() -> int:
+    head, clean = git("rev-parse", "HEAD"), git("status", "--porcelain") == ""
+    machines, workloads = [], {}
+    for workload in WORKLOADS:
+        results = []
+        for _ in range(RUNS):
+            machine, result = run_once(workload)
+            machines.append(machine)
+            results.append(result)
+        workloads[workload] = {
+            "correct": sum(r["correct"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            **{m: summary([r["metrics"][m]["value"] for r in results]) for m in METRICS}}
+    if any(m != machines[0] for m in machines):
+        print("error: the machine line changed between runs", file=sys.stderr)
+        return 1
+    record = {"machine": machines[0], "head": head, "clean": clean, "runs": RUNS,
+              "seconds": SECONDS, "seed": SEED, "workloads": workloads}
+    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {OUT.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

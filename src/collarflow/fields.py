@@ -26,9 +26,9 @@ projection removes it.
 
 Every sum over the target-component axis (axis -3: the densities
 |u_s|^2 and |u_theta|^2, the Hopf cross term, the tension density, the
-tangential and sphere projections and the unit-norm check) goes through
-TargetSpec.dot, which adds the component planes' products in component
-order.
+squared face differences of flow.face_energy, the tangential and sphere
+projections and the unit-norm check) goes through TargetSpec.dot, which
+adds the component planes' products in component order.
 
 Energies are reported in the conformal picture: the coordinate energy
 E = 1/2 int |du|^2 ds dtheta is invariant under the conformal factor,
@@ -240,8 +240,9 @@ class MapJet:
         rows of their own on first read, and the Hopf coefficient psi
         (hopf()); both stay valid until the next fill;
       * scratch, two (n_s, n_theta) rows that tension, tension_density,
-        energies, hopf and a flow step's projection write: a result there
-        stays valid until the next of those calls on the jet.
+        energies, hopf, flow.face_energy and a flow step's projection
+        write: a result there stays valid until the next of those calls
+        on the jet.
 
     A pinned jet, the flow's, never writes the two end rows of u_ss: they
     stay zero, and only the tension reads them, whose end rows the flow's

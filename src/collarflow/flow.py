@@ -194,52 +194,35 @@ def pinned_tension(u: MapField, jet_: MapJet | None = None,
     """Tension field with the two Dirichlet rows zeroed (the flow's vector
     field), into out when given."""
     tau = tension(u, jet_, out)
-    tau[:, ::tau.shape[1] - 1] = 0.0
+    tau[..., ::tau.shape[-2] - 1, :] = 0.0
     return tau
 
 
-def face_energy(u: MapField, jet_: MapJet | None = None,
-                scratch: np.ndarray | None = None) -> float:
+def face_energy(u: MapField, jet_: MapJet | None = None) -> float:
     """Staggered coordinate energy 1/2 sum over faces of |du|^2.
 
     Second-order accurate for E and exactly paired with the five-point
     tension stencil: its gradient at an interior node is minus the flat
     Laplacian times the cell area, which makes the semi-discrete energy
-    identity along the flow exact.  The face differences are the jet's.
-    Their squares are summed laid out node-major, (n_s, n_theta, dim): np.sum
-    adds pairwise in memory order, and the trace's E column is pinned to
-    this order.  They go into scratch, a spare contiguous array of the map's
-    size, when given.
+    identity along the flow exact.  The face differences are the jet's;
+    their squares are summed per node by TargetSpec.dot in the jet's
+    scratch rows, then over the nodes.
     """
     J = jet_ or jet(u)
     h_s, h_t = u.grid.h_s, u.grid.theta_weight
-    Ds, Dt = J.d_s, J.d_theta
-    dim, n_s, n_t = Dt.shape
-    buf = np.empty(Dt.size) if scratch is None else scratch.reshape(-1)
-    sq = buf.reshape(n_s, n_t, dim)
-    e_s = _node_major_sum_of_squares(Ds, sq[:n_s - 1]) / h_s**2
-    e_t = _node_major_sum_of_squares(Dt, sq) / h_t**2
+    row, tmp = J.scratch
+    e_s = float(np.sum(u.target.dot(J.d_s, J.d_s, row[:-1], tmp[:-1]))) / h_s**2
+    e_t = float(np.sum(u.target.dot(J.d_theta, J.d_theta, row, tmp))) / h_t**2
     return 0.5 * (e_s + e_t) * h_s * h_t
-
-
-def _node_major_sum_of_squares(d: np.ndarray, sq: np.ndarray) -> float:
-    """np.sum of the squares of d, a (dim, rows, n_theta) array, written into
-    sq, its (rows, n_theta, dim) layout, through sq's component planes one at
-    a time (a whole transposed write makes numpy buffer small maps)."""
-    planes = sq.transpose(2, 0, 1)
-    for k in range(len(d)):
-        np.multiply(d[k], d[k], out=planes[k])
-    return float(np.sum(sq))
 
 
 class RunArrays:
     """The work arrays of one flow run, allocated once and overwritten by
     every step: one jet (refilled for each state, its u_ss end rows never
     written, as the pinned tension ignores them), the pinned tension of
-    the state (tau) and of the RK2 midpoint (tau_mid, between steps also
-    the scratch of a sampled row's face energy), two value arrays and two
-    grids (config.grid's nodes, their metric rewritten in place) that
-    consecutive states take in turn.
+    the state (tau) and of the RK2 midpoint (tau_mid), two value arrays
+    and two grids (config.grid's nodes, their metric rewritten in place)
+    that consecutive states take in turn.
 
     Neither value array is ever the caller's initial values, nor either
     grid the caller's.  A state's values and grid stay intact until the
@@ -281,8 +264,7 @@ def _evaluate(state: FlowState, config: FlowConfig, work: RunArrays,
     if not sample:
         return tau, speed, None
     rep = energies(u, jet_=J)
-    # tau_mid is free between steps: the next step overwrites it first
-    return tau, speed, dict(t=state.t, ell=state.ell, E=face_energy(u, J, work.tau_mid),
+    return tau, speed, dict(t=state.t, ell=state.ell, E=face_energy(u, J),
                             I=rep.I, I_theta=rep.I_theta, I_smooth=rep.I_smooth,
                             tension_l2=tension_l2(u, tau, J), re_b0=b0.real, im_b0=b0.imag,
                             sup_density=rep.sup_density)

@@ -110,7 +110,11 @@ def half_length(ell: float) -> float:
     Strictly decreasing in ell; X -> pi^2/ell asymptotically as the
     core degenerates, and X(2 arsinh 1) = pi^2 / (4 arsinh 1).
     """
-    ell = _check_ell(ell)
+    return _half_length(_check_ell(ell))
+
+
+def _half_length(ell: float) -> float:
+    """X(ell) of an ell the caller has checked."""
     return (2.0 * math.pi / ell) * (math.pi / 2.0 - math.atan(math.sinh(0.5 * ell)))
 
 
@@ -287,7 +291,7 @@ class CollarGrid:
                 raise DomainError(f"{key}: need at least 4 nodes in each direction, got {n}")
         self.n_s = int(n_s)
         self.n_theta = int(n_theta)
-        self.s_max = float(half_length(_check_ell(ell, closed_top=False))
+        self.s_max = float(_half_length(_check_ell(ell, closed_top=False))
                            if s_max is None else s_max)
         xi_edge = np.linspace(-1.0, 1.0, self.n_s + 1)
         self.s_nodes = self.s_max * (0.5 * (xi_edge[:-1] + xi_edge[1:]))
@@ -311,7 +315,7 @@ class CollarGrid:
         drops the cached cutoff.  Whoever holds this grid sees the new metric.
         """
         ell = _check_ell(ell, closed_top=False)
-        X = half_length(ell)
+        X = _half_length(ell)
         if not 0.0 < self.s_max <= X:
             raise DomainError(f"s_max: must lie in (0, X] with X = {X}, got {self.s_max}")
         self.ell = ell

@@ -441,6 +441,17 @@ class TestAngularAudit:
         assert rep.vacuous
         assert rep.satisfied
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known audit gap, ROADMAP item 11(a): Theta keeps a winding map's constant "
+        "part, which L maps to -(5/4) c < 0 while G = 0, so the wrap demo's map reads "
+        "satisfied=False (margin -9.64, fitted_c1 3.5e13, the roundoff floor)"))
+    def test_winding_map_satisfies_bound(self):
+        # u = theta into a flat circle, 48 x 12: harmonic, into an NPC target
+        from collarflow.demos import build_initial, demo_config
+        cfg, spec = demo_config("wrap")
+        u = MapField(cfg.grid_at(cfg.ell0), build_initial(cfg, spec), cfg.target)
+        assert angular_bound_audit(u, 0.05).satisfied
+
     @pytest.mark.parametrize("step, named", [
         (0.3, "profile_step must divide"),
         (0.0, "profile_step must be finite and > 0"),

@@ -349,16 +349,16 @@ class TestEnergyIdentity:
         assert face_energy(u, jet(u)) == face_energy(u)
 
     def test_face_energy_squares_into_scratch(self):
+        # the per-node sums go into the jet's scratch rows
         import tracemalloc
         grid = CollarGrid(0.2, 96, 32)
         u = MapField(grid, random_torus_values(grid, np.random.default_rng(6), dim=3),
                      TargetSpec.flat_torus(dim=3))
         J = jet(u)
-        scratch = np.empty_like(u.values)
-        expected = face_energy(u, J)
+        expected = face_energy(u)
         tracemalloc.start()
         try:
-            E = face_energy(u, J, scratch)
+            E = face_energy(u, J)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,27 +367,49 @@ class TestEnergyIdentity:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_face_energy_sums_node_major_squares(self, dim):
-        # np.sum adds pairwise in memory order, and the pinned traces were
-        # made summing the squares laid out (n_s, n_theta, dim); the
-        # component-major order gives other bits for a sum on this map
+        # the squares are summed per node in component order (TargetSpec.dot),
+        # then np.sum adds the nodes pairwise in memory order; the node-major
+        # (n_s, n_theta, dim) sum of all squares gives other bits on this map
         grid = CollarGrid(0.2, 96, 32)
         u = MapField(grid, random_torus_values(grid, np.random.default_rng(6), dim=dim),
                      TargetSpec.flat_torus(dim))
         J = jet(u)
         h_s, h_t = grid.h_s, grid.theta_weight
 
-        def sums(layout):
-            return [float(np.sum(np.square(layout(d)))) for d in (J.d_s, J.d_theta)]
+        def per_node(d):
+            sq = d[0] * d[0]
+            for k in range(1, dim):
+                sq = sq + d[k] * d[k]
+            return float(np.sum(sq))
 
-        node_major = sums(lambda d: np.ascontiguousarray(np.moveaxis(d, 0, -1)))
-        want = 0.5 * (node_major[0] / h_s**2 + node_major[1] / h_t**2) * h_s * h_t
-        assert face_energy(u, J) == want
-        assert face_energy(u, J, np.empty_like(u.values)) == want
-        assert sums(np.ascontiguousarray) != node_major
+        def node_major(d):
+            return float(np.sum(np.square(np.ascontiguousarray(np.moveaxis(d, 0, -1)))))
+
+        sums = [per_node(d) for d in (J.d_s, J.d_theta)]
+        assert face_energy(u, J) == 0.5 * (sums[0] / h_s**2 + sums[1] / h_t**2) * h_s * h_t
+        assert [node_major(d) for d in (J.d_s, J.d_theta)] != sums
+
+    @pytest.mark.parametrize("dim, n_s, n_theta", [(1, 48, 12), (2, 64, 16), (3, 384, 64)])
+    def test_face_energy_of_a_stack_matches_each_map(self, dim, n_s, n_theta):
+        # a stack of 8 flows summed by one dot over the stacked differences,
+        # then np.sum per flow, gives each flow's own face energy bit for bit
+        grid = CollarGrid(0.2, n_s, n_theta)
+        target = TargetSpec.flat_torus(dim)
+        rng = np.random.default_rng(dim)
+        maps = [MapField(grid, random_torus_values(grid, rng, dim=dim), target)
+                for _ in range(8)]
+        jets = [jet(u) for u in maps]
+        h_s, h_t = grid.h_s, grid.theta_weight
+        Ds, Dt = np.stack([J.d_s for J in jets]), np.stack([J.d_theta for J in jets])
+        e_s, e_t = target.dot(Ds, Ds), target.dot(Dt, Dt)
+        for b, u in enumerate(maps):
+            want = 0.5 * (float(np.sum(e_s[b])) / h_s**2
+                          + float(np.sum(e_t[b])) / h_t**2) * h_s * h_t
+            assert face_energy(u) == want
 
     def test_sampled_row_allocates_no_map_sized_array(self):
-        # a 384 x 64 sphere row: face_energy squares into tau_mid, and the
-        # largest temporary left is principal_coefficient's einsum buffer
+        # a 384 x 64 sphere row: face_energy sums in the jet's scratch rows,
+        # and the largest temporary left is principal_coefficient's einsum buffer
         import tracemalloc
         import collarflow.flow as flow
         from collarflow.demos import build_initial

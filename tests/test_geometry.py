@@ -380,6 +380,16 @@ class TestGridRefresh:
         assert g.ell == 0.1 and g.pairing_norm == g.n_theta * float(np.sum(g.pairing_weights))
         assert before == {name: getattr(g, name).tobytes() for name in before}
 
+    def test_refresh_checks_the_length_once(self, monkeypatch):
+        g = CollarGrid(0.4, 16, 8)
+        check, calls = geometry._check_ell, []
+        monkeypatch.setattr(geometry, "_check_ell",
+                            lambda ell, **kw: calls.append(ell) or check(ell, **kw))
+        g.refresh(0.3)
+        assert calls == [0.3]
+        g.at(0.35)
+        assert calls == [0.3, 0.35]
+
 
 class TestFaultInjection:
     def test_fault_hits_scalar_api_not_grids(self, monkeypatch):
