@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record this checkout's end-to-end benchmark numbers in BENCH_1.json.
+"""Record this checkout's end-to-end benchmark numbers in the next BENCH_<n>.json.
 
     python3 bench_record.py
 
@@ -7,8 +7,10 @@ Runs every perfbench workload RUNS times, each run its own process of
 ``perfbench/run.py --seconds SECONDS --seed SEED --trace 0``, and writes the
 machine line, the git HEAD and whether the tree was clean, and per
 workload the median and quartiles of each end-to-end metric with the
-summed correct and failed counts.  Two BENCH files compare only when
-their machine lines are the same.
+summed correct and failed counts, to the first free BENCH_<n>.json.
+Two BENCH files compare only when their machine lines are the same: then
+each workload's medians are printed as old -> new with the change in
+percent.
 """
 
 import json
@@ -19,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent
-OUT = ROOT / "BENCH_1.json"
 RUNS = 5
 SECONDS = 5
 SEED = 0
@@ -48,6 +49,22 @@ def summary(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def bench_path(n: int) -> Path:
+    return ROOT / f"BENCH_{n}.json"
+
+
+def print_deltas(old: dict, new: dict) -> None:
+    """Each workload's median per metric, old -> new, when the machines match."""
+    if old["machine"] != new["machine"]:
+        print("the previous BENCH file was recorded on another machine line; "
+              "the two do not compare")
+        return
+    for workload, cur in new["workloads"].items():
+        for m in METRICS:
+            a, b = old["workloads"][workload][m]["median"], cur[m]["median"]
+            print(f"{workload} {m}: {a:.6g} -> {b:.6g} ({100.0 * (b - a) / a:+.1f} %)")
+
+
 def main() -> int:
     head, clean = git("rev-parse", "HEAD"), git("status", "--porcelain") == ""
     machines, workloads = [], {}
@@ -66,8 +83,14 @@ def main() -> int:
         return 1
     record = {"machine": machines[0], "head": head, "clean": clean, "runs": RUNS,
               "seconds": SECONDS, "seed": SEED, "workloads": workloads}
-    OUT.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {OUT.name}")
+    n = 1
+    while bench_path(n).exists():
+        n += 1
+    out = bench_path(n)
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {out.name}")
+    if n > 1:
+        print_deltas(json.loads(bench_path(n - 1).read_text()), record)
     return 0
 
 

@@ -87,15 +87,20 @@ class ProfileFn:
         if v.shape != s.shape:
             raise DomainError(_SHAPE_ERROR)
         s, h, m = _checked_grid(s)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "delay_steps", m)
+        # frozen: the fields are set past __setattr__
+        self.__dict__.update(s=s, values=v, h=h, delay_steps=m)
 
     def interior(self) -> slice:
         """Nodes where the full delayed stencil fits inside the grid."""
         m = self.delay_steps
         return slice(m + 1, self.s.size - m - 1)
+
+
+def _on_checked_grid(s: np.ndarray, values: np.ndarray, h: float, m: int) -> ProfileFn:
+    """A ProfileFn of float values on a grid _checked_grid returned (s, h, m) for."""
+    f = object.__new__(ProfileFn)
+    f.__dict__.update(s=s, values=values, h=h, delay_steps=m)
+    return f
 
 
 def _second_difference(v: np.ndarray, h: float, lo: int, hi: int) -> np.ndarray:
@@ -111,13 +116,23 @@ def _delay_stencil(v: np.ndarray, h: float, m: int) -> np.ndarray:
     leading axis is a batch of independent profiles on one grid.
     """
     lo, hi = m + 1, v.shape[-1] - m - 1
-    delayed = 0.125 * (v[..., lo + m:hi + m] + v[..., lo - m:hi - m])
-    return _second_difference(v, h, lo, hi) - 1.5 * v[..., lo:hi] + delayed
+    Lv = _second_difference(v, h, lo, hi)
+    Lv -= 1.5 * v[..., lo:hi]
+    Lv += 0.125 * (v[..., lo + m:hi + m] + v[..., lo - m:hi - m])
+    return Lv
+
+
+@lru_cache(maxsize=16)
+def _end_band_index(n: int, m: int) -> np.ndarray:
+    """Indices of the m + 1 nodes at each end of n, in order (read-only)."""
+    index = np.concatenate([np.arange(m + 1), np.arange(n - m - 1, n)])
+    index.flags.writeable = False
+    return index
 
 
 def _end_bands(v: np.ndarray, m: int) -> np.ndarray:
     """The m + 1 nodes at each end of the last axis, outside the interior."""
-    return np.concatenate([v[..., :m + 1], v[..., v.shape[-1] - m - 1:]], axis=-1)
+    return v.take(_end_band_index(v.shape[-1], m), axis=-1)
 
 
 def _premises(d: np.ndarray, h: float, m: int):
@@ -217,7 +232,12 @@ def default_comparison_grid(half: float = 3.0, step: float = 0.25) -> np.ndarray
     return step * np.arange(-n, n + 1)
 
 
-_MODES = np.arange(1, 5)
+_MODES = np.arange(1.0, 5.0)
+# (low, high) of each row of a block's uniform draws in stream order: eight rows
+# of phases, the lower profile's scale, the growth mode's weight and the lift.
+# Generator.uniform maps a double u to low + (high - low) * u; so does the sampler.
+_UNIFORM = np.array([(0.0, 2.0 * math.pi)] * 8 + [(0.5, 2.0), (0.3, 2.5), (0.0, 0.5)])
+_UNIFORM_LOW, _UNIFORM_RANGE = _UNIFORM[:, :1], _UNIFORM[:, 1:] - _UNIFORM[:, :1]
 
 
 @lru_cache(maxsize=16)
@@ -232,33 +252,33 @@ def _sampler_tables(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _random_smooth(rng: np.random.Generator, s: np.ndarray,
-                   rows: int) -> np.ndarray:
-    """(rows, n) random four-mode cosine profiles, each peaking at 1 in |.|."""
-    coef = rng.normal(size=(rows, 4)) / _MODES
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 4))
-    cos_arg, sin_arg, _ = _sampler_tables(s.tobytes())
-    # sum_k coef cos(arg + phase), expanded so no (rows, 4, n) array forms
-    vals = np.einsum("rk,kn->rn", coef * np.cos(phase), cos_arg) \
-        - np.einsum("rk,kn->rn", coef * np.sin(phase), sin_arg)
-    peak = np.maximum.reduce(np.abs(vals), axis=-1, keepdims=True)
-    return vals / np.where(peak > 0, peak, 1.0)
-
-
 def _candidate_block(rng: np.random.Generator, s: np.ndarray, m: int,
                      rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, n) lower profiles and upper = lower + gap for the sampler.
 
-    The gap mixes a random smooth profile with the cosh growth mode (on
-    which the operator is strongly negative) and a constant lift that
-    clears the boundary bands of m + 1 nodes at each end.
+    Each of 2 * rows random four-mode cosine profiles peaks at 1 in |.|;
+    the first rows, scaled, are the lower profiles.  The gap mixes one of
+    the rest with the cosh growth mode (on which the operator is strongly
+    negative) and a constant lift that clears the boundary bands of m + 1
+    nodes at each end.
     """
-    smooth = _random_smooth(rng, s, 2 * rows)
-    lower = rng.uniform(0.5, 2.0, (rows, 1)) * smooth[:rows]
-    grow = _sampler_tables(s.tobytes())[2]
-    gap = smooth[rows:] + rng.uniform(0.3, 2.5, (rows, 1)) * grow
-    band_min = np.minimum.reduce(_end_bands(gap, m), axis=1, keepdims=True)
-    gap += np.maximum(0.0, -band_min) + rng.uniform(0.0, 0.5, (rows, 1))
+    cos_arg, sin_arg, grow = _sampler_tables(s.tobytes())
+    coef = rng.normal(size=(2 * rows, 4)) / _MODES
+    u = rng.random(11 * rows).reshape(11, rows)
+    np.add(_UNIFORM_LOW, np.multiply(u, _UNIFORM_RANGE, out=u), out=u)
+    phase, scale = u[:8].reshape(2 * rows, 4), u[8:, :, None]
+    # sum_k coef cos(arg + phase), expanded so no (rows, 4, n) array forms
+    smooth = np.einsum("rk,kn->rn", coef * np.cos(phase), cos_arg)
+    smooth -= np.einsum("rk,kn->rn", coef * np.sin(phase), sin_arg)
+    peak = np.maximum.reduce(np.abs(smooth), axis=-1, keepdims=True)
+    np.divide(smooth, peak, out=smooth, where=peak > 0)
+    lower = np.multiply(scale[0], smooth[:rows], out=smooth[:rows])
+    gap = np.multiply(scale[1], grow)
+    np.add(smooth[rows:], gap, out=gap)
+    # lift - min(0, band minimum) has the bits of max(0, -band minimum) + lift:
+    # it differs only in the sign of a zero, which adding lift >= +0 drops
+    band_min = np.minimum.reduce(_end_bands(gap, m), axis=1, keepdims=True, initial=0.0)
+    gap += np.subtract(scale[2], band_min, out=band_min)
     return lower, lower + gap
 
 
@@ -304,9 +324,9 @@ def comparison_pairs(rng: np.random.Generator, n_pairs: int,
                 "comparison-pair sampler failed to accept a candidate")
         lower, upper = _candidate_block(rng, s, m, rows)
         _, op_ok, bd_ok = _premises(upper - lower, h, m)
-        keep = np.flatnonzero(op_ok & bd_ok)[:need]
+        keep = (op_ok & bd_ok).nonzero()[0][:need]
         # fancy indexing copies, so the pairs do not pin the whole block
-        pairs += [(ProfileFn(s, lo), ProfileFn(s, up))
+        pairs += [(_on_checked_grid(s, lo, h, m), _on_checked_grid(s, up, h, m))
                   for lo, up in zip(lower[keep], upper[keep])]
         drawn += int(keep[-1]) + 1 if keep.size == need else rows
     return pairs, drawn

@@ -55,6 +55,7 @@ STATUS_COMPLETED = "completed"
 STATUS_PINCHED = "pinched"
 STATUS_BLOWUP = "blow-up-detected"
 STATUS_CAPPED = "capped"  # ell rose above ell_max: collar model left its domain
+MAX_ROWS = 10**5  # trace rows a run may keep, about 0.6 KB each until it returns
 
 # the JSON type of each FlowConfig field but the target (geometry.check_block)
 FLOW_FIELDS = {"ell0": float, "eta": float, "dt": float, "t_end": float,
@@ -154,7 +155,14 @@ class FlowConfig:
         if not (math.isfinite(n_steps) and round(n_steps) >= 1):
             raise DomainError(f"flow.t_end: t_end / dt must round to a finite step count "
                               f">= 1, got t_end = {self.t_end}, dt = {self.dt}")
-        object.__setattr__(self, "n_steps", round(n_steps))
+        n_steps = round(n_steps)
+        # rows run appends: every stride-th state and the last, held until it returns
+        n_rows = -(-n_steps // self.stride) + 1
+        if n_rows > MAX_ROWS:
+            raise DomainError(f"flow.t_end: t_end = {self.t_end} at dt = {self.dt} and stride "
+                              f"= {self.stride} asks for more than {MAX_ROWS} trace rows, "
+                              f"got {n_rows}")
+        object.__setattr__(self, "n_steps", n_steps)
 
     def grid_at(self, ell: float) -> CollarGrid:
         return self.grid.at(ell)

@@ -271,6 +271,29 @@ class TestComparisonPairs:
         assert self.stream_digest(pairs) == \
             "8c579f17e36527214d95c75397c198bb74c23d85a6438a6f7ecd853042769725"
 
+    def test_seeded_streams_on_a_finer_grid_are_pinned(self):
+        # m = 4 delay steps on 33 nodes: other tables and end bands than
+        # the default grid's m = 2 on 25
+        s = default_comparison_grid(2.0, 0.125)
+        rng = np.random.default_rng(7)
+        pairs = [random_comparison_pair(rng, s) for _ in range(100)]
+        assert self.stream_digest(pairs) == \
+            "74e78febcb6fa02d474b51158ebb4b23ab4cfeabdb3f91e02020dc655726e5e9"
+        pairs, n_candidates = comparison_pairs(np.random.default_rng(7), 33, s)
+        assert n_candidates == 278
+        assert self.stream_digest(pairs) == \
+            "0f727cfe0314c854450583a24a165892b8136fa992ed9178d6b2de799f4ca124"
+
+    def test_one_grid_check_per_call(self):
+        def lookups():
+            info = _grid_steps.cache_info()
+            return info.hits + info.misses
+        before = lookups()
+        pairs, _ = comparison_pairs(np.random.default_rng(11), 300)
+        assert lookups() <= before + 1
+        assert all((lo.h, lo.delay_steps, up.h, up.delay_steps) == (0.25, 2, 0.25, 2)
+                   for lo, up in pairs)
+
     @pytest.mark.parametrize("kwargs, named", [
         (dict(n_pairs=2.5), "n_pairs must be a nonnegative integer, got 2.5"),
         (dict(n_pairs=-1), "n_pairs must be a nonnegative integer, got -1"),

@@ -648,6 +648,16 @@ class TestCliDriver:
         assert lines == ["error: flow.t_end: t_end / dt must round to a finite step count "
                          f">= 1, got t_end = {t_end}, dt = {dt}"]
 
+    def test_flow_too_many_trace_rows_exit_2(self, tmp_path, capsys):
+        doc = _with(_with(_with(FLOW_DOC, "flow.eta", 0.0), "flow.dt", 1e-7), "flow.t_end", 1e5)
+        (tmp_path / "rows.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(tmp_path / "rows.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: flow.t_end: t_end = 100000.0 at dt = 1e-07 and stride = 5 asks for "
+            "more than 100000 trace rows, got 200000000001\n")
+        assert not out.exists()
+
     def test_flow_defaulted_ell_max_named_as_ell0(self):
         doc = _with(FLOW_DOC, "flow.ell_max", None)
         code, lines = _run_config("flow", _with(_with(doc, "flow.ell0", 2.0), "flow.s_max", None))

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from collarflow.demos import build_initial, demo_config
 from collarflow.geometry import CollarGrid, DomainError
 from collarflow.fields import MapField, MapJet, TargetSpec, jet, sample_map
 from collarflow.quad_diff import coordinate_differential, hopf_differential, inner_product
@@ -126,6 +127,24 @@ class TestConfig:
             frozen_config(target=target)
         assert str(exc.value) == ("flow.target: must be a flat-torus or round-sphere "
                                   f"target, got {shown}")
+
+    def test_trace_rows_bounded(self):
+        # a frozen wrap demo run for 10^12 steps would keep 2 * 10^11 rows
+        cfg = demo_config("wrap")[0]
+        with pytest.raises(DomainError) as exc:
+            replace(cfg, eta=0.0, dt=1e-7, t_end=1e5)
+        assert str(exc.value) == ("flow.t_end: t_end = 100000.0 at dt = 1e-07 and stride = 5 "
+                                  "asks for more than 100000 trace rows, got 200000000001")
+
+    def test_row_bound_counts_the_rows_run_keeps(self, monkeypatch):
+        import collarflow.flow as flow
+        cfg, spec = demo_config("wrap")
+        n_rows = run(cfg, build_initial(cfg, spec)).n_rows
+        monkeypatch.setattr(flow, "MAX_ROWS", n_rows)
+        assert replace(cfg).n_steps == cfg.n_steps
+        monkeypatch.setattr(flow, "MAX_ROWS", n_rows - 1)
+        with pytest.raises(DomainError, match=f"trace rows, got {n_rows}$"):
+            replace(cfg)
 
     def test_config_builds_its_grid_outside_the_fields(self):
         cfg = wrap_config(s_max=5.0, safety=0.1)
