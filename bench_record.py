@@ -5,15 +5,19 @@
 
 Runs every perfbench workload RUNS times, each run its own process of
 ``perfbench/run.py --seconds SECONDS --seed SEED --trace 0``, and writes the
-machine line, the git HEAD and whether the tree was clean, and per
+machine line, a host block of its own (kernel release, the CPU's stepping,
+microcode and a digest of its flags, and MemTotal, which the machine line
+does not hold), the git HEAD and whether the tree was clean, and per
 workload the median and quartiles of each end-to-end metric with the
 summed correct and failed counts, to the first free BENCH_<n>.json.
 Two BENCH files compare only when their machine lines are the same: then
 each workload's medians are printed as old -> new with the change in
-percent.
+percent, after a warning if the host blocks differ or one is missing.
 """
 
+import hashlib
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +48,30 @@ def run_once(workload: str) -> tuple[dict, dict]:
     return json.loads(machine.removeprefix("machine ")), json.loads(lines[-1])
 
 
+def host_facts() -> dict:
+    """What tells apart hosts that share a machine line: the kernel release,
+    the first CPU's stepping, microcode and flags digest, and MemTotal."""
+    def fields(path: str) -> dict:  # "key : value" lines up to the first blank one
+        try:
+            lines = Path(path).read_text().splitlines()
+        except OSError:
+            return {}
+        out = {}
+        for line in lines:
+            key, sep, value = line.partition(":")
+            if not sep:
+                break
+            out.setdefault(key.strip(), value.strip())
+        return out
+
+    cpu, mem = fields("/proc/cpuinfo"), fields("/proc/meminfo")
+    flags = cpu.get("flags")
+    return {"kernel": platform.release(), "cpu_stepping": cpu.get("stepping"),
+            "cpu_microcode": cpu.get("microcode"),
+            "cpu_flags_sha256": flags and hashlib.sha256(flags.encode()).hexdigest()[:16],
+            "mem_total": mem.get("MemTotal")}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
@@ -54,11 +82,20 @@ def bench_path(n: int) -> Path:
 
 
 def print_deltas(old: dict, new: dict) -> None:
-    """Each workload's median per metric, old -> new, when the machines match."""
+    """Each workload's median per metric, old -> new, when the machines match;
+    a host block that differs, or is missing, is warned of first."""
     if old["machine"] != new["machine"]:
         print("the previous BENCH file was recorded on another machine line; "
               "the two do not compare")
         return
+    if "host" not in old or "host" not in new:
+        print("warning: a BENCH file has no host block, so the two may come from "
+              "different hosts of one machine line")
+    elif old["host"] != new["host"]:
+        differ = sorted(k for k in {*old["host"], *new["host"]}
+                        if old["host"].get(k) != new["host"].get(k))
+        print(f"warning: the host blocks differ in {', '.join(differ)}; the deltas "
+              f"include the hosts' difference")
     for workload, cur in new["workloads"].items():
         for m in METRICS:
             a, b = old["workloads"][workload][m]["median"], cur[m]["median"]
@@ -81,8 +118,8 @@ def main() -> int:
     if any(m != machines[0] for m in machines):
         print("error: the machine line changed between runs", file=sys.stderr)
         return 1
-    record = {"machine": machines[0], "head": head, "clean": clean, "runs": RUNS,
-              "seconds": SECONDS, "seed": SEED, "workloads": workloads}
+    record = {"machine": machines[0], "host": host_facts(), "head": head, "clean": clean,
+              "runs": RUNS, "seconds": SECONDS, "seed": SEED, "workloads": workloads}
     n = 1
     while bench_path(n).exists():
         n += 1

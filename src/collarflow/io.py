@@ -29,25 +29,42 @@ FLOAT_FMT = "%.17g"
 COMMENT_PREFIX = "# "
 
 
-def _format_value(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return FLOAT_FMT % x
-    return str(x)
-
-
-# rows formatted and written per block, so a dump's transient text is
-# bounded by the block, not by the file
+# rows per written block and values per formatted chunk: a dump's bound on transient bytes
 _BLOCK_ROWS = 1024
+# a cell is '-' or NUL, the rest of FLOAT_FMT's text NUL-padded, and a byte
+# for ',' or '\n'; the NULs are dropped as a block is written
+_CELL = 25
+_ZERO, _DOT, _MINUS, _COMMA, _NEWLINE, _SPACE = b"0.-,\n "
+_PADDED_FMT = b"%-24" + FLOAT_FMT[1:].encode()  # FLOAT_FMT's text in 24 bytes
+# "0000" to "9999" as (10**4, 4) digits, and the scale of each 4-digit group
+_GROUPS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + _ZERO
+_GROUP_SCALES = 10 ** np.arange(16, -1, -4, dtype=np.int64)
+# the least doubles at or above 10**-4 .. 10**17 (the doubles nearest the
+# negative powers lie above them); 10**p, exact for p <= 22, and its halves
+_DECADES = np.concatenate(([1e-4, 1e-3, 1e-2, 1e-1], 10.0 ** np.arange(18)))
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# byte i of the text of a value with exponent k and n digits kept is byte _LAYOUT[18 (k + 4)
+# + n, i] of "0.", NUL and the 17 digits: for k >= 0 the digits, '.' after k + 1 of them if
+# more are kept; for k < 0 "0.", -k - 1 zeros and the digits
+_k, _n, _i = (a.astype(np.int8) for a in np.ogrid[-4:17, :18, :22])
+_digit = np.where(_k >= 0, _i - (_i > _k), _i - 1 + _k)  # the digit at byte i
+_LAYOUT = np.where((_k >= 0) & (_i == _k + 1), np.where(_n > _k + 1, 1, 2), np.where(
+    _digit < 0, _i == 1, np.where(_digit < _n, _digit + 3, 2))).reshape(378, 22).astype(np.int8)
+del _k, _n, _i, _digit
 
 
 def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     """Write named float columns with an exact-width float format.
 
     Column order follows the dict; all columns must share one length and
-    hold floats.  Every row comes from one template.  Provenance entries
-    become sorted leading comment lines.  Rows are written in blocks of
-    _BLOCK_ROWS through one open file; a rejected column creates no file,
-    and a write that fails partway removes the partial file.
+    hold floats, and each cell holds FLOAT_FMT's text of its float64 value.
+    Provenance entries become sorted leading comment lines; one that would
+    not read back as itself (a line break, or ': ' in a key) is refused.
+    Rows are written in blocks of _BLOCK_ROWS through one open file; a
+    rejected column or entry creates no file, and a write that fails
+    partway removes the partial file.
     """
     names = list(columns)
     if not names:
@@ -59,44 +76,85 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     for name, a in zip(names, arrays):
         if a.dtype.kind != "f":
             raise DomainError(f"csv column {name!r} must hold floats, got {a.dtype}")
-    head = "".join(f"{COMMENT_PREFIX}{key}: {_format_value(provenance[key])}\n"
-                   for key in sorted(provenance or {})) + ",".join(names) + "\n"
-    cells = [_repeated_cells(a) for a in arrays]
-    row = ",".join(FLOAT_FMT if c is None else "%s" for c in cells) + "\n"
-    f = open(path, "w", encoding="utf-8", newline="\n")
+    head = ""
+    for key, value in sorted((provenance or {}).items()):
+        line = f"{key}: {FLOAT_FMT % value if isinstance(value, (float, np.floating)) else value}"
+        if len(line.splitlines()) != 1 or ": " in str(key):
+            raise DomainError(f"csv provenance {key!r}: a key or value may not hold "
+                              f"a line break, nor a key ': '")
+        head += f"{COMMENT_PREFIX}{line}\n"
+    keys, index = _distinct(arrays)
+    cells = np.zeros((len(keys), _CELL), np.uint8)
+    for i in range(0, len(keys), _BLOCK_ROWS):
+        _cell_texts(keys[i:i + _BLOCK_ROWS], cells[i:i + _BLOCK_ROWS])
+    f = open(path, "wb")
     try:
         with f:
-            f.write(head)
-            for text in _row_blocks(row, arrays, cells):
+            f.write((head + ",".join(names) + "\n").encode("utf-8"))
+            for text in _row_blocks(cells, index):
                 f.write(text)
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
 
 
-def _row_blocks(row: str, arrays: list, cells: list):
-    """The rows' text, _BLOCK_ROWS rows at a time, each row from the template."""
-    for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        yield "".join(row % r for r in zip(*(
-            a[block].tolist() if c is None else c[0][c[1][block]].tolist()
-            for a, c in zip(arrays, cells))))
+def _distinct(arrays: list) -> tuple[np.ndarray, np.ndarray]:
+    """The columns' distinct float64 values by bit pattern (so -0.0, 0.0 and each
+    NaN keep their own text), and the (rows, columns) index of each cell into
+    them; sorted in place, the cells' bits and argsort peak at half np.unique's."""
+    bits = np.stack(arrays, axis=1).astype(np.float64, copy=False).view(np.int64).ravel()
+    order = bits.argsort()
+    bits.sort()
+    new = np.concatenate(([True], bits[1:] != bits[:-1]))[:len(bits)]  # starts a value
+    keys = bits[new].view(np.float64)
+    del bits
+    rank = np.cumsum(new, dtype=np.min_scalar_type(len(new)))
+    rank -= 1
+    index = np.empty_like(rank)
+    index[order] = rank
+    return keys, index.reshape(-1, len(arrays))
 
 
-def _repeated_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The column as (its distinct values' texts, each row's index into
-    them) when it holds at most half as many distinct values as rows (each
-    distinct value formatted once), else None.
+def _row_blocks(cells: np.ndarray, index: np.ndarray):
+    """The rows' bytes, _BLOCK_ROWS at a time: cells by index, separated, NULs dropped."""
+    for start in range(0, len(index), _BLOCK_ROWS):
+        block = np.take(cells, index[start:start + _BLOCK_ROWS], axis=0)
+        block[:, :-1, -1:] = _COMMA
+        block[:, -1:, -1:] = _NEWLINE
+        yield block[block != 0].tobytes()
 
-    Values are told apart by their bit pattern, so -0.0 and 0.0, and every
-    NaN, keep the text FLOAT_FMT gives them.
+
+def _cell_texts(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the cells of float64 values x into the zeroed out.
+
+    FLOAT_FMT writes 1e-4 <= |x| < 1e17 in fixed notation, and so does this.
+    With k = floor(log10 |x|), Dekker's two-product splits |x| 10**(16 - k)
+    exactly into hi + lo; hi is an even integer, so N = hi + rint(lo) rounds
+    half to even to 17 digits, as FLOAT_FMT does (N < 10**17: no double lies
+    within half a unit of the 17th digit below a power of ten).  The rest
+    (zeros, nan, infinities, exponent notation) go through FLOAT_FMT.
     """
-    keys, index = np.unique(np.asarray(a, dtype=np.float64).view(np.int64),
-                            return_inverse=True)
-    if 2 * len(keys) > len(a):
-        return None
-    text = np.array([FLOAT_FMT % x for x in keys.view(np.float64).tolist()], dtype=object)
-    return text, index
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    v = a[fixed]
+    k = np.searchsorted(_DECADES, v, side="right") - 5
+    v_hi = v * 134217729.0 - (v * 134217729.0 - v)  # Veltkamp's split, as for _POW10
+    v_lo = v - v_hi
+    p = 16 - k
+    hi = v * _POW10[p]
+    lo = ((v_hi * _POW10_HI[p] - hi) + v_hi * _POW10_LO[p] + v_lo * _POW10_HI[p]) \
+        + v_lo * _POW10_LO[p]
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # "000" and N's 17 digits, then bytes 1 and 2 become '.' and NUL
+    src = np.take(_GROUPS, n[:, None] // _GROUP_SCALES % 10_000, axis=0).reshape(len(v), 20)
+    src[:, 1:3] = (_DOT, 0)
+    kept = 17 - np.argmax(src[:, :2:-1] != _ZERO, axis=1)
+    layout = np.take(_LAYOUT, 18 * k + np.maximum(kept, k + 1) + 72, axis=0)
+    out[:, :1] = np.signbit(x)[:, None] * _MINUS
+    out[fixed, 1:23] = np.take(src, layout + np.arange(0, src.size, 20)[:, None])
+    rest = x[~fixed].tolist()
+    text = np.frombuffer((_PADDED_FMT * len(rest)) % tuple(rest), np.uint8).reshape(-1, 24)
+    out[~fixed, :24] = np.where(text == _SPACE, 0, text)
 
 
 def _read_text(path) -> str:

@@ -27,7 +27,6 @@ from collarflow.flow import (
 )
 from collarflow.geometry import (
     CollarGrid,
-    deformed_circle_radius_sq,
     dz2_norms,
 )
 from collarflow.quad_diff import (
@@ -36,6 +35,7 @@ from collarflow.quad_diff import (
     scaled_mode_field,
     thin_thick_decay_ratio,
 )
+from oracles import deformed_circle_radius_sq
 
 
 def _random_torus_values(rng, grid, dim=2, amp=0.3):

@@ -198,6 +198,57 @@ class TestCsv:
                      for i in range(n_rows)]
             assert path.read_bytes() == ("\n".join(want) + "\n").encode(), n_rows
 
+    @pytest.mark.parametrize("n_rows", ACROSS_BLOCKS)
+    def test_cells_match_per_cell_reference_on_hard_values(self, tmp_path, n_rows):
+        # the values where digits formed in numpy could part from FLOAT_FMT:
+        # either side of each power of ten, exact ties, the fixed-notation
+        # bounds, specials and subnormals, in float64, float32 and longdouble
+        rng = np.random.default_rng(34)
+        tens = np.array([float(f"1e{e}") for e in range(-9, 19)])
+        pool = np.concatenate([
+            tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+            (2 * rng.integers(2e15, 4.5e15, size=300) + 1) / 4.0,
+            [1e17, np.nextafter(1e17, 0), 1e-4, np.nextafter(1e-4, 0),
+             0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf],
+            rng.integers(1, 2**52, size=100).view(np.float64),
+            rng.integers(-2**63, 2**63 - 1, size=n_rows, dtype=np.int64).view(np.float64)])
+        pool[rng.random(len(pool)) < 0.5] *= -1
+        with np.errstate(over="ignore"):  # float32 overflows to inf
+            cols = {"x": np.resize(pool, n_rows), "rev": np.resize(pool[::-1], n_rows),
+                    "f32": np.resize(rng.permutation(pool), n_rows).astype(np.float32),
+                    "ld": np.resize(rng.permutation(pool), n_rows).astype(np.longdouble)}
+        path = tmp_path / "h.csv"
+        cfio.write_csv(path, cols)
+        want = ["x,rev,f32,ld"]
+        want += [",".join("%.17g" % cols[name][i] for name in cols) for i in range(n_rows)]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    @pytest.mark.parametrize("provenance, key", [
+        ({"label": "a\nb"}, "label"), ({"label": "a\rb"}, "label"),
+        ({"seed": 1, "k: v": 1}, "k: v"), ({"a\nb": 1}, "a\nb")])
+    def test_provenance_that_would_not_read_back_refused(self, tmp_path, provenance, key):
+        # "a\nb" read back as a header line b; a key "k: v" read back as k
+        path = tmp_path / "p.csv"
+        with pytest.raises(DomainError, match=rf"^csv provenance {re.escape(repr(key))}:"):
+            cfio.write_csv(path, {"x": [1.0]}, provenance)
+        assert not path.exists()
+
+    def test_map_dump_holds_cells_as_bytes(self, tmp_path):
+        # the large-grid sphere start: a cell per distinct value as 25 bytes
+        # and one argsort over all cells peak at 2.60 MB, where a str per
+        # distinct value of each repeated column peaked at 3.56 MB
+        cfg = FlowConfig(ell0=0.2, eta=0.5, dt=1e-7, t_end=1e-7, n_s=384, n_theta=64,
+                         target=TargetSpec.round_sphere(3), ell_max=0.4, ell_floor=0.1)
+        u = MapField(cfg.grid_at(cfg.ell0),
+                     build_initial(cfg, {"kind": "sphere-equator", "eps": 0.2}), cfg.target)
+        tracemalloc.start()
+        try:
+            cfio.map_to_csv(u, tmp_path / "m.csv", tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_080_000
+
     def test_map_dump_peak_memory_is_bounded(self, tmp_path):
         # the large-grid sphere start: 24576 rows, 2.45 MB of text.  Holding
         # every row, their text and its bytes at once peaked at 12.0 MB; in row

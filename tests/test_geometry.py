@@ -14,13 +14,12 @@ from collarflow.geometry import (
     DomainError,
     conformal_factor,
     delta_thin_half_length,
-    deformed_circle_radius_sq,
-    dz2_l2_sq_truncated,
     dz2_norms,
     half_length,
     injectivity_radius,
     log_rho_slope,
 )
+from oracles import deformed_circle_radius_sq, dz2_l2_sq_truncated
 
 # Frozen oracle values, computed once with 40-digit mpmath evaluation of
 # the same closed forms (see oracle helpers at the bottom of this file).
