@@ -235,7 +235,7 @@ class TestCsv:
 
     def test_map_dump_holds_cells_as_bytes(self, tmp_path):
         # the large-grid sphere start: a cell per distinct value as 25 bytes
-        # and one argsort over all cells peak at 2.60 MB, where a str per
+        # and one argsort over all cells peak at 2.61 MB, where a str per
         # distinct value of each repeated column peaked at 3.56 MB
         cfg = FlowConfig(ell0=0.2, eta=0.5, dt=1e-7, t_end=1e-7, n_s=384, n_theta=64,
                          target=TargetSpec.round_sphere(3), ell_max=0.4, ell_floor=0.1)
