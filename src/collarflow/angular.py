@@ -348,7 +348,6 @@ class AngularAuditReport:
     s0: np.ndarray
     theta: np.ndarray          # windowed angular energy per station
     forcing: np.ndarray        # windowed tension content per station
-    operator_values: np.ndarray  # L(Theta) on the interior stations
     fitted_c1: float           # smallest c1 making L(Theta) >= -c1 G hold
     c1: float                  # c1 actually used for the bound
     bound: ProfileFn           # supersolution dominating Theta
@@ -362,7 +361,7 @@ class AngularAuditReport:
 def _empty_audit() -> AngularAuditReport:
     z = np.zeros(0)
     stub = ProfileFn(0.25 * np.arange(7) - 0.75, np.zeros(7))
-    return AngularAuditReport(s0=z, theta=z, forcing=z, operator_values=z,
+    return AngularAuditReport(s0=z, theta=z, forcing=z,
                               fitted_c1=0.0, c1=DEFAULT_C1, bound=stub,
                               satisfied=True, vacuous=True)
 
@@ -412,6 +411,6 @@ def angular_bound_audit(u: MapField, profile_step: float = 0.05,
     coeff = 2.0 * math.e * energies(u, J).E
     bound = kernel_solution(s0, forcing, used_c1, a=coeff, b=coeff)
     return AngularAuditReport(
-        s0=s0, theta=theta_vals, forcing=forcing, operator_values=Lth,
+        s0=s0, theta=theta_vals, forcing=forcing,
         fitted_c1=fitted_c1, c1=float(used_c1), bound=bound,
         satisfied=bool(np.all(theta_vals <= bound.values)), vacuous=False)

@@ -157,8 +157,7 @@ def cmd_qd(args) -> int:
             "l2": lp_norm(field, 2),
             "linf": lp_norm(field, math.inf),
             "remainder_l2": lp_norm(split.remainder, 2),
-            "modes": {str(n): [dec.coefficient(n).real, dec.coefficient(n).imag]
-                      for n in range(-n_max, n_max + 1)},
+            "modes": {str(n): [b.real, b.imag] for n, b in dec.items()},
         }
     cfio.check_finite(summary)  # before any write, so a refused value leaves no file
     out = _out_dir(args)

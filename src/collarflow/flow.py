@@ -46,7 +46,7 @@ from collarflow.fields import (
     tension,
     tension_l2,
 )
-from collarflow.quad_diff import _principal_coefficient
+from collarflow.quad_diff import principal_coefficient
 
 TRACE_COLUMNS = ("t", "ell", "E", "I", "I_theta", "I_smooth",
                  "tension_l2", "re_b0", "im_b0", "dE_residual")
@@ -192,7 +192,7 @@ def metric_speed(state: FlowState, eta: float, jet_=None) -> tuple[float, comple
     coefficient regardless of how much of the collar the grid covers.
     """
     u = state.u
-    b0 = _principal_coefficient(u.grid, (jet_ or jet(u)).hopf())
+    b0 = principal_coefficient(u.grid, (jet_ or jet(u)).hopf())
     speed = -(2.0 * math.pi**2 / state.ell) * (eta * eta / 4.0) * b0.real
     return speed, b0
 
@@ -336,7 +336,6 @@ class FlowTrace:
 
     columns: dict[str, np.ndarray]
     status: str
-    config: FlowConfig
     final: FlowState
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -379,7 +378,7 @@ def run(config: FlowConfig, initial_values: np.ndarray) -> FlowTrace:
             status = STATUS_CAPPED
     columns = {name: np.array([r[name] for r in rows])
                for name in TRACE_COLUMNS if name != "dE_residual"}
-    trace = FlowTrace(columns=columns, status=status, config=config, final=state)
+    trace = FlowTrace(columns=columns, status=status, final=state)
     columns["dE_residual"] = energy_identity_residual(trace)
     return trace
 
@@ -403,7 +402,6 @@ class BoundFit:
     C_ell: float       # |d/dt log ell| <= C ell (I + E0)
     C_smooth: float    # |d/dt log(1 + I_smooth)| <= C (1 + ||tau||^2)
     ell_ratios: np.ndarray
-    smooth_ratios: np.ndarray
 
 
 def dlogell_bound_check(trace: FlowTrace) -> BoundFit:
@@ -427,7 +425,6 @@ def dlogell_bound_check(trace: FlowTrace) -> BoundFit:
     ell_ratios = np.abs(dlog_ell) / denom_ell
     dlog_smooth = np.gradient(np.log1p(trace["I_smooth"]), t)
     denom_smooth = 1.0 + trace["tension_l2"] ** 2
-    smooth_ratios = np.abs(dlog_smooth) / denom_smooth
     return BoundFit(C_ell=float(np.max(ell_ratios)),
-                    C_smooth=float(np.max(smooth_ratios)),
-                    ell_ratios=ell_ratios, smooth_ratios=smooth_ratios)
+                    C_smooth=float(np.max(np.abs(dlog_smooth) / denom_smooth)),
+                    ell_ratios=ell_ratios)

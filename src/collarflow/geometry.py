@@ -174,17 +174,6 @@ def injectivity_radius(ell: float, s: float) -> float:
     return math.asinh(math.sinh(0.5 * ell) / c)
 
 
-def log_rho_slope(ell: float, s: float) -> float:
-    """d/ds log rho = (ell/2pi) tan(ell s/2pi).
-
-    Bounded in absolute value by min(rho(s), ell/(2 pi sinh(ell/2)))
-    and hence by 1/pi across the whole collar.
-    """
-    ell, s = _check_point(ell, s)
-    a = ell / (2.0 * math.pi)
-    return a * math.tan(a * s)
-
-
 @dataclass(frozen=True)
 class Dz2Norms:
     """Norms of dz^2 over the whole collar in the hyperbolic metric."""

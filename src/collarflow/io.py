@@ -60,8 +60,10 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
 
     Column order follows the dict; all columns must share one length and
     hold floats, and each cell holds FLOAT_FMT's text of its float64 value.
-    Provenance entries become sorted leading comment lines; one that would
-    not read back as itself (a line break, or ': ' in a key) is refused.
+    A name that would not read back as itself (a ',' or a line break, or
+    a '#' opening the first) is refused.  Provenance entries become sorted
+    leading comment lines; one that would not read back as itself (a line
+    break, or ': ' in a key) is refused.
     Rows are written in blocks of _BLOCK_ROWS through one open file; a
     rejected column or entry creates no file, and a write that fails
     partway removes the partial file.
@@ -73,13 +75,16 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     n_rows = arrays[0].shape[0]
     if any(a.ndim != 1 or a.shape[0] != n_rows for a in arrays):
         raise DomainError("csv columns must be 1-d and equal length")
-    for name, a in zip(names, arrays):
+    for i, (name, a) in enumerate(zip(names, arrays)):
         if a.dtype.kind != "f":
             raise DomainError(f"csv column {name!r} must hold floats, got {a.dtype}")
+        if "," in name or _breaks_line(name) or (i == 0 and name.startswith("#")):
+            raise DomainError(f"csv column {name!r}: a name may not hold ',' or a line "
+                              f"break, nor the first start with '#'")
     head = ""
     for key, value in sorted((provenance or {}).items()):
         line = f"{key}: {FLOAT_FMT % value if isinstance(value, (float, np.floating)) else value}"
-        if len(line.splitlines()) != 1 or ": " in str(key):
+        if _breaks_line(line) or ": " in str(key):
             raise DomainError(f"csv provenance {key!r}: a key or value may not hold "
                               f"a line break, nor a key ': '")
         head += f"{COMMENT_PREFIX}{line}\n"
@@ -96,6 +101,12 @@ def write_csv(path, columns: dict, provenance: dict | None = None) -> None:
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether text holds a line break that str.splitlines, and so read_csv, splits
+    on.  No break is printable, so printable text builds no list of lines."""
+    return not text.isprintable() and "".join(text.splitlines()) != text
 
 
 def _distinct(arrays: list) -> tuple[np.ndarray, np.ndarray]:

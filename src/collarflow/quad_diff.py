@@ -77,22 +77,16 @@ class PrincipalSplit:
     """Orthogonal split Psi = b0 dz^2 + remainder on the grid's subcylinder."""
 
     b0: complex
-    principal: QuadDiffField
     remainder: QuadDiffField
 
 
-def principal_coefficient(field: QuadDiffField) -> complex:
-    """b0 = <Psi, dz^2> / ||dz^2||^2, the rho^-2-weighted mean of psi.
+def principal_coefficient(grid: CollarGrid, psi: np.ndarray) -> complex:
+    """b0 = <Psi, dz^2> / ||dz^2||^2 of the (n_s, n_theta) samples psi on
+    grid, the rho^-2-weighted mean of psi.
 
-    Both pairings are quadratured on the field's own grid, so the
-    constant factor 4 and the theta weight cancel.
+    Both pairings are quadratured on the grid, so the constant factor 4
+    and the theta weight cancel.
     """
-    return _principal_coefficient(field.grid, field.psi)
-
-
-def _principal_coefficient(grid: CollarGrid, psi: np.ndarray) -> complex:
-    """principal_coefficient of the (n_s, n_theta) samples psi on grid, with
-    no QuadDiffField built (a flow step passes its jet's psi)."""
     return complex(np.einsum("s,st->", grid.pairing_weights, psi)) / grid.pairing_norm
 
 
@@ -103,25 +97,8 @@ def principal_split(field: QuadDiffField) -> PrincipalSplit:
     split is exactly orthogonal in the discrete pairing and the
     Pythagoras identity holds to rounding.
     """
-    grid = field.grid
-    b0 = principal_coefficient(field)
-    principal = QuadDiffField(grid, np.full_like(field.psi, b0))
-    remainder = QuadDiffField(grid, field.psi - b0)
-    return PrincipalSplit(b0=b0, principal=principal, remainder=remainder)
-
-
-@dataclass
-class FourierQD:
-    """Holomorphic mode coefficients b_n for |n| <= n_max on a grid."""
-
-    grid: CollarGrid
-    n_max: int
-    coeffs: np.ndarray  # complex, index n + n_max
-
-    def coefficient(self, n: int) -> complex:
-        if abs(n) > self.n_max:
-            raise DomainError(f"mode {n} outside |n| <= {self.n_max}")
-        return complex(self.coeffs[n + self.n_max])
+    b0 = principal_coefficient(field.grid, field.psi)
+    return PrincipalSplit(b0=b0, remainder=QuadDiffField(field.grid, field.psi - b0))
 
 
 def _mode_anchor(n: int, s_max: float) -> float:
@@ -134,8 +111,9 @@ def _mode_anchor(n: int, s_max: float) -> float:
     return 0.0
 
 
-def fourier_decompose(field: QuadDiffField, n_max: int = 16) -> FourierQD:
-    """Mode coefficients b_n = <Psi, phi_n> / ||phi_n||^2, phi_n = e^{ns} e^{in theta} dz^2.
+def fourier_decompose(field: QuadDiffField, n_max: int = 16) -> dict[int, complex]:
+    """Mode coefficients {n: b_n} for -n_max <= n <= n_max in ascending n,
+    b_n = <Psi, phi_n> / ||phi_n||^2 with phi_n = e^{ns} e^{in theta} dz^2.
 
     The theta reduction is a DFT (exact orthogonality below Nyquist:
     2 n_max < n_theta is required); the s reduction shares one quadrature
@@ -149,14 +127,14 @@ def fourier_decompose(field: QuadDiffField, n_max: int = 16) -> FourierQD:
     if 2 * n_max >= grid.n_theta:
         raise DomainError(f"n_max = {n_max} at or beyond Nyquist for n_theta = {grid.n_theta}")
     dft = np.fft.fft(field.psi, axis=1) / grid.n_theta  # row-wise theta averages
-    coeffs = np.zeros(2 * n_max + 1, dtype=complex)
+    coeffs = {}
     for n in range(-n_max, n_max + 1):
         anchor = _mode_anchor(n, grid.s_max)
         scaled = np.exp(n * (grid.s_nodes - anchor))
         den = float(np.sum(grid.pairing_weights * scaled * scaled))
         num = complex(np.sum(grid.pairing_weights * scaled * dft[:, n % grid.n_theta]))
-        coeffs[n + n_max] = (num / den) * math.exp(-n * anchor)
-    return FourierQD(grid=grid, n_max=n_max, coeffs=coeffs)
+        coeffs[n] = (num / den) * math.exp(-n * anchor)
+    return coeffs
 
 
 def synthesize(modes: dict, grid: CollarGrid) -> QuadDiffField:
@@ -193,14 +171,14 @@ def scaled_mode_field(grid: CollarGrid, n: int) -> QuadDiffField:
     return QuadDiffField(grid, np.outer(radial, np.exp(1j * n * grid.theta_nodes)))
 
 
-def project_holomorphic(field: QuadDiffField, n_max: int = 16) -> tuple[QuadDiffField, FourierQD]:
+def project_holomorphic(field: QuadDiffField, n_max: int = 16) -> tuple[QuadDiffField, dict[int, complex]]:
     """Orthogonal projection onto the discrete holomorphic modes |n| <= n_max.
 
     The modes are exactly orthogonal in the discrete pairing, so the
     projection is a contraction: ||P Psi||_2 <= ||Psi||_2.
     """
     mc = fourier_decompose(field, n_max=n_max)
-    return synthesize({n - n_max: c for n, c in enumerate(mc.coeffs)}, field.grid), mc
+    return synthesize(mc, field.grid), mc
 
 
 def hopf_differential(u: MapField, jet_: MapJet | None = None) -> QuadDiffField:

@@ -159,7 +159,7 @@ def check_fourier_round_trip(rng):
     grid = CollarGrid(0.1, 150, 16, s_max=3.0)
     modes = {0: 0.5 + 0.2j, 1: -0.3j, -2: 0.1, 3: 0.05 - 0.02j}
     dec = fourier_decompose(synthesize(modes, grid=grid), n_max=5)
-    worst = max(abs(dec.coefficient(n) - c) for n, c in modes.items())
+    worst = max(abs(dec[n] - c) for n, c in modes.items())
     return worst < 1e-9, f"max coefficient err {worst:.3g}", worst, 1e-9
 
 

@@ -110,7 +110,6 @@ class CorrectionFit:
     c3: float
     c5: float
     max_rel_residual: float
-    condition: float
 
 
 def correction_coefficient(ell_list, tol: float = 1e-11) -> CorrectionFit:
@@ -140,4 +139,4 @@ def correction_coefficient(ell_list, tol: float = 1e-11) -> CorrectionFit:
     resid = design @ coeffs - shortfall
     max_rel = float(np.max(np.abs(resid)) / np.max(np.abs(shortfall)))
     return CorrectionFit(c3=float(coeffs[0]), c5=float(coeffs[1]),
-                         max_rel_residual=max_rel, condition=cond)
+                         max_rel_residual=max_rel)

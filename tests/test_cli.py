@@ -132,6 +132,17 @@ class TestRuntimeDependencies:
             capture_output=True, text=True, env=env, check=True).stdout
         assert out.strip() == "[]"
 
+    def test_submodule_import_loads_only_what_it_imports(self):
+        # the package holds only __version__, so it imports no module of its own
+        src = str(Path(collarflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, collarflow.geometry; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'collarflow'))"],
+            capture_output=True, text=True, env=env, check=True).stdout
+        assert out.strip() == "['collarflow', 'collarflow.geometry']"
+
 
 # row counts either side of the CSV writer's block boundaries
 ACROSS_BLOCKS = (cfio._BLOCK_ROWS - 1, cfio._BLOCK_ROWS, cfio._BLOCK_ROWS + 1,
@@ -225,13 +236,31 @@ class TestCsv:
 
     @pytest.mark.parametrize("provenance, key", [
         ({"label": "a\nb"}, "label"), ({"label": "a\rb"}, "label"),
-        ({"seed": 1, "k: v": 1}, "k: v"), ({"a\nb": 1}, "a\nb")])
+        ({"seed": 1, "k: v": 1}, "k: v"), ({"a\nb": 1}, "a\nb"),
+        ({"label": "a\n"}, "label")])
     def test_provenance_that_would_not_read_back_refused(self, tmp_path, provenance, key):
         # "a\nb" read back as a header line b; a key "k: v" read back as k
         path = tmp_path / "p.csv"
         with pytest.raises(DomainError, match=rf"^csv provenance {re.escape(repr(key))}:"):
             cfio.write_csv(path, {"x": [1.0]}, provenance)
         assert not path.exists()
+
+    @pytest.mark.parametrize("columns", [
+        {"a,b": [1.0], "c": [2.0]}, {"x\ny": [1.0]}, {"x\u2028": [1.0]},
+        {"#a": [1.0], "b": [2.0]}])
+    def test_column_name_that_would_not_read_back_refused(self, tmp_path, columns):
+        # "a,b" read back as two columns, "x\ny" as a header x and a row y,
+        # and a first name "#a" as a provenance line, so the data row became
+        # the header
+        path = tmp_path / "c.csv"
+        bad = next(iter(columns))
+        with pytest.raises(DomainError, match=rf"^csv column {re.escape(repr(bad))}:"):
+            cfio.write_csv(path, columns)
+        assert not path.exists()
+
+    def test_hash_opens_only_the_first_name_as_a_comment(self, tmp_path):
+        cfio.write_csv(tmp_path / "c.csv", {"a": [1.0], "#b": [2.0]})
+        assert list(cfio.read_csv(tmp_path / "c.csv")[0]) == ["a", "#b"]
 
     def test_map_dump_holds_cells_as_bytes(self, tmp_path):
         # the large-grid sphere start: a cell per distinct value as 25 bytes

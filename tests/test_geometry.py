@@ -17,7 +17,6 @@ from collarflow.geometry import (
     dz2_norms,
     half_length,
     injectivity_radius,
-    log_rho_slope,
 )
 from oracles import deformed_circle_radius_sq, dz2_l2_sq_truncated
 
@@ -163,25 +162,7 @@ class TestInjectivityRadius:
 
 
 class TestLogRhoSlope:
-    def test_zero_at_core(self):
-        assert log_rho_slope(0.5, 0.0) == 0.0
-
-    def test_finite_difference(self):
-        ell, s = 0.3, 5.0
-        h = 1e-6
-        fd = (math.log(conformal_factor(ell, s + h)) -
-              math.log(conformal_factor(ell, s - h))) / (2 * h)
-        assert log_rho_slope(ell, s) == pytest.approx(fd, rel=1e-6)
-
-    @settings(max_examples=150, deadline=None)
-    @given(ell=ells(), t=unit_interval())
-    def test_bounds(self, ell, t):
-        s = t * half_length(ell)
-        slope = abs(log_rho_slope(ell, s))
-        rho = conformal_factor(ell, s)
-        cap = ell / (2 * math.pi * math.sinh(ell / 2))
-        assert slope <= min(rho, cap) * (1 + 1e-12)
-        assert slope <= 1 / math.pi + 1e-12
+    """The 1/pi bound on d/ds log rho, in its integrated form on windows."""
 
     def test_rho_equivalence_on_windows(self):
         # within distance Lambda of s0, rho varies from rho(s0) by at most e^{Lambda/pi}
@@ -200,7 +181,7 @@ class TestLogRhoSlope:
 
 
 class TestCollarPoint:
-    @pytest.mark.parametrize("fn", [conformal_factor, injectivity_radius, log_rho_slope])
+    @pytest.mark.parametrize("fn", [conformal_factor, injectivity_radius])
     @pytest.mark.parametrize("where", [1.01, -1.01, math.nan])
     def test_point_outside_collar_rejected(self, fn, where):
         with pytest.raises(DomainError, match="not inside the collar"):
@@ -208,9 +189,8 @@ class TestCollarPoint:
 
     def test_only_injectivity_radius_accepts_the_collar_end(self):
         X = half_length(0.2)
-        for fn in (conformal_factor, log_rho_slope):
-            with pytest.raises(DomainError, match="not inside the collar"):
-                fn(0.2, X)
+        with pytest.raises(DomainError, match="not inside the collar"):
+            conformal_factor(0.2, X)
         assert injectivity_radius(0.2, -X) == injectivity_radius(0.2, X)
         assert injectivity_radius(0.2, X) == pytest.approx(math.asinh(math.cosh(0.1)),
                                                            rel=1e-14)

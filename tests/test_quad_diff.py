@@ -75,8 +75,8 @@ class TestFourier:
         mc = fourier_decompose(f, n_max=5)
         for n in range(-5, 6):
             expect = modes.get(n, 0.0)
-            assert mc.coefficient(n) == pytest.approx(expect, abs=1e-10)
-        back = synthesize({n: mc.coefficient(n) for n in range(-5, 6)}, short_grid)
+            assert mc[n] == pytest.approx(expect, abs=1e-10)
+        back = synthesize(mc, short_grid)
         assert np.allclose(back.psi, f.psi, atol=1e-9)
 
     def test_mode_orthogonality_on_subcylinders(self):
@@ -89,6 +89,11 @@ class TestFourier:
             scale = lp_norm(f1, 2) * lp_norm(f2, 2)
             assert abs(inner_product(f1, f2)) < 1e-12 * scale
             assert abs(inner_product(f1, f0)) < 1e-12 * lp_norm(f1, 2) * lp_norm(f0, 2)
+
+    def test_modes_keyed_in_ascending_n(self, short_grid):
+        f = synthesize({0: 1.5 - 0.25j, 1: 0.3 + 0.1j, -2: -0.7j}, short_grid)
+        for n_max in (0, 1, 5):
+            assert list(fourier_decompose(f, n_max)) == list(range(-n_max, n_max + 1))
 
     def test_nyquist_guard(self, short_grid):
         with pytest.raises(DomainError):
@@ -124,14 +129,16 @@ class TestPrincipalSplit:
         f = QuadDiffField(short_grid, psi)
         split = principal_split(f)
         total = lp_norm(f, 2) ** 2
-        parts = lp_norm(split.principal, 2) ** 2 + lp_norm(split.remainder, 2) ** 2
+        principal = QuadDiffField(short_grid, np.full_like(f.psi, split.b0))
+        parts = lp_norm(principal, 2) ** 2 + lp_norm(split.remainder, 2) ** 2
         assert parts == pytest.approx(total, rel=1e-11)
 
     def test_split_orthogonal(self, short_grid):
         rng = np.random.default_rng(12)
         f = QuadDiffField(short_grid, rng.normal(size=(200, 32)))
         split = principal_split(f)
-        ip = inner_product(split.remainder, split.principal)
+        principal = QuadDiffField(short_grid, np.full_like(f.psi, split.b0))
+        ip = inner_product(split.remainder, principal)
         assert abs(ip) < 1e-10 * max(1.0, lp_norm(f, 2) ** 2)
 
     def test_b0_against_small_ell_coefficient(self):
@@ -175,7 +182,13 @@ class TestProjection:
         f = synthesize({0: 1.0, 2: 0.3 - 0.2j}, short_grid)
         proj, mc = project_holomorphic(f, n_max=4)
         assert np.allclose(proj.psi, f.psi, atol=1e-10)
-        assert mc.coefficient(2) == pytest.approx(0.3 - 0.2j, abs=1e-12)
+        assert mc[2] == pytest.approx(0.3 - 0.2j, abs=1e-12)
+
+    def test_projection_is_the_synthesized_decomposition(self, short_grid):
+        rng = np.random.default_rng(29)
+        f = QuadDiffField(short_grid, rng.normal(size=(200, 32)) + 1j * rng.normal(size=(200, 32)))
+        proj, _ = project_holomorphic(f, n_max=6)
+        np.testing.assert_array_equal(proj.psi, synthesize(fourier_decompose(f, 6), short_grid).psi)
 
 
 def _tension_density(u, J):
